@@ -10,7 +10,6 @@ that preserve both values and shared references.
 from .cost import CostModel, CostProfile, linked_pairs
 from .errors import (
     CellExecutionError,
-    DeserializationFailure,
     FormatError,
     Infeasible,
     InvalidHeapOp,

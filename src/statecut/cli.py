@@ -145,9 +145,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
     bandwidths = [float(b) for b in args.bandwidths.split(",")]
+    session, _ = run_trace(trace)
     rows = []
     for bandwidth in bandwidths:
-        session, _ = run_trace(trace)
         plan = plan_session(
             session, alpha=args.alpha, bandwidth=bandwidth,
             latency=args.latency, objective=args.objective,

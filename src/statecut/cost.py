@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .errors import UnknownVariable
+from .errors import FormatError, UnknownVariable
 from .heap import SimHeap, build_id_graph, id_graphs_overlap
 from .history import CellExecution, HistoryGraph
 
@@ -45,6 +45,32 @@ class CostProfile:
     @property
     def store_bandwidth(self) -> float:
         return self.store_bandwidth_bytes_per_s or self.bandwidth_bytes_per_s
+
+    def to_json(self) -> dict:
+        data = {
+            "bandwidth_bytes_per_s": self.bandwidth_bytes_per_s,
+            "latency_s": self.latency_s,
+            "alpha": self.alpha,
+        }
+        if self.store_bandwidth_bytes_per_s is not None:
+            data["store_bandwidth_bytes_per_s"] = self.store_bandwidth_bytes_per_s
+        return data
+
+    @classmethod
+    def from_json(cls, data) -> CostProfile:
+        """Parse a stored profile; raises FormatError when it is malformed."""
+        if not isinstance(data, dict) or "bandwidth_bytes_per_s" not in data:
+            raise FormatError("profile must define bandwidth_bytes_per_s")
+        store = data.get("store_bandwidth_bytes_per_s")
+        try:
+            return cls(
+                bandwidth_bytes_per_s=float(data["bandwidth_bytes_per_s"]),
+                latency_s=float(data.get("latency_s", 0.0)),
+                alpha=float(data.get("alpha", 1.0)),
+                store_bandwidth_bytes_per_s=None if store is None else float(store),
+            )
+        except (TypeError, ValueError) as err:
+            raise FormatError(f"invalid profile: {err}") from err
 
 
 @dataclass
@@ -125,7 +151,7 @@ class CostModel:
         targets = {active[n] for n in names if n in active}
         if not targets:
             return 0.0
-        cells = history.merged_rerun_cells(targets, set(ground))
+        cells = history.rerun_cells_from(targets, {active[n] for n in ground if n in active})
         return sum(self.rerun_seconds(c) for c in cells)
 
     def total_cost(self, history: HistoryGraph, migrate) -> float:
@@ -149,3 +175,26 @@ def linked_pairs(heap: SimHeap, names) -> set[tuple[str, str]]:
         if id_graphs_overlap(graphs[a], graphs[b]):
             pairs.add((a, b))
     return pairs
+
+
+def linked_groups(names, pairs) -> list[set[str]]:
+    """Partition ``names`` into the connected components of ``pairs``.
+
+    Pairs naming anything outside ``names`` are ignored. Groups come out in
+    the order of their first member in sorted ``names``.
+    """
+    parent = {n: n for n in names}
+
+    def find(n: str) -> str:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    for a, b in pairs:
+        if a in parent and b in parent:
+            parent[find(a)] = find(b)
+    groups: dict[str, set[str]] = {}
+    for n in sorted(parent):
+        groups.setdefault(find(n), set()).add(n)
+    return list(groups.values())

@@ -56,14 +56,6 @@ class SerializationError(StatecutError):
     """A non-serializable object reached the checkpoint writer."""
 
 
-class DeserializationFailure(StatecutError):
-    """A stored variable failed to load (undeserializable object in its subgraph)."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"deserialization failed for variable {name!r}")
-
-
 class MissingCellProgram(StatecutError):
     """The trace archive lacks a cell program needed for a rerun."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InvalidHeapOp, RootMismatch, UnknownObject, UnknownVariable
@@ -79,6 +80,18 @@ class MutationRecord:
     touched: set[ObjectId] = field(default_factory=set)
 
 
+def reachable_ids(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> set[ObjectId]:
+    """Transitive closure over slots from ``root``, root included."""
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        for child in objects[frontier.pop()].slots.values():
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return seen
+
+
 class SimHeap:
     """Object heap plus variable namespace for one simulated session."""
 
@@ -127,15 +140,7 @@ class SimHeap:
 
     def reachable_from(self, oid: ObjectId) -> set[ObjectId]:
         self.get(oid)
-        seen = {oid}
-        frontier = [oid]
-        while frontier:
-            obj = self.objects[frontier.pop()]
-            for child in obj.slots.values():
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
+        return reachable_ids(self.objects, oid)
 
     def apply(self, ops: list[HeapOp]) -> MutationRecord:
         """Apply ops in order; on error, the raised exception carries the

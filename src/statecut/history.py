@@ -117,35 +117,6 @@ class HistoryGraph:
             if versions and name not in self.deleted
         }
 
-    def rerun_cells(
-        self,
-        target: VariableSnapshot,
-        ground: set[str],
-        *,
-        require_rerunnable: bool = False,
-    ) -> list[CellExecution]:
-        """Ordered cell list that rebuilds ``target`` from the ground variables.
-
-        A ground variable's value is available as-is, so backward traversal
-        stops at its active snapshot; non-active snapshots of ground names
-        still require their producing cells.
-        """
-        active = self.active_snapshots()
-        ground_vses = {active[n] for n in ground if n in active}
-        return self.rerun_cells_from({target}, ground_vses, require_rerunnable=require_rerunnable)
-
-    def merged_rerun_cells(
-        self,
-        targets: set[VariableSnapshot],
-        ground: set[str],
-        *,
-        require_rerunnable: bool = False,
-    ) -> list[CellExecution]:
-        """Union of per-target rerun lists, duplicates collapsed, time-ordered."""
-        active = self.active_snapshots()
-        ground_vses = {active[n] for n in ground if n in active}
-        return self.rerun_cells_from(targets, ground_vses, require_rerunnable=require_rerunnable)
-
     def rerun_cells_from(
         self,
         targets: set[VariableSnapshot],
@@ -154,7 +125,8 @@ class HistoryGraph:
         require_rerunnable: bool = False,
     ) -> list[CellExecution]:
         """Backward closure from ``targets``, stopping each path at a snapshot
-        in ``ground_vses``; returns producing cells sorted by completion time."""
+        in ``ground_vses`` (available as-is); returns the producing cells that
+        rebuild every target, each once, sorted by completion time."""
         need: set[int] = set()
         stack = [vs for vs in targets if vs not in ground_vses]
         seen = set(stack)

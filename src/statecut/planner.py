@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cost import CostModel
+from .cost import CostModel, linked_groups
 from .errors import Infeasible, TooLarge
 from .history import HistoryGraph
 
@@ -53,7 +53,6 @@ class ReplicationPlan:
     migrate: set[str]
     rerun: list[int]  # cell timestamps, ascending
     cost_s: float
-    overwrite_after_rerun: set[str] = field(default_factory=set)
     alpha: float = 1.0
     bandwidth_bytes_per_s: float = 0.0
 
@@ -113,14 +112,14 @@ def build_flow_graph(
         fg.ce_nodes[cell.t] = len(labels)
         labels.append(cell.t)
 
-    active_names = set(active)
+    active_vses = set(active.values())
     for name, vs in active.items():
         u = fg.vs_nodes[name]
         capacity = INF if name in forced_recompute else cost.migration_seconds(name)
         fg.add_arc(SRC, u, capacity)
         if name in forced_migrate:
             fg.add_arc(u, SINK, INF)
-        for cell in history.rerun_cells(vs, active_names - {name}):
+        for cell in history.rerun_cells_from({vs}, active_vses - {vs}):
             fg.add_arc(u, fg.ce_nodes[cell.t], INF)
     for cell in history.cells:
         fg.add_arc(fg.ce_nodes[cell.t], SINK, cost.rerun_seconds(cell))
@@ -165,24 +164,8 @@ def _infeasible_variables(fg: FlowGraph) -> list[str]:
     """Names for which both migrating and recomputing are infinite, grouped by
     linked component (the whole component must move together)."""
     active = fg.history.active_snapshots()
-    names = sorted(active)
-    parent = {n: n for n in names}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    for a, b in fg.linked:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
-    components: dict[str, set[str]] = {}
-    for n in names:
-        components.setdefault(find(n), set()).add(n)
-
     bad: list[str] = []
-    for comp in components.values():
+    for comp in linked_groups(active, fg.linked):
         can_migrate = all(
             fg.cost.migration_seconds(n) < INF and n not in fg.forced_recompute
             for n in comp
@@ -220,23 +203,19 @@ def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
         flow += bottleneck
 
     src_side = _residual_reachable(residual, SRC)
-    cut = 0.0
-    for u in src_side:
-        for v, cap in fg.arcs[u].items():
-            if v not in src_side:
-                cut += cap
-    if not math.isclose(cut, flow, rel_tol=1e-9, abs_tol=1e-9):
-        raise AssertionError(f"max-flow {flow} != cut value {cut}")
-
     migrate = {name for name, u in fg.vs_nodes.items() if u not in src_side}
     rerun = sorted(t for t, u in fg.ce_nodes.items() if u in src_side)
-    active = fg.history.active_snapshots()
-    overwrite = {n for n in migrate if active[n].t in set(rerun)}
+    # the cut's arcs summed in a fixed order: the flow's own sum follows the
+    # augmentation order, which follows set iteration and so the hash seed
+    cut = fg.cost.migration_cost(sorted(migrate)) + sum(
+        fg.cost.rerun_seconds(fg.history.cell(t)) for t in rerun
+    )
+    if not math.isclose(cut, flow, rel_tol=1e-9, abs_tol=1e-9):
+        raise AssertionError(f"max-flow {flow} != cut value {cut}")
     return ReplicationPlan(
         migrate=migrate,
         rerun=rerun,
-        cost_s=flow,
-        overwrite_after_rerun=overwrite,
+        cost_s=cut,
         alpha=fg.cost.profile.alpha,
         bandwidth_bytes_per_s=fg.cost.profile.bandwidth_bytes_per_s,
     )
@@ -282,26 +261,22 @@ def brute_force_plan(
         if best is None or key < best:
             best = key
             best_set = subset
-    if best is None or best[0] == INF:
-        raise Infeasible(names if best is None else _infeasible_names_brute(history, cost, linked, forced_migrate, forced_recompute))
+    if best is None:
+        raise Infeasible(names)
+    if best[0] == INF:
+        fg = build_flow_graph(history, cost, linked, forced_migrate, forced_recompute)
+        raise Infeasible(_infeasible_variables(fg))
 
     migrate = set(best_set)
     targets = {active[n] for n in set(names) - migrate}
     rerun = [c.t for c in history.rerun_cells_from(targets, {active[n] for n in migrate})]
-    overwrite = {n for n in migrate if active[n].t in set(rerun)}
     return ReplicationPlan(
         migrate=migrate,
         rerun=rerun,
         cost_s=best[0],
-        overwrite_after_rerun=overwrite,
         alpha=cost.profile.alpha,
         bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
     )
-
-
-def _infeasible_names_brute(history, cost, linked, forced_migrate, forced_recompute) -> list[str]:
-    fg = build_flow_graph(history, cost, linked, forced_migrate, forced_recompute)
-    return _infeasible_variables(fg)
 
 
 def baseline_plans(history: HistoryGraph, cost: CostModel) -> dict[str, ReplicationPlan]:
@@ -362,7 +337,6 @@ def plan_session(
     latency: float | None = None,
     objective: str | None = None,
     ablate: tuple[str, ...] = (),
-    method: str = "mincut",
 ) -> ReplicationPlan:
     """Profile the session and compute a plan under the requested objective."""
     from .cost import linked_pairs
@@ -376,7 +350,5 @@ def plan_session(
     forced_migrate = {n for n, a in session.annotations.items() if a == "always_copy" and n in active}
     forced_recompute = {n for n, a in session.annotations.items() if a == "always_recompute" and n in active}
 
-    if method == "brute":
-        return brute_force_plan(session.history, cost, linked, forced_migrate, forced_recompute)
     fg = build_flow_graph(session.history, cost, linked, forced_migrate, forced_recompute)
     return min_cut_plan(fg)

@@ -7,8 +7,9 @@ Restoration walks the original timestamps, interleaving cell reruns with
 variable re-declaration, so every rerun cell reads the inputs it originally
 saw; a migrated variable also produced by a rerun cell is overwritten with
 its stored copy to keep aliases pointing at the payload objects. Stored
-variables that fail to deserialize are recovered by moving their whole
-linked group back to recomputation and replaying the amended plan.
+variables that fail to deserialize are found before the walk and recovered
+by moving their whole linked group back to recomputation, so the walk runs
+once, on the amended plan.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from .cost import CostModel, CostProfile
+from .cost import CostModel, CostProfile, linked_groups
 from .errors import (
-    DeserializationFailure,
     FormatError,
     InvalidHeapOp,
     MissingCellProgram,
@@ -30,7 +31,7 @@ from .errors import (
     UnknownObject,
     Unreconstructable,
 )
-from .heap import HeapObject, HeapOp, SimHeap
+from .heap import HeapObject, HeapOp, SimHeap, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
@@ -55,16 +56,19 @@ class Checkpoint:
 
     def payload_closure(self, name: str) -> set[int]:
         """Original ids of every payload object reachable from ``name``."""
-        root = self.variables[name]
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            rec = self.objects[frontier.pop()]
-            for child in rec.slots.values():
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
+        return reachable_ids(self.objects, self.variables[name])
+
+    @cached_property
+    def payload_groups(self) -> dict[str, set[str]]:
+        """Each stored name's group: the stored names linked to it by shared
+        payload objects, directly or through other members."""
+        owner: dict[int, str] = {}
+        pairs = []
+        for name in sorted(self.variables):
+            for oid in self.payload_closure(name):
+                # the first name to reach an object owns it; later ones link to it
+                pairs.append((name, owner.setdefault(oid, name)))
+        return {n: group for group in linked_groups(self.variables, pairs) for n in group}
 
 
 @dataclass
@@ -134,15 +138,8 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
 
 
 def _cost_to_manifest(cost: CostModel) -> dict:
-    profile = {
-        "bandwidth_bytes_per_s": cost.profile.bandwidth_bytes_per_s,
-        "latency_s": cost.profile.latency_s,
-        "alpha": cost.profile.alpha,
-    }
-    if cost.profile.store_bandwidth_bytes_per_s is not None:
-        profile["store_bandwidth_bytes_per_s"] = cost.profile.store_bandwidth_bytes_per_s
     return {
-        "profile": profile,
+        "profile": cost.profile.to_json(),
         "cell_runtimes": {str(t): s for t, s in sorted(cost.cell_runtimes.items())},
         "var_sizes": dict(sorted(cost.var_sizes.items())),
         "var_serializable": dict(sorted(cost.var_serializable.items())),
@@ -150,14 +147,8 @@ def _cost_to_manifest(cost: CostModel) -> dict:
 
 
 def _cost_from_manifest(data: dict) -> CostModel:
-    profile = data["profile"]
     return CostModel(
-        profile=CostProfile(
-            bandwidth_bytes_per_s=profile["bandwidth_bytes_per_s"],
-            latency_s=profile.get("latency_s", 0.0),
-            alpha=profile.get("alpha", 1.0),
-            store_bandwidth_bytes_per_s=profile.get("store_bandwidth_bytes_per_s"),
-        ),
+        profile=CostProfile.from_json(data["profile"]),
         cell_runtimes={int(t): s for t, s in data["cell_runtimes"].items()},
         var_sizes=dict(data["var_sizes"]),
         var_serializable=dict(data["var_serializable"]),
@@ -214,7 +205,9 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
     return checkpoint
 
 
-def read_checkpoint(path: str | Path) -> Checkpoint:
+def _sections(path: str | Path) -> tuple[bytes, bytes]:
+    """The manifest and payload sections of a checkpoint file, after
+    checking its magic, version and section lengths."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise FormatError(f"{path}: bad magic")
@@ -224,12 +217,20 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             raise FormatError(f"{path}: unsupported format version {version}")
         (manifest_len,) = struct.unpack_from("<Q", raw, 12)
         manifest_end = 20 + manifest_len
-        manifest = json.loads(raw[20:manifest_end])
         (payload_len,) = struct.unpack_from("<Q", raw, manifest_end)
-        payload = raw[manifest_end + 8 : manifest_end + 8 + payload_len]
-        if len(payload) != payload_len:
-            raise FormatError(f"{path}: truncated payload")
-    except (struct.error, json.JSONDecodeError) as err:
+    except struct.error as err:
+        raise FormatError(f"{path}: corrupt checkpoint ({err})") from err
+    payload = raw[manifest_end + 8 : manifest_end + 8 + payload_len]
+    if len(payload) != payload_len:
+        raise FormatError(f"{path}: truncated payload")
+    return raw[20:manifest_end], payload
+
+
+def read_checkpoint(path: str | Path) -> Checkpoint:
+    manifest_bytes, payload = _sections(path)
+    try:
+        manifest = json.loads(manifest_bytes)
+    except json.JSONDecodeError as err:
         raise FormatError(f"{path}: corrupt checkpoint ({err})") from err
     return Checkpoint(
         history=HistoryGraph.from_manifest(manifest["history"]),
@@ -243,36 +244,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 
 def payload_bytes(path: str | Path) -> int:
     """Size in bytes of a checkpoint file's payload section."""
-    raw = Path(path).read_bytes()
-    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
-    (payload_len,) = struct.unpack_from("<Q", raw, 20 + manifest_len)
-    return payload_len
+    return len(_sections(path)[1])
 
 
 # -- restoring ----------------------------------------------------------------
-
-
-def _payload_components(checkpoint: Checkpoint, names: set[str]) -> dict[str, set[str]]:
-    """Group migrated names into components sharing payload objects."""
-    parent = {n: n for n in names}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    owner: dict[int, str] = {}
-    for name in sorted(names):
-        for oid in checkpoint.payload_closure(name):
-            if oid in owner:
-                parent[find(name)] = find(owner[oid])
-            else:
-                owner[oid] = name
-    groups: dict[str, set[str]] = {}
-    for n in names:
-        groups.setdefault(find(n), set()).add(n)
-    return {n: groups[find(n)] for n in names}
 
 
 def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], list[int]]:
@@ -280,15 +255,14 @@ def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], 
     whole linked groups move to recomputation, and the lineage graph yields
     the extra cells to rerun given the remaining stored variables as ground.
     """
-    components = _payload_components(checkpoint, set(checkpoint.variables))
     moved: set[str] = set()
     for name in failed:
-        moved |= components[name]
-    remaining = set(checkpoint.variables) - moved
+        moved |= checkpoint.payload_groups[name]
     active = checkpoint.history.active_snapshots()
     targets = {active[n] for n in moved if n in active}
+    ground = {active[n] for n in set(checkpoint.variables) - moved if n in active}
     try:
-        extra = checkpoint.history.merged_rerun_cells(targets, remaining, require_rerunnable=True)
+        extra = checkpoint.history.rerun_cells_from(targets, ground, require_rerunnable=True)
     except Unreconstructable as err:
         raise Unreconstructable(sorted(failed)[0], blocked_at=err.blocked_at) from err
     return moved, [c.t for c in extra]
@@ -344,18 +318,9 @@ def _declare_variable(
     name: str,
     payload_map: dict[int, int],
     current: dict[int, int],
-    fault: Callable[[str], bool] | None,
 ) -> None:
-    """Materialize a stored variable's subgraph (once per object) and bind it.
-
-    Fails before touching the heap when any object in the subgraph is not
-    deserializable, or when an injected fault fires for this variable.
-    """
+    """Materialize a stored variable's subgraph (once per object) and bind it."""
     closure = checkpoint.payload_closure(name)
-    if any(not checkpoint.objects[oid].deserializable for oid in closure):
-        raise DeserializationFailure(name)
-    if fault is not None and fault(name):
-        raise DeserializationFailure(name)
     fresh = sorted(oid for oid in closure if oid not in payload_map)
     for oid in fresh:
         rec = checkpoint.objects[oid]
@@ -388,67 +353,47 @@ def restore(
 ) -> RestoreResult:
     """Rebuild the checkpointed session state on a fresh heap.
 
-    Walks the original timestamps in order: cells on the plan's rerun list
-    replay their recorded ops (nondeterministic cells replay their alternate
-    ops), and each stored variable is declared right after the timestamp of
-    its active snapshot. Deserialization failures trigger fallback
-    recomputation: the failed variable's linked group moves to the rerun
-    side and the walk restarts on a fresh heap with the amended plan.
+    First loads each stored variable in declaration order (the timestamp of
+    its active snapshot, then name): a variable fails to load when its
+    payload holds an undeserializable object or the injected fault fires for
+    it, and each failure moves its whole linked group to the rerun side
+    unless an earlier failure already moved it. Then walks the original
+    timestamps once: cells on the amended rerun list replay their recorded
+    ops (nondeterministic cells replay their alternate ops), and each
+    variable still stored is declared right after the timestamp of its
+    active snapshot.
     """
-    migrate = set(checkpoint.plan.migrate)
-    rerun = set(checkpoint.plan.rerun)
+    history = checkpoint.history
+    active = history.active_snapshots()
     fallbacks: list[str] = []
-
-    while True:
+    moved: set[str] = set()
+    for name in sorted(checkpoint.variables, key=lambda n: (active[n].t, n)):
+        if name in moved:
+            continue
+        closure = checkpoint.payload_closure(name)
+        if any(not checkpoint.objects[oid].deserializable for oid in closure) or (
+            deserialization_fault is not None and deserialization_fault(name)
+        ):
+            fallbacks.append(name)
+            moved |= checkpoint.payload_groups[name]
+    rerun = set(checkpoint.plan.rerun)
+    if fallbacks:
         try:
-            heap, current = _attempt_restore(
-                checkpoint, programs, migrate, rerun, deserialization_fault
-            )
-            break
-        except DeserializationFailure as err:
-            fallbacks.append(err.name)
-            moved, extra = recovery_cells(checkpoint, {err.name})
-            migrate = migrate - moved
-            rerun = rerun | set(extra)
+            moved, extra = recovery_cells(checkpoint, set(fallbacks))
+        except Unreconstructable:
+            # name the first failure, in declaration order, whose group is blocked
+            for name in fallbacks:
+                recovery_cells(checkpoint, {name})
+            raise
+        rerun.update(extra)
 
-    active = checkpoint.history.active_snapshots()
-    for name in set(heap.namespace) - set(active):
-        heap.unbind(name)
-    heap.collect_garbage()
-
-    cost = _cost_from_manifest(_cost_to_manifest(checkpoint.cost))
-    for t in sorted(rerun):
-        program = programs[checkpoint.history.cell(t).code_ref]
-        cost.record_runtime(t, program.declared_runtime_s)
-    session = Session(
-        heap=heap,
-        history=checkpoint.history,
-        cost=cost,
-        programs=dict(programs),
-        annotations=dict(checkpoint.annotations),
-        next_t=(checkpoint.history.cells[-1].t + 1) if checkpoint.history.cells else 1,
-    )
-    live = set(heap.objects)
-    id_map = {old: new for old, new in current.items() if new in live}
-    return RestoreResult(session=session, id_map=id_map, fallback_recomputed=fallbacks)
-
-
-def _attempt_restore(
-    checkpoint: Checkpoint,
-    programs: dict[str, CellProgram],
-    migrate: set[str],
-    rerun: set[int],
-    fault: Callable[[str], bool] | None,
-) -> tuple[SimHeap, dict[int, int]]:
+    declare_at: dict[int, list[str]] = {}
+    for name in sorted(set(checkpoint.variables) - moved):
+        declare_at.setdefault(active[name].t, []).append(name)
     heap = SimHeap()
     payload_map: dict[int, int] = {}
     current: dict[int, int] = {}
-    active = checkpoint.history.active_snapshots()
-    declare_at: dict[int, list[str]] = {}
-    for name in sorted(migrate):
-        declare_at.setdefault(active[name].t, []).append(name)
-
-    for cell in checkpoint.history.cells:
+    for cell in history.cells:
         if cell.t in rerun:
             if cell.code_ref not in programs:
                 raise MissingCellProgram(
@@ -463,8 +408,27 @@ def _attempt_restore(
                     raise
                 # the original run failed mid-cell too; partial effects stand
         for name in declare_at.get(cell.t, ()):
-            _declare_variable(heap, checkpoint, name, payload_map, current, fault)
-    return heap, current
+            _declare_variable(heap, checkpoint, name, payload_map, current)
+
+    for name in set(heap.namespace) - set(active):
+        heap.unbind(name)
+    heap.collect_garbage()
+
+    cost = checkpoint.cost.with_profile()
+    for t in sorted(rerun):
+        program = programs[history.cell(t).code_ref]
+        cost.record_runtime(t, program.declared_runtime_s)
+    session = Session(
+        heap=heap,
+        history=history,
+        cost=cost,
+        programs=dict(programs),
+        annotations=dict(checkpoint.annotations),
+        next_t=(history.cells[-1].t + 1) if history.cells else 1,
+    )
+    live = set(heap.objects)
+    id_map = {old: new for old, new in current.items() if new in live}
+    return RestoreResult(session=session, id_map=id_map, fallback_recomputed=fallbacks)
 
 
 # -- verification --------------------------------------------------------------

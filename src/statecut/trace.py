@@ -105,16 +105,9 @@ def _cell_from_json(data: dict, index: int) -> CellProgram:
 
 
 def trace_to_json(trace: TraceFile) -> dict:
-    profile = {
-        "bandwidth_bytes_per_s": trace.profile.bandwidth_bytes_per_s,
-        "latency_s": trace.profile.latency_s,
-        "alpha": trace.profile.alpha,
-    }
-    if trace.profile.store_bandwidth_bytes_per_s is not None:
-        profile["store_bandwidth_bytes_per_s"] = trace.profile.store_bandwidth_bytes_per_s
     return {
         "version": trace.version,
-        "profile": profile,
+        "profile": trace.profile.to_json(),
         "variable_annotations": dict(sorted(trace.variable_annotations.items())),
         "cells": [_cell_to_json(cell) for cell in trace.cells],
     }
@@ -125,22 +118,7 @@ def trace_from_json(data: dict) -> TraceFile:
         raise FormatError("trace must be a JSON object")
     if data.get("version") != TRACE_VERSION:
         raise FormatError(f"unsupported trace version {data.get('version')!r}")
-    profile_data = data.get("profile")
-    if not isinstance(profile_data, dict) or "bandwidth_bytes_per_s" not in profile_data:
-        raise FormatError("profile must define bandwidth_bytes_per_s")
-    try:
-        profile = CostProfile(
-            bandwidth_bytes_per_s=float(profile_data["bandwidth_bytes_per_s"]),
-            latency_s=float(profile_data.get("latency_s", 0.0)),
-            alpha=float(profile_data.get("alpha", 1.0)),
-            store_bandwidth_bytes_per_s=(
-                float(profile_data["store_bandwidth_bytes_per_s"])
-                if profile_data.get("store_bandwidth_bytes_per_s") is not None
-                else None
-            ),
-        )
-    except ValueError as err:
-        raise FormatError(f"invalid profile: {err}") from err
+    profile = CostProfile.from_json(data.get("profile"))
     annotations = data.get("variable_annotations", {})
     for name, value in annotations.items():
         if value not in ANNOTATIONS:

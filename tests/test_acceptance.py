@@ -270,9 +270,9 @@ def test_criterion_8_false_positive_robustness(tmp_path):
         inject_false_edges(session.history, random.Random(instance), reads=4, writes=2)
 
         for name, active_vs in pristine.active_snapshots().items():
-            base = {c.t for c in pristine.rerun_cells(active_vs, ground=set())}
+            base = {c.t for c in pristine.rerun_cells_from({active_vs}, set())}
             shifted = session.history.active_snapshots()[name]
-            grown = {c.t for c in session.history.rerun_cells(shifted, ground=set())}
+            grown = {c.t for c in session.history.rerun_cells_from({shifted}, set())}
             assert base <= grown, (instance, name)
 
         cost = session_cost_model(session)

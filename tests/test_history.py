@@ -27,6 +27,12 @@ def vs(name, t):
     return VariableSnapshot(name, t)
 
 
+def ground_of(graph, names):
+    """Active snapshots of the named variables."""
+    active = graph.active_snapshots()
+    return {active[n] for n in names if n in active}
+
+
 @pytest.fixture
 def worked_history():
     session, _ = run_trace(worked_example_trace())
@@ -114,11 +120,11 @@ class TestActiveSnapshots:
 
 class TestRerunCells:
     def test_worked_example(self, worked_history):
-        cells = worked_history.rerun_cells(vs("x", 3), ground={"z"})
+        cells = worked_history.rerun_cells_from({vs("x", 3)}, ground_of(worked_history, {"z"}))
         assert [c.t for c in cells] == [1, 3]  # z is available; t2 skipped
 
     def test_ground_target_is_empty(self, worked_history):
-        assert worked_history.rerun_cells(vs("l1", 3), ground={"l1"}) == []
+        assert worked_history.rerun_cells_from({vs("l1", 3)}, {vs("l1", 3)}) == []
 
     def test_matches_closure_oracle(self, rng):
         for seed in range(25):
@@ -129,7 +135,7 @@ class TestRerunCells:
             names = sorted(active)
             for target in names:
                 ground = set(rng.sample(names, k=rng.randint(0, len(names) - 1))) - {target}
-                got = [c.t for c in graph.rerun_cells(active[target], ground)]
+                got = [c.t for c in graph.rerun_cells_from({active[target]}, ground_of(graph, ground))]
                 assert got == sorted(_oracle_closure(graph, active[target], ground))
 
     def test_never_rerun_raises_when_required(self):
@@ -137,9 +143,9 @@ class TestRerunCells:
         graph.record(record(1, written={"x"}, never_rerun=True))
         graph.record(record(2, written={"y"}, accessed={vs("x", 1)}))
         with pytest.raises(Unreconstructable):
-            graph.rerun_cells(vs("y", 2), ground=set(), require_rerunnable=True)
+            graph.rerun_cells_from({vs("y", 2)}, set(), require_rerunnable=True)
         # without the flag the list is still produced for cost accounting
-        assert [c.t for c in graph.rerun_cells(vs("y", 2), ground=set())] == [1, 2]
+        assert [c.t for c in graph.rerun_cells_from({vs("y", 2)}, set())] == [1, 2]
 
 
 def _oracle_closure(graph, target, ground):
@@ -162,13 +168,13 @@ def _oracle_closure(graph, target, ground):
 
 class TestMergedRerunCells:
     def test_single_target_same_as_rerun(self, worked_history):
-        single = worked_history.rerun_cells(vs("x", 3), ground={"z"})
-        merged = worked_history.merged_rerun_cells({vs("x", 3)}, ground={"z"})
-        assert single == merged
+        ground = ground_of(worked_history, {"z"})
+        single = worked_history.rerun_cells_from({vs("x", 3)}, ground)
+        assert [c.t for c in single] == sorted(_oracle_closure(worked_history, vs("x", 3), {"z"}))
 
     def test_shared_ancestor_collapses(self, worked_history):
-        merged = worked_history.merged_rerun_cells(
-            {vs("x", 3), vs("y", 1)}, ground={"z"}
+        merged = worked_history.rerun_cells_from(
+            {vs("x", 3), vs("y", 1)}, ground_of(worked_history, {"z"})
         )
         assert [c.t for c in merged] == [1, 3]  # cell 1 appears once
 
@@ -183,8 +189,8 @@ class TestMergedRerunCells:
                 continue
             targets = set(rng.sample(names, k=2))
             ground = set(names) - targets
-            merged = [c.t for c in graph.merged_rerun_cells(
-                {active[n] for n in targets}, ground
+            merged = [c.t for c in graph.rerun_cells_from(
+                {active[n] for n in targets}, ground_of(graph, ground)
             )]
             union = set()
             for name in targets:
@@ -205,7 +211,7 @@ class TestReplayClosed:
             rng = random.Random(seed)
             ground = set(rng.sample(names, k=len(names) // 2))
             targets = {active[n] for n in set(names) - ground}
-            cells = graph.merged_rerun_cells(targets, ground)
+            cells = graph.rerun_cells_from(targets, ground_of(graph, ground))
             listed = {c.t for c in cells}
             ground_vses = {active[n] for n in ground}
             for cell in cells:
@@ -222,9 +228,9 @@ class TestSupersetUnderInjection:
             injected = deepcopy(graph)
             inject_false_edges(injected, random.Random(seed), reads=4, writes=2)
             for name, active_vs in graph.active_snapshots().items():
-                base = {c.t for c in graph.rerun_cells(active_vs, ground=set())}
+                base = {c.t for c in graph.rerun_cells_from({active_vs}, set())}
                 new_active = injected.active_snapshots()[name]
-                grown = {c.t for c in injected.rerun_cells(new_active, ground=set())}
+                grown = {c.t for c in injected.rerun_cells_from({new_active}, set())}
                 assert base <= grown
 
 

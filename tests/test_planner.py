@@ -58,7 +58,7 @@ class TestFlowGraphConstruction:
         active = session.history.active_snapshots()
         for name, vs in active.items():
             expected = {
-                c.t for c in session.history.rerun_cells(vs, set(active) - {name})
+                c.t for c in session.history.rerun_cells_from({vs}, set(active.values()) - {vs})
             }
             got = {
                 t for t, node in fg.ce_nodes.items()
@@ -134,7 +134,7 @@ class TestWorkedExamplePartition:
         assert plan.rerun == [1, 2, 3]
         assert plan.cost_s == pytest.approx(8.0)
         # rerunning t3 also rebuilds l1; the stored copy must win
-        assert plan.overwrite_after_rerun == {"l1"}
+        assert session.history.active_snapshots()["l1"].t in plan.rerun
         oracle = brute_force_plan(session.history, cost, linked)
         assert oracle.cost_s == pytest.approx(plan.cost_s)
         assert oracle.migrate == plan.migrate
@@ -167,12 +167,14 @@ class TestBruteForce:
 
     def test_alpha_flip_on_dataframe_scenario(self):
         # store 6.19 s, load 1.17 s, rerun 5.5 s
-        for planner in ("mincut", "brute"):
-            session, _ = run_trace(alpha_flip_trace())
-            migrate_plan = plan_session(session, objective="migrate", method=planner)
-            assert migrate_plan.migrate == set(), planner  # 7.36 > 5.5: reread it
-            restore_plan = plan_session(session, objective="restore", method=planner)
-            assert restore_plan.migrate == {"df"}, planner  # 1.4795 < 5.5: store it
+        session, _ = run_trace(alpha_flip_trace())
+        for objective, expected in (("migrate", set()), ("restore", {"df"})):
+            # migrate: 7.36 > 5.5, reread it; restore: 1.4795 < 5.5, store it
+            assert plan_session(session, objective=objective).migrate == expected
+            cost = session_cost_model(session, objective=objective)
+            linked = linked_pairs(session.heap, session.history.active_snapshots())
+            oracle = brute_force_plan(session.history, cost, linked)
+            assert oracle.migrate == expected, objective
 
     def test_too_large_guard(self):
         trace = generate_trace(GenParams(cells=40, variables=20, delete_rate=0.0), 1)

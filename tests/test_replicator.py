@@ -1,7 +1,16 @@
+import json
+import os
 import random
+import struct
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import statecut
+from statecut import replicator
 from statecut.cost import CostProfile
 from statecut.errors import FormatError, SerializationError, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
@@ -62,6 +71,32 @@ class TestCheckpointFormat:
         _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
+        with pytest.raises(FormatError):
+            read_checkpoint(path)
+
+    def test_payload_bytes_rejects_bad_magic(self, tmp_path):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(b"NOTAFILE" + b"\0" * 32)
+        with pytest.raises(FormatError):
+            payload_bytes(path)
+
+    def test_payload_bytes_rejects_truncated_file(self, tmp_path):
+        _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
+        raw = path.read_bytes()
+        for cut in (10, 24, len(raw) - 4):  # in the header, the manifest, the payload
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                payload_bytes(path)
+
+    def test_invalid_stored_profile_rejected(self, tmp_path):
+        _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
+        raw = path.read_bytes()
+        (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+        manifest = json.loads(raw[20:20 + manifest_len])
+        manifest["cost_model"]["profile"]["bandwidth_bytes_per_s"] = "fast"
+        edited = json.dumps(manifest).encode()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
+                         + raw[20 + manifest_len:])
         with pytest.raises(FormatError):
             read_checkpoint(path)
 
@@ -142,7 +177,7 @@ class TestRestore:
         # so that big2d (declared from the payload) still aliases it
         trace = worked_example_trace()
         session, plan, path = checkpoint_roundtrip(tmp_path, trace)
-        assert "l1" in plan.overwrite_after_rerun
+        assert session.history.active_snapshots()["l1"].t in plan.rerun
         result = restore(read_checkpoint(path), trace.programs())
         heap = result.session.heap
         l1_root = heap.namespace["l1"]
@@ -319,6 +354,66 @@ class TestFallbackRecomputation:
         assert restored_with_fallback >= 3
 
 
+    def test_single_walk_fallbacks_on_random_sessions(self, tmp_path, monkeypatch):
+        # oracle from the original heap: declaration order is (active-snapshot
+        # t, name); a stored name fails when its closure holds an
+        # undeserializable object or the fault fires, and takes every stored
+        # name sharing objects with it (transitively) to recomputation
+        heaps_built = []
+
+        class CountingHeap(SimHeap):
+            def __init__(self):
+                super().__init__()
+                heaps_built.append(self)
+
+        monkeypatch.setattr(replicator, "SimHeap", CountingHeap)
+        with_fallbacks = 0
+        for seed in range(40):
+            trace = generate_trace(GenParams(
+                cells=30, variables=8, alias_density=0.6, unserializable_rate=0.1,
+                undeserializable_rate=0.3, delete_rate=0.05,
+            ), seed + 9000)
+            session, _ = run_trace(trace)
+            plan = plan_session(session)
+            path = tmp_path / f"sw{seed}.ckpt"
+            write_checkpoint(session, plan, path)
+
+            heap = session.heap
+            closures = {n: heap.reachable(n) for n in plan.migrate}
+            groups = {n: {n} for n in closures}
+            for a in sorted(closures):
+                for b in sorted(closures):
+                    if closures[a] & closures[b] and groups[a] is not groups[b]:
+                        merged = groups[a] | groups[b]
+                        for n in merged:
+                            groups[n] = merged
+            faulty = {n for n in closures if sum(map(ord, n)) % 3 == 0}
+            active = session.history.active_snapshots()
+            expected, moved = [], set()
+            for name in sorted(closures, key=lambda n: (active[n].t, n)):
+                broken = any(not heap.objects[o].deserializable for o in closures[name])
+                if name not in moved and (broken or name in faulty):
+                    expected.append(name)
+                    moved |= groups[name]
+
+            calls = Counter()
+
+            def fault(name):
+                calls[name] += 1
+                return name in faulty
+
+            heaps_built.clear()
+            result = restore(read_checkpoint(path), trace.programs(),
+                             deserialization_fault=fault)
+            assert result.fallback_recomputed == expected, seed
+            assert set(calls) <= plan.migrate and max(calls.values(), default=0) <= 1, seed
+            assert len(heaps_built) == 1, seed
+            report = verify(session.heap, result.session.heap)
+            assert report.value_equivalent and report.isomorphic, seed
+            with_fallbacks += len(expected) > 1
+        assert with_fallbacks >= 10
+
+
 class TestVerify:
     def test_identity_passes(self):
         session, _ = run_trace(worked_example_trace())
@@ -343,7 +438,7 @@ class TestVerify:
             _replay_ops(isolated, cell.ops, replay_map)
         for name in sorted(checkpoint.variables):
             private: dict[int, int] = {}
-            _declare_variable(isolated, checkpoint, name, private, {}, None)
+            _declare_variable(isolated, checkpoint, name, private, {})
         report = verify(session.heap, isolated)
         assert report.value_equivalent
         assert not report.isomorphic
@@ -610,6 +705,30 @@ class TestRecheckpoint:
             assert list(new_rec.slots) == list(rec.slots)
             for label, child in rec.slots.items():
                 assert new_rec.slots[label] == result.id_map[child]
+
+    def test_bit_identical_across_hash_seeds(self, tmp_path):
+        script = (
+            "import hashlib, sys\n"
+            "from statecut import GenParams, generate_trace, plan_session, run_trace, write_checkpoint\n"
+            "params = GenParams(cells=120, variables=20, alias_density=0.8,\n"
+            "                   unserializable_rate=0.05, delete_rate=0.02, bandwidth_bytes_per_s=1e4)\n"
+            "for seed in (6, 7, 14):\n"
+            "    session, _ = run_trace(generate_trace(params, seed))\n"
+            "    path = f'{sys.argv[1]}/{seed}.ckpt'\n"
+            "    write_checkpoint(session, plan_session(session), path)\n"
+            "    print(seed, hashlib.sha256(open(path, 'rb').read()).hexdigest())\n"
+        )
+        src = str(Path(statecut.__file__).resolve().parents[1])
+        digests = []
+        for hash_seed in ("0", "2"):
+            out = tmp_path / hash_seed
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                                 capture_output=True, text=True, timeout=300, check=True)
+            digests.append(run.stdout.split("\n"))
+        assert digests[0] == digests[1]
 
     def test_identical_heaps_give_bit_exact_payloads(self, tmp_path):
         trace = worked_example_trace()

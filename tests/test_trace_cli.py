@@ -208,6 +208,28 @@ class TestSweep:
         costs = [row["cost_s"] for row in rows]
         assert costs == sorted(costs)
 
+    def test_rows_match_a_fresh_session_per_bandwidth(self, tmp_path, capsys):
+        from statecut.planner import plan_session
+
+        path = tmp_path / "t.json"
+        save_trace(generate_trace(GenParams(cells=20, variables=8, alias_density=0.4), 5), path)
+        bandwidths = [1e9, 1e6, 1e3, 1e0]
+        assert main([
+            "sweep", str(path), "--bandwidths", ",".join(map(str, bandwidths)), "--json",
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        expected = []
+        for bandwidth in bandwidths:
+            session, _ = run_trace(load_trace(path))
+            plan = plan_session(session, bandwidth=bandwidth)
+            expected.append({
+                "bandwidth_bytes_per_s": bandwidth,
+                "cost_s": plan.cost_s,
+                "migrate_count": len(plan.migrate),
+                "migrated_bytes": sum(session.cost.var_sizes[n] for n in plan.migrate),
+            })
+        assert rows == expected
+
     def test_sweep_matches_brute_force(self, tmp_path):
         from statecut.cost import linked_pairs
         from statecut.planner import brute_force_plan, plan_session, session_cost_model
