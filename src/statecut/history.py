@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NonMonotonicTimestamp, Unreconstructable
+from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable
 
 
 @dataclass(frozen=True, order=True)
@@ -166,19 +166,28 @@ class HistoryGraph:
 
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
+        """Rebuild a lineage from ``to_manifest`` output; raises FormatError
+        when a cell reads a snapshot that no earlier cell wrote."""
         graph = cls()
+        written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
-            graph.record(
+            accessed = {VariableSnapshot(n, t) for n, t in entry["reads"]}
+            unwritten = accessed - written
+            if unwritten:
+                names = ", ".join(sorted(f"{vs.name}@{vs.t}" for vs in unwritten))
+                raise FormatError(f"cell {entry['t']} reads {names}, which no earlier cell wrote")
+            cell = graph.record(
                 CellRecord(
                     t=entry["t"],
                     code_ref=entry["code_ref"],
                     runtime_s=entry["runtime_s"],
-                    accessed={VariableSnapshot(n, t) for n, t in entry["reads"]},
+                    accessed=accessed,
                     written=set(entry["writes"]),
                     never_rerun=entry["never_rerun"],
                     nondeterministic=entry["nondeterministic"],
                     failed=entry.get("failed", False),
                 )
             )
+            written |= graph.writes[cell.t]
         graph.deleted = dict(data["deleted"])
         return graph

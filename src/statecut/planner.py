@@ -1,21 +1,26 @@
 """Replication planner.
 
-Reduces the migrate-vs-recompute decision to a src-sink min cut. Each active
-variable snapshot hangs off the source with capacity equal to its migration
-cost; each cell execution feeds the sink with capacity equal to its rerun
-cost; infinite edges tie every snapshot to the cells that would have to rerun
-if it were recomputed, and tie linked variables to each other so aliased
-pairs land on the same side of the cut. The min cut's sink side is the
-migrate set; its source-side cells form the rerun list.
+Reduces the migrate-vs-recompute decision to a src-sink min cut over the
+session lineage. Each active variable snapshot hangs off the source at its
+migration cost and points at the cell that produced it; each cell feeds the
+sink at its rerun cost and points at the producers of the non-active
+snapshots it read (an active one is available either as stored or as rebuilt
+by its own arc). Linked variables are tied both ways, so aliased pairs land
+on the same side of the cut. These ties are infinite, so a recomputed
+variable drags every cell of its rebuild to the source side, and there are
+at most as many as lineage read edges plus one per active variable. The min
+cut's sink side is the migrate set; its source-side cells form the rerun
+list. A variable none of whose options is finite lies on an all-infinite
+source-sink path.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cost import CostModel, linked_groups
+from .cost import CostModel
 from .errors import Infeasible, TooLarge
 from .history import HistoryGraph
 
@@ -33,11 +38,7 @@ class FlowGraph:
     arcs: dict[int, dict[int, float]]  # u -> v -> capacity
     vs_nodes: dict[str, int]  # active variable name -> node index
     ce_nodes: dict[int, int]  # cell timestamp -> node index
-    history: HistoryGraph
     cost: CostModel
-    linked: set[tuple[str, str]] = field(default_factory=set)
-    forced_migrate: set[str] = field(default_factory=set)
-    forced_recompute: set[str] = field(default_factory=set)
 
     def add_arc(self, u: int, v: int, capacity: float) -> None:
         self.arcs.setdefault(u, {})
@@ -88,22 +89,13 @@ def build_flow_graph(
     Forced recomputation pins a snapshot to the source with an infinite
     source arc; forced migration pins it to the sink with an infinite arc.
     """
-    linked = set(linked or ())
     forced_migrate = set(forced_migrate or ())
     forced_recompute = set(forced_recompute or ())
     active = history.active_snapshots()
 
     labels: list[object] = ["src", "sink"]
     fg = FlowGraph(
-        node_labels=labels,
-        arcs={SRC: {}, SINK: {}},
-        vs_nodes={},
-        ce_nodes={},
-        history=history,
-        cost=cost,
-        linked=linked,
-        forced_migrate=forced_migrate,
-        forced_recompute=forced_recompute,
+        node_labels=labels, arcs={SRC: {}, SINK: {}}, vs_nodes={}, ce_nodes={}, cost=cost
     )
     for name in sorted(active):
         fg.vs_nodes[name] = len(labels)
@@ -112,25 +104,36 @@ def build_flow_graph(
         fg.ce_nodes[cell.t] = len(labels)
         labels.append(cell.t)
 
-    active_vses = set(active.values())
-    for name, vs in active.items():
-        u = fg.vs_nodes[name]
+    for name, u in fg.vs_nodes.items():
         capacity = INF if name in forced_recompute else cost.migration_seconds(name)
         fg.add_arc(SRC, u, capacity)
         if name in forced_migrate:
             fg.add_arc(u, SINK, INF)
-        for cell in history.rerun_cells_from({vs}, active_vses - {vs}):
-            fg.add_arc(u, fg.ce_nodes[cell.t], INF)
-    for cell in history.cells:
-        fg.add_arc(fg.ce_nodes[cell.t], SINK, cost.rerun_seconds(cell))
-    for a, b in linked:
+        fg.add_arc(u, fg.ce_nodes[active[name].t], INF)
+    # one backward pass: a cell that some active snapshot's rebuild reaches
+    # needs the producers of the non-active snapshots it read
+    active_vses = set(active.values())
+    reached = {vs.t for vs in active_vses}
+    for cell in reversed(history.cells):
+        u = fg.ce_nodes[cell.t]
+        if cell.t in reached:
+            producers = {dep.t for dep in history.reads[cell.t] if dep not in active_vses}
+            reached |= producers
+            for t in sorted(producers):
+                fg.add_arc(u, fg.ce_nodes[t], INF)
+        fg.add_arc(u, SINK, cost.rerun_seconds(cell))
+    for a, b in linked or ():
         if a in fg.vs_nodes and b in fg.vs_nodes:
             fg.add_arc(fg.vs_nodes[a], fg.vs_nodes[b], INF)
             fg.add_arc(fg.vs_nodes[b], fg.vs_nodes[a], INF)
     return fg
 
 
-def _bfs_path(residual: dict[int, dict[int, float]], src: int, sink: int) -> list[int] | None:
+def _residual_bfs(
+    residual: dict[int, dict[int, float]], src: int, sink: int | None = None
+) -> dict[int, int]:
+    """Parent map of the nodes reachable from ``src`` along positive arcs,
+    in breadth-first order; the search stops as soon as it reaches ``sink``."""
     parent = {src: src}
     queue = deque([src])
     while queue:
@@ -139,46 +142,23 @@ def _bfs_path(residual: dict[int, dict[int, float]], src: int, sink: int) -> lis
             if cap > 0 and v not in parent:
                 parent[v] = u
                 if v == sink:
-                    path = [v]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
+                    return parent
                 queue.append(v)
-    return None
-
-
-def _residual_reachable(residual: dict[int, dict[int, float]], src: int) -> set[int]:
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    return parent
 
 
 def _infeasible_variables(fg: FlowGraph) -> list[str]:
-    """Names for which both migrating and recomputing are infinite, grouped by
-    linked component (the whole component must move together)."""
-    active = fg.history.active_snapshots()
-    bad: list[str] = []
-    for comp in linked_groups(active, fg.linked):
-        can_migrate = all(
-            fg.cost.migration_seconds(n) < INF and n not in fg.forced_recompute
-            for n in comp
-        )
-        targets = {active[n] for n in comp}
-        cells = fg.history.rerun_cells_from(targets, set(active.values()) - targets)
-        can_recompute = (
-            all(fg.cost.rerun_seconds(c) < INF for c in cells)
-            and not (comp & fg.forced_migrate)
-        )
-        if not can_migrate and not can_recompute:
-            bad.extend(comp)
-    return bad
+    """Active names on an all-infinite source-sink path: their linked group can
+    neither migrate (infinite source arc) nor be recomputed (infinite path on
+    to the sink, through a never-rerun cell or a forced migration)."""
+    arcs = fg.arcs
+    ahead = _residual_bfs(
+        {u: {v: c for v, c in out.items() if c == INF} for u, out in arcs.items()}, SRC
+    )
+    behind = _residual_bfs(
+        {v: {u: INF for u in out if arcs[u][v] == INF} for v, out in arcs.items()}, SINK
+    )
+    return [name for name, u in fg.vs_nodes.items() if u in ahead and u in behind]
 
 
 def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
@@ -191,24 +171,30 @@ def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
     residual = {u: dict(vs) for u, vs in fg.arcs.items()}
     flow = 0.0
     while True:
-        path = _bfs_path(residual, SRC, SINK)
-        if path is None:
+        parent = _residual_bfs(residual, SRC, SINK)
+        if SINK not in parent:
             break
-        bottleneck = min(residual[u][v] for u, v in zip(path, path[1:]))
+        path = []
+        v = SINK
+        while v != SRC:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
         if bottleneck == INF:
             raise Infeasible(_infeasible_variables(fg))
-        for u, v in zip(path, path[1:]):
+        for u, v in path:
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck
         flow += bottleneck
 
-    src_side = _residual_reachable(residual, SRC)
+    # the last search found no path, so it reached the whole source side
+    src_side = parent
     migrate = {name for name, u in fg.vs_nodes.items() if u not in src_side}
     rerun = sorted(t for t, u in fg.ce_nodes.items() if u in src_side)
     # the cut's arcs summed in a fixed order: the flow's own sum follows the
     # augmentation order, which follows set iteration and so the hash seed
-    cut = fg.cost.migration_cost(sorted(migrate)) + sum(
-        fg.cost.rerun_seconds(fg.history.cell(t)) for t in rerun
+    cut = sum(fg.arcs[SRC][fg.vs_nodes[n]] for n in sorted(migrate)) + sum(
+        fg.arcs[fg.ce_nodes[t]][SINK] for t in rerun
     )
     if not math.isclose(cut, flow, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError(f"max-flow {flow} != cut value {cut}")
@@ -219,10 +205,6 @@ def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
         alpha=fg.cost.profile.alpha,
         bandwidth_bytes_per_s=fg.cost.profile.bandwidth_bytes_per_s,
     )
-
-
-def _satisfies_links(subset: frozenset[str], linked: set[tuple[str, str]]) -> bool:
-    return all((a in subset) == (b in subset) for a, b in linked)
 
 
 def brute_force_plan(
@@ -250,7 +232,7 @@ def brute_force_plan(
     best_set: frozenset[str] | None = None
     for mask in range(1 << len(names)):
         subset = frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
-        if not _satisfies_links(subset, linked):
+        if any((a in subset) != (b in subset) for a, b in linked):
             continue
         if forced_migrate - subset or forced_recompute & subset:
             continue

@@ -227,19 +227,22 @@ def _sections(path: str | Path) -> tuple[bytes, bytes]:
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
+    """Parse a checkpoint file; raises FormatError when it is malformed, naming
+    the path when the header or the manifest is at fault."""
     manifest_bytes, payload = _sections(path)
+    objects = _decode_objects(payload)
     try:
         manifest = json.loads(manifest_bytes)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: corrupt checkpoint ({err})") from err
-    return Checkpoint(
-        history=HistoryGraph.from_manifest(manifest["history"]),
-        plan=ReplicationPlan.from_json(manifest["plan"]),
-        cost=_cost_from_manifest(manifest["cost_model"]),
-        variables={n: int(i) for n, i in manifest["variables"].items()},
-        annotations=dict(manifest["annotations"]),
-        objects=_decode_objects(payload),
-    )
+        return Checkpoint(
+            history=HistoryGraph.from_manifest(manifest["history"]),
+            plan=ReplicationPlan.from_json(manifest["plan"]),
+            cost=_cost_from_manifest(manifest["cost_model"]),
+            variables={n: int(i) for n, i in manifest["variables"].items()},
+            annotations=dict(manifest["annotations"]),
+            objects=objects,
+        )
+    except (StatecutError, LookupError, TypeError, ValueError, AttributeError) as err:
+        raise FormatError(f"{path}: invalid manifest ({type(err).__name__}: {err})") from err
 
 
 def payload_bytes(path: str | Path) -> int:

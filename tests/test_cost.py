@@ -9,7 +9,7 @@ from statecut.heap import HeapOp, SimHeap
 from statecut.planner import brute_force_plan, session_cost_model
 from statecut.trace import run_trace
 
-from conftest import make_object
+from heaps import make_object
 from sessions import worked_example_trace
 
 INF = math.inf

@@ -14,7 +14,7 @@ from statecut.heap import (
     value_hash,
 )
 
-from conftest import make_object, random_heap
+from heaps import make_object, random_heap
 
 
 def nested_list_heap() -> SimHeap:

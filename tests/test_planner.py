@@ -1,8 +1,10 @@
 import math
+import random
 
+import networkx as nx
 import pytest
 
-from statecut.cost import linked_pairs
+from statecut.cost import linked_groups, linked_pairs
 from statecut.errors import Infeasible, TooLarge
 from statecut.gen import GenParams, generate_trace
 from statecut.heap import HeapOp
@@ -53,18 +55,31 @@ class TestFlowGraphConstruction:
         assert fg.arcs[a][b] == INF and fg.arcs[b][a] == INF
 
     def test_snapshot_to_cell_arcs_match_rerun_lists(self):
-        session, cost, linked = planner_inputs(worked_example_trace())
-        fg = build_flow_graph(session.history, cost, linked)
-        active = session.history.active_snapshots()
-        for name, vs in active.items():
-            expected = {
-                c.t for c in session.history.rerun_cells_from({vs}, set(active.values()) - {vs})
-            }
-            got = {
-                t for t, node in fg.ce_nodes.items()
-                if fg.arcs[fg.vs_nodes[name]].get(node) == INF
-            }
-            assert got == expected
+        # the cells an active variable's node reaches along infinite
+        # snapshot->cell and cell->cell arcs are exactly its rebuild
+        traces = [worked_example_trace()] + [
+            generate_trace(GenParams(cells=30, variables=8, alias_density=0.4), seed)
+            for seed in range(50)
+        ]
+        for trace in traces:
+            session, cost, linked = planner_inputs(trace)
+            fg = build_flow_graph(session.history, cost, linked)
+            active = session.history.active_snapshots()
+            cell_nodes = set(fg.ce_nodes.values())
+            for name, vs in active.items():
+                expected = {
+                    c.t
+                    for c in session.history.rerun_cells_from({vs}, set(active.values()) - {vs})
+                }
+                stack = [fg.vs_nodes[name]]
+                seen: set[int] = set()
+                while stack:
+                    u = stack.pop()
+                    for v, cap in fg.arcs[u].items():
+                        if cap == INF and v in cell_nodes and v not in seen:
+                            seen.add(v)
+                            stack.append(v)
+                assert {t for t, node in fg.ce_nodes.items() if node in seen} == expected
 
     def test_empty_session(self):
         graph = HistoryGraph()
@@ -183,6 +198,87 @@ class TestBruteForce:
             pytest.skip("generator left too few live variables")
         with pytest.raises(TooLarge):
             brute_force_plan(session.history, cost, linked)
+
+
+def closure_network(history, cost, linked, forced_migrate, forced_recompute):
+    """The per-variable closure network: every active snapshot is tied by an
+    infinite arc to each cell of its own rebuild. Arcs without a capacity
+    are infinite to networkx."""
+    active = history.active_snapshots()
+    graph = nx.DiGraph()
+    graph.add_nodes_from(["src", "sink"])
+    for name, vs in active.items():
+        migrate = cost.migration_seconds(name)
+        if migrate < INF and name not in forced_recompute:
+            graph.add_edge("src", ("v", name), capacity=migrate)
+        else:
+            graph.add_edge("src", ("v", name))
+        if name in forced_migrate:
+            graph.add_edge(("v", name), "sink")
+        for cell in history.rerun_cells_from({vs}, set(active.values()) - {vs}):
+            graph.add_edge(("v", name), ("c", cell.t))
+    for cell in history.cells:
+        rerun = cost.rerun_seconds(cell)
+        if rerun < INF:
+            graph.add_edge(("c", cell.t), "sink", capacity=rerun)
+        else:
+            graph.add_edge(("c", cell.t), "sink")
+    for a, b in linked:
+        graph.add_edge(("v", a), ("v", b))
+        graph.add_edge(("v", b), ("v", a))
+    return graph
+
+
+def infeasible_groups(history, cost, linked, forced_migrate, forced_recompute):
+    """Group-wise rule: a linked group is infeasible when no member can
+    migrate and the group as a whole cannot be recomputed."""
+    active = history.active_snapshots()
+    bad = []
+    for group in linked_groups(active, linked):
+        can_migrate = all(
+            cost.migration_seconds(n) < INF and n not in forced_recompute for n in group
+        )
+        targets = {active[n] for n in group}
+        cells = history.rerun_cells_from(targets, set(active.values()) - targets)
+        can_recompute = (
+            all(cost.rerun_seconds(c) < INF for c in cells) and not group & forced_migrate
+        )
+        if not can_migrate and not can_recompute:
+            bad.extend(group)
+    return sorted(bad)
+
+
+class TestAboveBruteForceBound:
+    def test_matches_closure_network_min_cut(self):
+        feasible = infeasible = 0
+        for seed in range(60):
+            trace = generate_trace(GenParams(
+                cells=60, variables=40, alias_density=0.3, unserializable_rate=0.1,
+                never_rerun_rate=0.08 if seed % 2 else 0.0, delete_rate=0.02,
+            ), seed)
+            session, cost, linked = planner_inputs(trace)
+            names = sorted(session.history.active_snapshots())
+            assert 20 <= len(names) <= 60
+            rng = random.Random(seed)
+            forced_migrate = set(rng.sample(names, 2)) if seed % 3 == 0 else set()
+            forced_recompute = set(rng.sample(names, 2)) if seed % 5 == 0 else set()
+            forced_recompute -= forced_migrate
+            args = (session.history, cost, linked, forced_migrate, forced_recompute)
+            oracle = closure_network(*args)
+            try:
+                plan = min_cut_plan(build_flow_graph(*args))
+            except Infeasible as err:
+                with pytest.raises(nx.NetworkXUnbounded):
+                    nx.minimum_cut_value(oracle, "src", "sink")
+                assert err.variables == infeasible_groups(*args)
+                infeasible += 1
+                continue
+            assert infeasible_groups(*args) == []
+            assert plan.cost_s == pytest.approx(
+                nx.minimum_cut_value(oracle, "src", "sink"), rel=1e-9, abs=1e-9
+            )
+            feasible += 1
+        assert feasible >= 40 and infeasible >= 5
 
 
 class TestBaselines:

@@ -11,6 +11,7 @@ import pytest
 
 import statecut
 from statecut import replicator
+from statecut.cli import main
 from statecut.cost import CostProfile
 from statecut.errors import FormatError, SerializationError, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
@@ -25,9 +26,34 @@ from statecut.replicator import (
     verify,
     write_checkpoint,
 )
-from statecut.trace import TraceFile, run_trace
+from statecut.trace import TraceFile, run_trace, save_trace
 
 from sessions import worked_example_trace
+
+
+def read_manifest(path) -> dict:
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+    return json.loads(raw[20:20 + manifest_len])
+
+
+def write_manifest(path, manifest) -> None:
+    """Swap a checkpoint's manifest section, keeping a correct header."""
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+    edited = json.dumps(manifest).encode()
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
+                     + raw[20 + manifest_len:])
+
+
+def without_code_ref(manifest: dict) -> dict:
+    del manifest["history"]["cells"][0]["code_ref"]
+    return manifest
+
+
+def with_unwritten_read(manifest: dict) -> dict:
+    manifest["history"]["cells"][-1]["reads"].append(["ghost", 1])
+    return manifest
 
 
 def checkpoint_roundtrip(tmp_path, trace, plan=None, **plan_kwargs):
@@ -90,15 +116,29 @@ class TestCheckpointFormat:
 
     def test_invalid_stored_profile_rejected(self, tmp_path):
         _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
-        raw = path.read_bytes()
-        (manifest_len,) = struct.unpack_from("<Q", raw, 12)
-        manifest = json.loads(raw[20:20 + manifest_len])
+        manifest = read_manifest(path)
         manifest["cost_model"]["profile"]["bandwidth_bytes_per_s"] = "fast"
-        edited = json.dumps(manifest).encode()
-        path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
-                         + raw[20 + manifest_len:])
+        write_manifest(path, manifest)
         with pytest.raises(FormatError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {},
+        lambda m: [],
+        without_code_ref,
+        lambda m: {**m, "variables": {"x": "abc"}},
+        with_unwritten_read,
+    ], ids=["empty", "list", "no-code-ref", "non-integer-root", "unwritten-read"])
+    def test_malformed_manifest_is_a_format_error(self, tmp_path, edit):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        write_manifest(path, edit(read_manifest(path)))
+        with pytest.raises(FormatError) as exc:
+            read_checkpoint(path)
+        assert str(path) in str(exc.value)
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
     def test_empty_migrate_set_has_empty_payload(self, tmp_path):
         session, _ = run_trace(worked_example_trace())
