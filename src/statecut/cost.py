@@ -61,6 +61,9 @@ class CostProfile:
         """Parse a stored profile; raises FormatError when it is malformed."""
         if not isinstance(data, dict) or "bandwidth_bytes_per_s" not in data:
             raise FormatError("profile must define bandwidth_bytes_per_s")
+        for key in ("bandwidth_bytes_per_s", "latency_s", "alpha", "store_bandwidth_bytes_per_s"):
+            if key in data and type(data[key]) not in (int, float):
+                raise FormatError(f"invalid profile: {key} must be a number")
         store = data.get("store_bandwidth_bytes_per_s")
         try:
             return cls(

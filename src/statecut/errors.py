@@ -56,10 +56,6 @@ class SerializationError(StatecutError):
     """A non-serializable object reached the checkpoint writer."""
 
 
-class MissingCellProgram(StatecutError):
-    """The trace archive lacks a cell program needed for a rerun."""
-
-
 class CellExecutionError(StatecutError):
     """A cell failed mid-execution; partial effects were recorded."""
 
@@ -72,3 +68,8 @@ class CellExecutionError(StatecutError):
 
 class FormatError(StatecutError):
     """A trace or checkpoint file is malformed."""
+
+
+class MissingCellProgram(FormatError):
+    """The trace archive lacks a cell program needed for a rerun: the
+    checkpoint and the trace do not belong together."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidHeapOp, RootMismatch, UnknownObject, UnknownVariable
 
@@ -72,12 +73,24 @@ class HeapOp:
 
 @dataclass
 class MutationRecord:
-    """Names and objects touched by one batch of heap ops."""
+    """Names and objects touched by one batch of heap ops, plus the undo log:
+    the value and slots (the only fields an op changes in place) each object
+    had before its first change in the batch, and each (un)bound name's root
+    before the batch (None if it was unbound). The log over the untouched
+    live heap is the heap as it stood before the batch (``HeapBefore``)."""
 
     bound: set[str] = field(default_factory=set)
     unbound: set[str] = field(default_factory=set)
     created: set[ObjectId] = field(default_factory=set)
     touched: set[ObjectId] = field(default_factory=set)
+    undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = field(default_factory=dict)
+    old_roots: dict[str, ObjectId | None] = field(default_factory=dict)
+
+    def log(self, obj: HeapObject) -> None:
+        """Keep ``obj``'s value and slots, unless the batch already changed it."""
+        self.touched.add(obj.id)
+        if obj.id not in self.undo:
+            self.undo[obj.id] = (obj.value, dict(obj.slots))
 
 
 def reachable_ids(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> set[ObjectId]:
@@ -99,6 +112,9 @@ class SimHeap:
         self.objects: dict[ObjectId, HeapObject] = {}
         self.namespace: dict[str, ObjectId] = {}
         self._next_id: ObjectId = 1
+        # bumped by every method that changes the heap, so a reader that
+        # keeps derived state can tell whether the heap moved under it
+        self.version = 0
 
     def allocate_id(self) -> ObjectId:
         """Return a fresh object id (never reused within this heap)."""
@@ -123,16 +139,19 @@ class SimHeap:
             raise InvalidHeapOp(f"object id {obj.id} already live")
         self.objects[obj.id] = obj
         self._next_id = max(self._next_id, obj.id + 1)
+        self.version += 1
         return obj
 
     def bind(self, name: str, oid: ObjectId) -> None:
         self.get(oid)
         self.namespace[name] = oid
+        self.version += 1
 
     def unbind(self, name: str) -> None:
         if name not in self.namespace:
             raise UnknownVariable(f"variable {name!r} is not bound")
         del self.namespace[name]
+        self.version += 1
 
     def reachable(self, name: str) -> set[ObjectId]:
         """Transitive closure over slots from the variable's root, root included."""
@@ -146,6 +165,7 @@ class SimHeap:
         """Apply ops in order; on error, the raised exception carries the
         partial MutationRecord as ``.partial``."""
         record = MutationRecord()
+        self.version += 1
         for op in ops:
             try:
                 self._apply_one(op, record)
@@ -168,30 +188,34 @@ class SimHeap:
             self.add_object(obj)
             record.created.add(op.id)
         elif op.op == "bind":
+            old = self.namespace.get(op.name)
             self.bind(op.name, op.id)
             record.bound.add(op.name)
+            record.old_roots.setdefault(op.name, old)
         elif op.op == "unbind":
+            old = self.namespace.get(op.name)
             self.unbind(op.name)
             record.unbound.add(op.name)
+            record.old_roots.setdefault(op.name, old)
         elif op.op == "set_slot":
             parent = self.get(op.parent_id)
             if parent.kind != "container":
                 raise InvalidHeapOp(f"object {op.parent_id} is not a container")
             self.get(op.child_id)
+            record.log(parent)
             parent.slots[op.slot] = op.child_id
-            record.touched.add(op.parent_id)
         elif op.op == "clear_slot":
             parent = self.get(op.parent_id)
             if op.slot not in parent.slots:
                 raise InvalidHeapOp(f"object {op.parent_id} has no slot {op.slot!r}")
+            record.log(parent)
             del parent.slots[op.slot]
-            record.touched.add(op.parent_id)
         elif op.op == "set_value":
             obj = self.get(op.id)
             if obj.kind == "container":
                 raise InvalidHeapOp("containers carry values through slots")
+            record.log(obj)
             obj.value = op.value
-            record.touched.add(op.id)
         else:
             raise InvalidHeapOp(f"unknown op {op.op!r}")
 
@@ -204,7 +228,36 @@ class SimHeap:
         dead = set(self.objects) - live
         for oid in dead:
             del self.objects[oid]
+        self.version += 1
         return dead
+
+
+class HeapBefore:
+    """Read-only view of a heap as it stood before one batch of ops: the
+    batch's undo log laid over the live heap. It offers what the ID-graph
+    and hashing functions read, ``root`` and ``objects``."""
+
+    def __init__(self, heap: SimHeap, record: MutationRecord):
+        self.objects: Mapping[ObjectId, HeapObject] = heap.objects
+        if record.undo:
+            earlier = {
+                oid: replace(heap.objects[oid], value=value, slots=slots)
+                for oid, (value, slots) in record.undo.items()
+            }
+            self.objects = ChainMap(earlier, heap.objects)
+        self._namespace = heap.namespace
+        self._old_roots = record.old_roots
+
+    def root_or_none(self, name: str) -> ObjectId | None:
+        if name in self._old_roots:
+            return self._old_roots[name]
+        return self._namespace.get(name)
+
+    def root(self, name: str) -> ObjectId:
+        oid = self.root_or_none(name)
+        if oid is None:
+            raise UnknownVariable(f"variable {name!r} was not bound")
+        return oid
 
 
 @dataclass(frozen=True)
@@ -222,10 +275,10 @@ class IdGraph:
     edges: frozenset[tuple[ObjectId, str, ObjectId]]
 
 
-def build_id_graph(heap: SimHeap, name: str) -> IdGraph:
+def build_id_graph(heap: SimHeap | HeapBefore, name: str) -> IdGraph:
     """Snapshot the reference structure reachable from ``name``."""
     root = heap.root(name)
-    nodes = heap.reachable_from(root)
+    nodes = reachable_ids(heap.objects, root)
     edges = set()
     for oid in nodes:
         for label, child in heap.objects[oid].slots.items():
@@ -314,7 +367,7 @@ def subgraph_hash(root: ObjectId, get) -> int | None:
     return int.from_bytes(memo[root], "little")
 
 
-def value_hash(heap: SimHeap, name: str) -> int | None:
-    """Hash the live heap's subgraph reachable from ``name``."""
+def value_hash(heap: SimHeap | HeapBefore, name: str) -> int | None:
+    """Hash the heap's subgraph reachable from ``name``."""
     root = heap.root(name)
     return subgraph_hash(root, lambda oid: freeze_object(heap.objects[oid]))

@@ -167,10 +167,13 @@ class HistoryGraph:
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a cell reads a snapshot that no earlier cell wrote."""
+        when a cell's code_ref is not a string or it reads a snapshot that no
+        earlier cell wrote."""
         graph = cls()
         written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
+            if type(entry["code_ref"]) is not str:
+                raise FormatError(f"cell {entry['t']} has a code_ref that is not a string")
             accessed = {VariableSnapshot(n, t) for n, t in entry["reads"]}
             unwritten = accessed - written
             if unwritten:

@@ -7,6 +7,13 @@ from ID-graph overlap; modifications from value-hash changes, reference-
 structure changes, and the modified-on-access rule for unhashable variables.
 Detection may over-identify but never misses, which is what downstream
 reconstruction relies on.
+
+``run_cell`` works incrementally: the session keeps an index from each live
+object to the names that reach it, and the heap's undo log gives the state
+before the cell, so only the names whose closure the cell touched, or whose
+binding it changed, get ID graphs and hashes. ``PreSnapshot``,
+``detect_accesses`` and ``detect_modifications`` are the full rescan that
+``run_cell`` agrees with exactly; they are kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +23,16 @@ from dataclasses import dataclass, field
 from .cost import CostModel
 from .errors import CellExecutionError, StatecutError
 from .heap import (
+    HeapBefore,
     HeapOp,
     IdGraph,
+    ObjectId,
     SimHeap,
     build_id_graph,
     freeze_object,
     id_graph_changed,
     id_graphs_overlap,
+    reachable_ids,
     subgraph_hash,
     value_hash,
 )
@@ -53,6 +63,47 @@ class MonitorOptions:
     use_id_graphs: bool = True
 
 
+class NameIndex:
+    """Which names reach each live object, as of one ``version`` of a heap.
+
+    Objects no name reaches have no entry. ``run_cell`` keeps the index
+    current; a heap changed by anything else since is indexed afresh.
+    """
+
+    def __init__(self, heap: SimHeap):
+        self.names: dict[ObjectId, set[str]] = {}
+        for name, root in heap.namespace.items():
+            self.move(name, set(), reachable_ids(heap.objects, root))
+        self.version = heap.version
+
+    def reaching(self, oids) -> set[str]:
+        """Every name that reaches one of ``oids``."""
+        found: set[str] = set()
+        for oid in oids:
+            names = self.names.get(oid)
+            if names:
+                found |= names
+        return found
+
+    def move(self, name: str, before: set[ObjectId], after: set[ObjectId]) -> set[ObjectId]:
+        """Record that ``name`` now reaches ``after`` instead of ``before``;
+        returns the objects it no longer reaches."""
+        index = self.names
+        left = before - after
+        for oid in left:
+            names = index[oid]
+            names.discard(name)
+            if not names:
+                del index[oid]
+        for oid in after - before:
+            names = index.get(oid)
+            if names is None:
+                index[oid] = {name}
+            else:
+                names.add(name)
+        return left
+
+
 @dataclass
 class Session:
     """One live simulated session: heap, lineage, costs, and the cell archive."""
@@ -64,6 +115,7 @@ class Session:
     annotations: dict[str, str] = field(default_factory=dict)  # name -> always_copy|always_recompute
     options: MonitorOptions = field(default_factory=MonitorOptions)
     next_t: int = 1
+    index: NameIndex | None = field(default=None, repr=False, compare=False)
 
 
 class PreSnapshot:
@@ -157,45 +209,100 @@ def detect_modifications(
 def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp] | None = None) -> CellRecord:
     """Execute one cell under monitoring and fold the outcome into the session.
 
-    Pre-snapshots the namespace, applies the ops, detects accesses and
-    modifications, appends to the history graph, and records the runtime.
-    A failing cell still has its partial effects recorded before the error
-    propagates as CellExecutionError.
+    Applies the ops, detects accesses and modifications, appends to the
+    history graph, records the runtime and sweeps what no name reaches any
+    more. The results equal the full rescan's (``PreSnapshot``,
+    ``detect_accesses``, ``detect_modifications``, then ``collect_garbage``),
+    but only names the cell affected, those the index lists on an object it
+    changed in place and those it (un)bound, get ID graphs and value hashes:
+    any other name's closure, shape and values are as they were. A failing
+    cell still has its partial effects recorded before the error propagates
+    as CellExecutionError.
     """
     heap = session.heap
     t = session.next_t
     session.next_t += 1
     session.programs[program.code_ref] = program
+    use_id_graphs = session.options.use_id_graphs
 
-    pre = PreSnapshot(heap)
+    index = session.index
+    orphans: set[ObjectId] = set()
+    if index is None or index.version != heap.version:
+        index = session.index = NameIndex(heap)
+        # a change made outside run_cell may have left objects no name
+        # reaches; the full sweep at the end of this cell would delete them
+        orphans = set(heap.objects).difference(index.names)
+
     ops = replay_ops if replay_ops is not None else program.ops
     failure: Exception | None = None
     try:
         mutation = heap.apply(ops)
     except StatecutError as err:
-        mutation = getattr(err, "partial", None)
+        mutation = err.partial
         failure = err
+    before = HeapBefore(heap, mutation)
 
-    accessed = detect_accesses(
-        pre, program.direct_reads, use_id_graphs=session.options.use_id_graphs
-    )
-    touched = mutation.touched if mutation is not None else set()
-    changes = detect_modifications(
-        pre, heap, accessed & pre.names,
-        touched=touched,
-        use_id_graphs=session.options.use_id_graphs,
-    )
+    # declared reads bound before the cell, plus every name sharing an object
+    # with one of them
+    accessed = {name for name in program.direct_reads if before.root_or_none(name) is not None}
+    if use_id_graphs:
+        for name in list(accessed):
+            accessed |= index.reaching(reachable_ids(before.objects, before.root(name)))
+
+    touched = mutation.touched
+    affected = index.reaching(touched)
+    affected.update(mutation.old_roots)
+    created: set[str] = set()
+    deleted: set[str] = set()
+    modified: set[str] = set()
+    maybe_dead = orphans | mutation.created
+    for name in affected:
+        pre_root = before.root_or_none(name)
+        post_root = heap.namespace.get(name)
+        if pre_root is None:
+            if post_root is not None:
+                created.add(name)
+                index.move(name, set(), reachable_ids(heap.objects, post_root))
+            continue
+        if post_root is None:
+            deleted.add(name)
+            maybe_dead |= index.move(name, reachable_ids(before.objects, pre_root), set())
+            continue
+        pre_graph = build_id_graph(before, name)
+        post_graph = build_id_graph(heap, name)
+        maybe_dead |= index.move(name, pre_graph.nodes, post_graph.nodes)
+        if use_id_graphs:
+            changed = id_graph_changed(pre_graph, post_graph)
+        else:
+            # even without ID graphs, a rebind of the name itself is visible
+            changed = pre_root != post_root
+        if changed:
+            modified.add(name)
+            continue
+        if name not in accessed and pre_graph.nodes.isdisjoint(touched):
+            continue
+        pre_hash = subgraph_hash(pre_root, lambda oid: freeze_object(before.objects[oid]))
+        if pre_hash is None:
+            if name in accessed:
+                modified.add(name)
+        elif value_hash(heap, name) != pre_hash:
+            modified.add(name)
+    # an accessed name the cell did not affect kept its closure and values, so
+    # only the unhashable-access rule can mark it
+    for name in accessed - affected:
+        closure = reachable_ids(heap.objects, heap.namespace[name])
+        if any(not heap.objects[oid].hashable for oid in closure):
+            modified.add(name)
 
     # a name unbound then rebound within the same cell counts as created;
     # bound-then-unbound churn that ends unbound is just a deletion
-    rebound = (mutation.bound & mutation.unbound) if mutation is not None else set()
-    created = changes["created"] | (rebound & pre.names & set(heap.namespace))
-    modified = changes["modified"] - created
+    created |= {name for name in mutation.bound & mutation.unbound if name in heap.namespace}
+    modified -= created
 
     accessed_vses: set[VariableSnapshot] = set()
     for name in accessed:
         vs = session.history.latest_snapshot(name, before=t)
-        if vs is not None and name in pre.names:
+        if vs is not None:
             accessed_vses.add(vs)
 
     record = CellRecord(
@@ -205,14 +312,16 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
         accessed=accessed_vses,
         written=modified,
         created=created,
-        deleted=changes["deleted"],
+        deleted=deleted,
         never_rerun=program.never_rerun,
         nondeterministic=program.nondeterministic,
         failed=failure is not None,
     )
     session.history.record(record)
     session.cost.record_runtime(t, program.declared_runtime_s)
-    heap.collect_garbage()
+    for oid in maybe_dead.difference(index.names):
+        del heap.objects[oid]
+    index.version = heap.version
 
     if failure is not None:
         raise CellExecutionError(program.code_ref, failure, record)

@@ -233,16 +233,34 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     objects = _decode_objects(payload)
     try:
         manifest = json.loads(manifest_bytes)
-        return Checkpoint(
+        checkpoint = Checkpoint(
             history=HistoryGraph.from_manifest(manifest["history"]),
             plan=ReplicationPlan.from_json(manifest["plan"]),
             cost=_cost_from_manifest(manifest["cost_model"]),
-            variables={n: int(i) for n, i in manifest["variables"].items()},
+            variables=dict(manifest["variables"]),
             annotations=dict(manifest["annotations"]),
             objects=objects,
         )
+        _check_consistent(checkpoint)
     except (StatecutError, LookupError, TypeError, ValueError, AttributeError) as err:
         raise FormatError(f"{path}: invalid manifest ({type(err).__name__}: {err})") from err
+    return checkpoint
+
+
+def _check_consistent(checkpoint: Checkpoint) -> None:
+    """Raise FormatError unless the plan, the variable table, the lineage and
+    the payload agree: the plan reruns only recorded cells and stores exactly
+    the table's variables, each of them active, with its root in the payload."""
+    plan, variables = checkpoint.plan, checkpoint.variables
+    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - {c.t for c in checkpoint.history.cells}:
+        raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
+    if plan.migrate != variables.keys():
+        raise FormatError("plan.migrate differs from the stored variables")
+    if {type(oid) for oid in variables.values()} - {int} or set(variables.values()) - checkpoint.objects.keys():
+        raise FormatError("a stored variable's root is not in the payload")
+    inactive = variables.keys() - checkpoint.history.active_snapshots().keys()
+    if inactive:
+        raise FormatError(f"stored variables without an active snapshot: {sorted(inactive)}")
 
 
 def payload_bytes(path: str | Path) -> int:

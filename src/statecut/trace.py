@@ -9,6 +9,7 @@ docs/trace.schema.json.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,14 +21,56 @@ from .monitor import CellProgram, MonitorOptions, Session, run_cell
 
 TRACE_VERSION = 1
 
-_OP_FIELDS = {
-    "create": {"id", "kind", "value", "size_bytes", "serializable", "deserializable", "hashable"},
-    "bind": {"name", "id"},
-    "unbind": {"name"},
-    "set_slot": {"parent_id", "slot", "child_id"},
-    "clear_slot": {"parent_id", "slot"},
-    "set_value": {"id", "value"},
+_U64 = 2**64
+
+
+def _is_uint64(v) -> bool:
+    return type(v) is int and 0 <= v < _U64
+
+
+def _is_str_list(v) -> bool:
+    return type(v) is list and all(type(item) is str for item in v)
+
+
+def _is_seconds(v) -> bool:
+    return type(v) in (int, float) and v >= 0
+
+
+# Field types of trace entries; docs/trace.schema.json states the same types
+# (tests/test_trace_cli.py checks that the two agree).
+_FIELD_TYPES = {
+    "object_id": _is_uint64,
+    "size": _is_uint64,
+    "kind": lambda v: type(v) is str and v in KINDS,
+    "str": lambda v: type(v) is str,
+    "ref": lambda v: type(v) is str and v != "",
+    "bool": lambda v: type(v) is bool,
+    "any": lambda v: True,
+    "str_list": _is_str_list,
+    "seconds": _is_seconds,
+    "ops": lambda v: type(v) is list,
 }
+
+_OP_FIELDS = {
+    "create": {"id": "object_id", "kind": "kind", "value": "any", "size_bytes": "size",
+               "serializable": "bool", "deserializable": "bool", "hashable": "bool"},
+    "bind": {"name": "str", "id": "object_id"},
+    "unbind": {"name": "str"},
+    "set_slot": {"parent_id": "object_id", "slot": "str", "child_id": "object_id"},
+    "clear_slot": {"parent_id": "object_id", "slot": "str"},
+    "set_value": {"id": "object_id", "value": "any"},
+}
+_OP_OPTIONAL = {"value", "size_bytes", "serializable", "deserializable", "hashable"}
+_OP_CHECKS = {
+    op: [(name, _FIELD_TYPES[kind], name not in _OP_OPTIONAL) for name, kind in fields.items()]
+    for op, fields in _OP_FIELDS.items()
+}
+
+_CELL_FIELDS = {
+    "code_ref": "ref", "direct_reads": "str_list", "declared_runtime_s": "seconds",
+    "never_rerun": "bool", "nondeterministic": "bool", "ops": "ops", "alt_ops": "ops",
+}
+_CELL_REQUIRED = {"code_ref", "ops"}
 
 ANNOTATIONS = ("always_copy", "always_recompute")
 
@@ -56,15 +99,22 @@ def _op_from_json(data: dict, where: str) -> HeapOp:
     if not isinstance(data, dict) or "op" not in data:
         raise FormatError(f"{where}: op entry must be an object with an 'op' field")
     kind = data["op"]
-    if kind not in _OP_FIELDS:
+    checks = _OP_CHECKS.get(kind) if type(kind) is str else None
+    if checks is None:
         raise FormatError(f"{where}: unknown op {kind!r}")
-    missing = _OP_FIELDS[kind] - set(data)
-    required = missing - {"value", "size_bytes", "serializable", "deserializable", "hashable"}
-    if required:
-        raise FormatError(f"{where}: op {kind!r} missing fields {sorted(required)}")
-    if kind == "create" and data.get("kind") not in KINDS:
-        raise FormatError(f"{where}: create has invalid kind {data.get('kind')!r}")
-    fields = {name: data[name] for name in _OP_FIELDS[kind] if name in data}
+    fields = {}
+    for name, valid, required in checks:
+        if name in data:
+            value = data[name]
+            if not valid(value):
+                raise FormatError(f"{where}: op {kind!r} has invalid {name} {value!r}")
+            fields[name] = value
+        elif required:
+            missing = sorted(n for n, _, req in checks if req and n not in data)
+            raise FormatError(f"{where}: op {kind!r} missing fields {missing}")
+    if "name" in fields:
+        # one string per variable name, as in a generated trace
+        fields["name"] = sys.intern(fields["name"])
     return HeapOp(op=kind, **fields)
 
 
@@ -86,20 +136,20 @@ def _cell_from_json(data: dict, index: int) -> CellProgram:
     where = f"cells[{index}]"
     if not isinstance(data, dict):
         raise FormatError(f"{where}: must be an object")
-    for key in ("code_ref", "ops"):
+    for key in sorted(_CELL_REQUIRED):
         if key not in data:
             raise FormatError(f"{where}: missing {key!r}")
-    runtime = data.get("declared_runtime_s", 1.0)
-    if not isinstance(runtime, (int, float)) or runtime < 0:
-        raise FormatError(f"{where}: declared_runtime_s must be non-negative")
+    for key, kind in _CELL_FIELDS.items():
+        if key in data and not _FIELD_TYPES[kind](data[key]):
+            raise FormatError(f"{where}: invalid {key} {data[key]!r}")
     alt = data.get("alt_ops")
     return CellProgram(
-        code_ref=str(data["code_ref"]),
-        direct_reads=set(data.get("direct_reads", ())),
+        code_ref=data["code_ref"],
+        direct_reads=set(map(sys.intern, data.get("direct_reads", ()))),
         ops=[_op_from_json(op, where) for op in data["ops"]],
-        declared_runtime_s=float(runtime),
-        never_rerun=bool(data.get("never_rerun", False)),
-        nondeterministic=bool(data.get("nondeterministic", False)),
+        declared_runtime_s=float(data.get("declared_runtime_s", 1.0)),
+        never_rerun=data.get("never_rerun", False),
+        nondeterministic=data.get("nondeterministic", False),
         alt_ops=None if alt is None else [_op_from_json(op, where) for op in alt],
     )
 
@@ -116,10 +166,12 @@ def trace_to_json(trace: TraceFile) -> dict:
 def trace_from_json(data: dict) -> TraceFile:
     if not isinstance(data, dict):
         raise FormatError("trace must be a JSON object")
-    if data.get("version") != TRACE_VERSION:
+    if type(data.get("version")) is not int or data["version"] != TRACE_VERSION:
         raise FormatError(f"unsupported trace version {data.get('version')!r}")
     profile = CostProfile.from_json(data.get("profile"))
     annotations = data.get("variable_annotations", {})
+    if not isinstance(annotations, dict):
+        raise FormatError("variable_annotations must be an object")
     for name, value in annotations.items():
         if value not in ANNOTATIONS:
             raise FormatError(f"variable_annotations[{name!r}]: unknown annotation {value!r}")

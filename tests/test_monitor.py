@@ -1,11 +1,23 @@
+import copy
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statecut.monitor as monitor_mod
-from statecut.errors import CellExecutionError
+from statecut.errors import CellExecutionError, StatecutError
 from statecut.gen import GenParams, generate_trace
 from statecut.heap import HeapOp, build_id_graph, value_hash
 from statecut.history import VariableSnapshot
-from statecut.monitor import CellProgram, PreSnapshot, detect_accesses, detect_modifications, run_cell
+from statecut.monitor import (
+    CellProgram,
+    MonitorOptions,
+    PreSnapshot,
+    detect_accesses,
+    detect_modifications,
+    run_cell,
+)
 from statecut.trace import new_session, run_trace
 
 from sessions import worked_example_trace
@@ -285,3 +297,158 @@ class TestWorkedExampleLineage:
         assert writes[5] == ["big2d"]
         active = graph.active_snapshots()
         assert active["x"].t == 3 and active["l1"].t == 3 and active["big2d"].t == 5
+
+
+def rescan_cell(session, program) -> dict:
+    """The full rescan of one cell, on a copy of the session's heap: what
+    run_cell must report for it, and the objects left after a full sweep."""
+    heap = copy.deepcopy(session.heap)
+    pre = PreSnapshot(heap)
+    failed = False
+    try:
+        mutation = heap.apply(program.ops)
+    except StatecutError as err:
+        mutation, failed = err.partial, True
+    use_id_graphs = session.options.use_id_graphs
+    accessed = detect_accesses(pre, program.direct_reads, use_id_graphs=use_id_graphs) & pre.names
+    changes = detect_modifications(
+        pre, heap, accessed, touched=mutation.touched, use_id_graphs=use_id_graphs,
+    )
+    created = changes["created"] | (mutation.bound & mutation.unbound & pre.names & set(heap.namespace))
+    heap.collect_garbage()
+    return {
+        "accessed": {n for n in accessed
+                     if session.history.latest_snapshot(n, before=session.next_t) is not None},
+        "written": changes["modified"] - created,
+        "created": created,
+        "deleted": changes["deleted"],
+        "failed": failed,
+        "objects": set(heap.objects),
+    }
+
+
+def monitored(session, program) -> dict:
+    try:
+        rec = run_cell(session, program)
+    except CellExecutionError as err:
+        rec = err.record
+    return {
+        "accessed": {vs.name for vs in rec.accessed},
+        "written": rec.written,
+        "created": rec.created,
+        "deleted": rec.deleted,
+        "failed": rec.failed,
+        "objects": set(session.heap.objects),
+    }
+
+
+def outside_mutation(heap, rng: random.Random) -> list[HeapOp]:
+    """A few valid ops that change the heap between cells, possibly leaving
+    objects no name reaches."""
+    ops = []
+    live = sorted(heap.objects)
+    if not live:
+        return ops
+    for _ in range(rng.randint(1, 3)):
+        oid = rng.choice(live)
+        obj = heap.objects[oid]
+        roll = rng.random()
+        if roll < 0.3 and obj.kind != "container":
+            ops.append(HeapOp(op="set_value", id=oid, value=rng.randint(0, 9)))
+        elif roll < 0.5 and obj.kind == "container":
+            ops.append(HeapOp(op="set_slot", parent_id=oid, slot="x", child_id=rng.choice(live)))
+        elif roll < 0.7 and heap.namespace:
+            ops.append(HeapOp(op="unbind", name=rng.choice(sorted(heap.namespace))))
+            break  # a later op might name the unbound variable
+        else:
+            ops.append(HeapOp(op="bind", name=f"v{rng.randint(0, 12)}", id=oid))
+    return ops
+
+
+class TestIncrementalMatchesRescan:
+    """run_cell reports exactly what the full rescan reports, cell by cell,
+    and leaves exactly the objects a full sweep leaves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alias_density=st.floats(0.3, 0.95),
+        unhashable_rate=st.floats(0.0, 0.5),
+        delete_rate=st.floats(0.0, 0.3),
+        fail_rate=st.floats(0.0, 0.3),
+        outside_rate=st.floats(0.0, 0.4),
+        use_id_graphs=st.booleans(),
+    )
+    def test_cell_by_cell(self, seed, alias_density, unhashable_rate, delete_rate,
+                          fail_rate, outside_rate, use_id_graphs):
+        rng = random.Random(seed)
+        trace = generate_trace(GenParams(
+            cells=14, variables=rng.randint(3, 10), alias_density=alias_density,
+            unhashable_rate=unhashable_rate, delete_rate=delete_rate, nondet_rate=0.1,
+        ), seed)
+        session = new_session(trace.profile, options=MonitorOptions(use_id_graphs=use_id_graphs))
+        for program in trace.cells:
+            if rng.random() < fail_rate and program.ops:
+                # a bad op mid-batch: the ops before it keep their effects
+                ops = list(program.ops)
+                ops.insert(rng.randint(0, len(ops)), HeapOp(op="bind", name="v0", id=10**9))
+                program = CellProgram(program.code_ref, program.direct_reads, ops)
+            if rng.random() < outside_rate:
+                session.heap.apply(outside_mutation(session.heap, rng))
+            expected = rescan_cell(session, program)
+            assert monitored(session, program) == expected, program.code_ref
+
+    def test_worked_example_and_ablation(self):
+        for ablate in ((), ("no-idgraph",)):
+            trace = worked_example_trace()
+            session = new_session(trace.profile, options=MonitorOptions(use_id_graphs=not ablate))
+            for program in trace.cells:
+                expected = rescan_cell(session, program)
+                assert monitored(session, program) == expected, (ablate, program.code_ref)
+
+
+class TestWorkCount:
+    def test_one_value_set_builds_two_graphs_and_hashes_one_name(self, monkeypatch):
+        # 300 names; n0..n9 share one scalar, so reading n0 accesses all ten
+        session = session_with()
+        ops = [HeapOp(op="create", id=1, kind="scalar", value=0, size_bytes=8)]
+        for i in range(300):
+            box, own = 10 + 2 * i, 11 + 2 * i
+            ops += [
+                HeapOp(op="create", id=box, kind="container", size_bytes=16),
+                HeapOp(op="create", id=own, kind="scalar", value=i, size_bytes=8),
+                HeapOp(op="set_slot", parent_id=box, slot="own", child_id=own),
+                HeapOp(op="bind", name=f"n{i}", id=box),
+            ]
+            if i < 10:
+                ops.append(HeapOp(op="set_slot", parent_id=box, slot="shared", child_id=1))
+        run_cell(session, CellProgram(code_ref="setup", ops=ops))
+
+        graphs: list[str] = []
+        hashed: list[int] = []
+        real_graph, real_hash, real_value = (
+            monitor_mod.build_id_graph, monitor_mod.subgraph_hash, monitor_mod.value_hash)
+
+        def counting_graph(heap, name):
+            graphs.append(name)
+            return real_graph(heap, name)
+
+        def counting_hash(root, get):
+            hashed.append(root)
+            return real_hash(root, get)
+
+        def counting_value(heap, name):
+            hashed.append(heap.root(name))
+            return real_value(heap, name)
+
+        monkeypatch.setattr(monitor_mod, "build_id_graph", counting_graph)
+        monkeypatch.setattr(monitor_mod, "subgraph_hash", counting_hash)
+        monkeypatch.setattr(monitor_mod, "value_hash", counting_value)
+        rec = run_cell(session, CellProgram(
+            code_ref="bump", direct_reads={"n0"},
+            ops=[HeapOp(op="set_value", id=11, value=-1)],
+        ))
+        assert {vs.name for vs in rec.accessed} == {f"n{i}" for i in range(10)}
+        assert rec.written == {"n0"}
+        assert len(graphs) <= 2
+        assert set(hashed) <= {10}

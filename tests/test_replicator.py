@@ -28,6 +28,7 @@ from statecut.replicator import (
 )
 from statecut.trace import TraceFile, run_trace, save_trace
 
+from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import worked_example_trace
 
 
@@ -139,6 +140,45 @@ class TestCheckpointFormat:
         trace_path = tmp_path / "trace.json"
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
+
+    def test_every_wrong_leaf_is_a_format_error_or_restores(self, tmp_path):
+        # each manifest leaf of the worked example replaced by each wrong value:
+        # either a FormatError (exit code 4) or a restore that verifies
+        trace = worked_example_trace()
+        session, _, path = checkpoint_roundtrip(tmp_path, trace)
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        manifest = read_manifest(path)
+        outcomes = Counter()
+        for leaf in leaf_paths(manifest):
+            for value in WRONG_VALUES:
+                write_manifest(path, with_leaf(manifest, leaf, value))
+                try:
+                    result = restore(read_checkpoint(path), trace.programs())
+                except FormatError:
+                    outcomes["rejected"] += 1
+                    assert main(["restore", str(path), "--trace", str(trace_path)]) == 4, (leaf, value)
+                    continue
+                assert verify(session.heap, result.session.heap).isomorphic, (leaf, value)
+                outcomes["restored"] += 1
+        assert outcomes["rejected"] > 100 and outcomes["restored"] > 100
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "plan": {**m["plan"], "rerun": m["plan"]["rerun"] + [99]}},
+        lambda m: {**m, "plan": {**m["plan"], "migrate": m["plan"]["migrate"][1:]}},
+        lambda m: {**m, "variables": {**m["variables"], "l1": 10**6}},
+        lambda m: {**m, "variables": {**m["variables"], "l1": 1.0}},
+        lambda m: with_leaf(m, ("history", "cells", 4, "writes"), []),
+        lambda m: with_leaf(m, ("history", "cells", 0, "code_ref"), ["cell_1"]),
+    ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
+            "float-root", "stored-without-active-snapshot", "code-ref-not-string"])
+    def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        write_manifest(path, edit(read_manifest(path)))
+        with pytest.raises(FormatError) as exc:
+            read_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_empty_migrate_set_has_empty_payload(self, tmp_path):
         session, _ = run_trace(worked_example_trace())

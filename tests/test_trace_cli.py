@@ -1,17 +1,46 @@
 import json
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from statecut.cli import main
-from statecut.errors import FormatError
+from statecut.errors import FormatError, StatecutError
 from statecut.gen import GenParams, generate_trace
-from statecut.trace import load_trace, run_trace, save_trace, trace_from_json, trace_to_json
+from statecut.planner import plan_session
+from statecut.replicator import read_checkpoint, restore, write_checkpoint
+from statecut.trace import (
+    _CELL_FIELDS,
+    _CELL_REQUIRED,
+    _FIELD_TYPES,
+    _OP_FIELDS,
+    _OP_OPTIONAL,
+    load_trace,
+    run_trace,
+    save_trace,
+    trace_from_json,
+    trace_to_json,
+)
 
+from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import worked_example_trace
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "trace.schema.json").read_text())
+
+# how the published schema states each field type of the loader's table
+SCHEMA_OF_TYPE = {
+    "object_id": {"$ref": "#/definitions/object_id"},
+    "size": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+    "kind": {"enum": ["scalar", "container", "opaque"]},
+    "str": {"type": "string"},
+    "ref": {"type": "string", "minLength": 1},
+    "bool": {"type": "boolean"},
+    "any": {},
+    "str_list": {"type": "array", "items": {"type": "string"}},
+    "seconds": {"type": "number", "minimum": 0},
+    "ops": {"type": "array", "items": {"$ref": "#/definitions/op"}},
+}
 
 
 class TestTraceFormat:
@@ -47,6 +76,57 @@ class TestTraceFormat:
         mutate(data)
         with pytest.raises(FormatError):
             trace_from_json(data)
+
+    def test_field_table_agrees_with_schema(self):
+        assert SCHEMA_OF_TYPE.keys() == _FIELD_TYPES.keys()
+        ops = {entry["properties"]["op"]["const"]: entry
+               for entry in SCHEMA["definitions"]["op"]["oneOf"]}
+        assert ops.keys() == _OP_FIELDS.keys()
+        for op, fields in _OP_FIELDS.items():
+            assert set(ops[op]["required"]) == {"op"} | (fields.keys() - _OP_OPTIONAL), op
+            properties = {k: v for k, v in ops[op]["properties"].items() if k != "op"}
+            assert properties == {name: SCHEMA_OF_TYPE[kind] for name, kind in fields.items()}, op
+        cell = SCHEMA["definitions"]["cell"]
+        assert set(cell["required"]) == _CELL_REQUIRED
+        assert cell["properties"] == {name: SCHEMA_OF_TYPE[kind] for name, kind in _CELL_FIELDS.items()}
+
+    def test_type_checks_accept_what_the_schema_types_accept(self):
+        # "ops" is left out: the op parser checks its items one by one. JSON
+        # Schema's "integer" also admits 1.0, which is not a probe here: the
+        # loader takes only ints for ids and sizes, as the writer produces.
+        probes = ["x", "", -1, 0, 7, 2**64 - 1, 2**64, None, [], {}, 1.5, True, False,
+                  "scalar", ["a"], [1]]
+        for kind, check in _FIELD_TYPES.items():
+            if kind == "ops":
+                continue
+            validator = jsonschema.Draft7Validator(
+                {**SCHEMA_OF_TYPE[kind], "definitions": SCHEMA["definitions"]})
+            for value in probes:
+                assert check(value) == validator.is_valid(value), (kind, value)
+
+    def test_wrong_typed_leaf_loads_iff_schema_valid(self, tmp_path):
+        # a trace with one damaged leaf either fails to load with FormatError,
+        # exactly when the schema rejects it, or runs through monitoring,
+        # planning, checkpoint and restore raising nothing but StatecutError
+        validator = jsonschema.Draft7Validator(SCHEMA)
+        base = trace_to_json(generate_trace(GenParams(cells=6, nondet_rate=0.3), 3))
+        leaves = list(leaf_paths(base))
+        rng = random.Random(7)
+        path = tmp_path / "c.ckpt"
+        for _ in range(300):
+            doc = with_leaf(base, rng.choice(leaves), rng.choice(WRONG_VALUES))
+            try:
+                trace = trace_from_json(doc)
+            except FormatError:
+                assert not validator.is_valid(doc), doc
+                continue
+            assert validator.is_valid(doc), doc
+            session, _ = run_trace(trace)
+            try:
+                write_checkpoint(session, plan_session(session), path)
+                restore(read_checkpoint(path), trace.programs())
+            except StatecutError:
+                pass
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
