@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 from .errors import FormatError, UnknownVariable
-from .heap import SimHeap, build_id_graph, id_graphs_overlap
+# build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
+from .heap import NameIndex, SimHeap, build_id_graph
 from .history import CellExecution, HistoryGraph
 
 INF = math.inf
@@ -37,9 +37,11 @@ class CostProfile:
     store_bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0 or self.alpha < 0:
+        # "not x > 0" rather than "x <= 0", so that NaN fails too
+        store = self.store_bandwidth_bytes_per_s
+        if not self.bandwidth_bytes_per_s > 0 or (store is not None and not store > 0):
+            raise ValueError("bandwidths must be positive")
+        if not (self.latency_s >= 0 and self.alpha >= 0):
             raise ValueError("latency and alpha must be non-negative")
 
     @property
@@ -172,12 +174,7 @@ def linked_pairs(heap: SimHeap, names) -> set[tuple[str, str]]:
     Such pairs must be migrated together or recomputed together, otherwise
     the shared reference would be split into two objects on restore.
     """
-    graphs = {name: build_id_graph(heap, name) for name in names}
-    pairs = set()
-    for a, b in combinations(sorted(graphs), 2):
-        if id_graphs_overlap(graphs[a], graphs[b]):
-            pairs.add((a, b))
-    return pairs
+    return NameIndex(heap.objects, {name: heap.root(name) for name in names}).shared_pairs()
 
 
 def linked_groups(names, pairs) -> list[set[str]]:

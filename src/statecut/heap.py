@@ -15,6 +15,7 @@ import json
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 from .errors import InvalidHeapOp, RootMismatch, UnknownObject, UnknownVariable
 
@@ -103,6 +104,56 @@ def reachable_ids(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> set
                 seen.add(child)
                 frontier.append(child)
     return seen
+
+
+class NameIndex:
+    """Which names reach each object of ``objects``, given each name's root.
+
+    Objects no name reaches have no entry. ``version`` is left to the
+    index's keeper: ``run_cell`` keeps the session's index current and
+    records there the heap version it agrees with.
+    """
+
+    def __init__(self, objects: Mapping[ObjectId, HeapObject], roots: Mapping[str, ObjectId]):
+        self.names: dict[ObjectId, set[str]] = {}
+        for name, root in roots.items():
+            self.move(name, set(), reachable_ids(objects, root))
+        self.version: int | None = None
+
+    def reaching(self, oids) -> set[str]:
+        """Every name that reaches one of ``oids``."""
+        found: set[str] = set()
+        for oid in oids:
+            names = self.names.get(oid)
+            if names:
+                found |= names
+        return found
+
+    def shared_pairs(self) -> set[tuple[str, str]]:
+        """Sorted pairs of names that reach a common object."""
+        pairs: set[tuple[str, str]] = set()
+        for names in self.names.values():
+            if len(names) > 1:
+                pairs.update(combinations(sorted(names), 2))
+        return pairs
+
+    def move(self, name: str, before: set[ObjectId], after: set[ObjectId]) -> set[ObjectId]:
+        """Record that ``name`` now reaches ``after`` instead of ``before``;
+        returns the objects it no longer reaches."""
+        index = self.names
+        left = before - after
+        for oid in left:
+            names = index[oid]
+            names.discard(name)
+            if not names:
+                del index[oid]
+        for oid in after - before:
+            names = index.get(oid)
+            if names is None:
+                index[oid] = {name}
+            else:
+                names.add(name)
+        return left
 
 
 class SimHeap:

@@ -26,6 +26,7 @@ from .heap import (
     HeapBefore,
     HeapOp,
     IdGraph,
+    NameIndex,
     ObjectId,
     SimHeap,
     build_id_graph,
@@ -61,47 +62,6 @@ class MonitorOptions:
     """Detection switches; ``use_id_graphs=False`` is the hash-only ablation."""
 
     use_id_graphs: bool = True
-
-
-class NameIndex:
-    """Which names reach each live object, as of one ``version`` of a heap.
-
-    Objects no name reaches have no entry. ``run_cell`` keeps the index
-    current; a heap changed by anything else since is indexed afresh.
-    """
-
-    def __init__(self, heap: SimHeap):
-        self.names: dict[ObjectId, set[str]] = {}
-        for name, root in heap.namespace.items():
-            self.move(name, set(), reachable_ids(heap.objects, root))
-        self.version = heap.version
-
-    def reaching(self, oids) -> set[str]:
-        """Every name that reaches one of ``oids``."""
-        found: set[str] = set()
-        for oid in oids:
-            names = self.names.get(oid)
-            if names:
-                found |= names
-        return found
-
-    def move(self, name: str, before: set[ObjectId], after: set[ObjectId]) -> set[ObjectId]:
-        """Record that ``name`` now reaches ``after`` instead of ``before``;
-        returns the objects it no longer reaches."""
-        index = self.names
-        left = before - after
-        for oid in left:
-            names = index[oid]
-            names.discard(name)
-            if not names:
-                del index[oid]
-        for oid in after - before:
-            names = index.get(oid)
-            if names is None:
-                index[oid] = {name}
-            else:
-                names.add(name)
-        return left
 
 
 @dataclass
@@ -228,7 +188,7 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
     index = session.index
     orphans: set[ObjectId] = set()
     if index is None or index.version != heap.version:
-        index = session.index = NameIndex(heap)
+        index = session.index = NameIndex(heap.objects, heap.namespace)
         # a change made outside run_cell may have left objects no name
         # reaches; the full sweep at the end of this cell would delete them
         orphans = set(heap.objects).difference(index.names)

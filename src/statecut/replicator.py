@@ -31,7 +31,7 @@ from .errors import (
     UnknownObject,
     Unreconstructable,
 )
-from .heap import HeapObject, HeapOp, SimHeap, reachable_ids
+from .heap import HeapObject, HeapOp, NameIndex, SimHeap, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
@@ -62,12 +62,7 @@ class Checkpoint:
     def payload_groups(self) -> dict[str, set[str]]:
         """Each stored name's group: the stored names linked to it by shared
         payload objects, directly or through other members."""
-        owner: dict[int, str] = {}
-        pairs = []
-        for name in sorted(self.variables):
-            for oid in self.payload_closure(name):
-                # the first name to reach an object owns it; later ones link to it
-                pairs.append((name, owner.setdefault(oid, name)))
+        pairs = NameIndex(self.objects, self.variables).shared_pairs()
         return {n: group for group in linked_groups(self.variables, pairs) for n in group}
 
 
@@ -122,6 +117,8 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
                 (child,) = struct.unpack_from("<Q", payload, offset)
                 offset += 8
                 slots[label] = child
+            if oid in objects:
+                raise FormatError(f"corrupt checkpoint payload: object {oid} stored twice")
             objects[oid] = HeapObject(
                 id=oid,
                 kind=_KIND_NAMES[kind_code],
@@ -132,8 +129,11 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
                 deserializable=bool(flags & 2),
                 hashable=bool(flags & 4),
             )
-    except (struct.error, KeyError, json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (struct.error, KeyError, json.JSONDecodeError, UnicodeDecodeError, InvalidHeapOp) as err:
         raise FormatError(f"corrupt checkpoint payload: {err}") from err
+    dangling = {child for obj in objects.values() for child in obj.slots.values()} - objects.keys()
+    if dangling:
+        raise FormatError(f"corrupt checkpoint payload: slots name absent objects {sorted(dangling)}")
     return objects
 
 

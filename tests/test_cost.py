@@ -5,14 +5,46 @@ import pytest
 from statecut.cost import CostModel, CostProfile, linked_pairs
 from statecut.errors import UnknownVariable
 from statecut.gen import GenParams, generate_trace
-from statecut.heap import HeapOp, SimHeap
-from statecut.planner import brute_force_plan, session_cost_model
-from statecut.trace import run_trace
+from statecut.heap import HeapOp, SimHeap, reachable_ids
+from statecut.monitor import CellProgram
+from statecut.planner import ReplicationPlan, brute_force_plan, session_cost_model
+from statecut.replicator import read_checkpoint, write_checkpoint
+from statecut.trace import TraceFile, run_trace
 
 from heaps import make_object
 from sessions import worked_example_trace
 
 INF = math.inf
+
+
+def cycle_shared_by_three() -> TraceFile:
+    """One cell binding a: 1 <-> 2 -> 3, b: 4 -> 3, c: 3 itself, d: 5 alone."""
+    ops = [HeapOp(op="create", id=oid, kind="container") for oid in (1, 2, 4)]
+    ops += [HeapOp(op="create", id=3, kind="scalar", value=7),
+            HeapOp(op="create", id=5, kind="scalar", value=8)]
+    ops += [HeapOp(op="set_slot", parent_id=p, slot=slot, child_id=c)
+            for p, slot, c in ((1, "next", 2), (2, "next", 1), (2, "x", 3), (4, "x", 3))]
+    ops += [HeapOp(op="bind", name=n, id=oid) for n, oid in (("a", 1), ("b", 4), ("c", 3), ("d", 5))]
+    return TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e6),
+                     cells=[CellProgram(code_ref="c1", ops=ops)])
+
+
+def pairwise_oracle(objects, roots) -> set[tuple[str, str]]:
+    """Sorted name pairs whose closures intersect, compared pair by pair."""
+    closures = {name: reachable_ids(objects, root) for name, root in roots.items()}
+    names = sorted(closures)
+    return {(a, b) for i, a in enumerate(names) for b in names[i + 1:] if closures[a] & closures[b]}
+
+
+def components(names, pairs) -> dict[str, set[str]]:
+    """Each name's connected component under ``pairs``, by merging sets."""
+    group = {n: {n} for n in names}
+    for a, b in pairs:
+        if group[a] is not group[b]:
+            merged = group[a] | group[b]
+            for n in merged:
+                group[n] = merged
+    return group
 
 
 def model(bandwidth=1.0, latency=0.0, alpha=1.0, store_bandwidth=None) -> CostModel:
@@ -189,18 +221,30 @@ class TestLinkedPairs:
         ])
         assert linked_pairs(heap, {"a", "b", "c"}) == {("a", "b"), ("b", "c")}
 
-    def test_matches_pairwise_oracle(self, rng):
-        for seed in range(10):
-            trace = generate_trace(GenParams(cells=8, variables=6, alias_density=0.5), seed)
-            session, _ = run_trace(trace)
+    def test_matches_pairwise_oracle(self, rng, tmp_path):
+        sessions = [
+            run_trace(generate_trace(GenParams(cells=8, variables=6, alias_density=0.5), seed))[0]
+            for seed in range(10)
+        ] + [
+            # wide-shaped: dozens of live names out of a pool of 200
+            run_trace(generate_trace(GenParams(cells=120, variables=200, alias_density=0.5), seed))[0]
+            for seed in range(3)
+        ] + [run_trace(cycle_shared_by_three())[0]]
+        for session in sessions:
             heap = session.heap
             names = sorted(heap.namespace)
-            expected = set()
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    if heap.reachable(a) & heap.reachable(b):
-                        expected.add((a, b))
+            expected = pairwise_oracle(heap.objects, heap.namespace)
             assert linked_pairs(heap, names) == expected
+            # the checkpoint's groups: components of the same oracle over its payload
+            storable = {n for n in names if all(heap.objects[o].serializable for o in heap.reachable(n))}
+            path = tmp_path / "oracle.ckpt"
+            write_checkpoint(session, ReplicationPlan(migrate=storable, rerun=[], cost_s=0.0), path)
+            checkpoint = read_checkpoint(path)
+            assert checkpoint.payload_groups == components(
+                storable, pairwise_oracle(checkpoint.objects, checkpoint.variables))
+        # the hand-built session came last; the wide-shaped ones link many names
+        assert expected == {("a", "b"), ("a", "c"), ("b", "c")}
+        assert sum(len(linked_pairs(s.heap, s.heap.namespace)) for s in sessions[10:13]) > 50
 
 
 class TestCostProperties:

@@ -15,10 +15,11 @@ from statecut.cli import main
 from statecut.cost import CostProfile
 from statecut.errors import FormatError, SerializationError, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
-from statecut.heap import HeapOp, SimHeap
+from statecut.heap import HeapObject, HeapOp, SimHeap
 from statecut.monitor import CellProgram
 from statecut.planner import ReplicationPlan, plan_session
 from statecut.replicator import (
+    _KIND_CODES,
     payload_bytes,
     read_checkpoint,
     recovery_cells,
@@ -45,6 +46,20 @@ def write_manifest(path, manifest) -> None:
     edited = json.dumps(manifest).encode()
     path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
                      + raw[20 + manifest_len:])
+
+
+def payload_records(path) -> list[bytes]:
+    """A checkpoint's payload, one encoded object per entry, in file order."""
+    objects = read_checkpoint(path).objects
+    return [replicator._encode_object(objects[oid]) for oid in sorted(objects)]
+
+
+def write_payload(path, records: list[bytes]) -> None:
+    """Swap a checkpoint's payload section, keeping a correct header."""
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+    payload = b"".join(records)
+    path.write_bytes(raw[:20 + manifest_len] + struct.pack("<Q", len(payload)) + payload)
 
 
 def without_code_ref(manifest: dict) -> dict:
@@ -179,6 +194,29 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    # the worked example's payload holds objects 4 (container, slots 0 -> 5
+    # and 1 -> 6), 5, 6, 7 and 8 (container, slot 0 -> 4), in that order;
+    # a record starts with id (u64), kind (u8) and flags (u8)
+    @pytest.mark.parametrize("edit", [
+        lambda rs: [rs[0][:9] + bytes([0b010]) + rs[0][10:], *rs[1:]],
+        lambda rs: [rs[0][:8] + bytes([_KIND_CODES["scalar"]]) + rs[0][9:], *rs[1:]],
+        lambda rs: [*rs[:-1], rs[-1][:-8] + struct.pack("<Q", 99)],
+        lambda rs: [*rs, replicator._encode_object(HeapObject(id=5, kind="scalar", value=30))],
+    ], ids=["deserializable-not-serializable", "container-as-scalar", "dangling-slot",
+            "duplicate-id"])
+    def test_malformed_payload_is_a_format_error(self, tmp_path, edit):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        records = payload_records(path)
+        write_payload(path, records)
+        assert read_checkpoint(path).objects.keys() == {4, 5, 6, 7, 8}
+        write_payload(path, edit(records))
+        with pytest.raises(FormatError):
+            read_checkpoint(path)
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
     def test_empty_migrate_set_has_empty_payload(self, tmp_path):
         session, _ = run_trace(worked_example_trace())

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -70,6 +71,12 @@ class TestTraceFormat:
         lambda d: d["cells"][0]["ops"].append({"op": "bind", "name": "x"}),
         lambda d: d["cells"].append(dict(d["cells"][0])),
         lambda d: d.update(variable_annotations={"x": "sometimes_copy"}),
+        lambda d: d["profile"].update(store_bandwidth_bytes_per_s=-5),
+        lambda d: d["profile"].update(store_bandwidth_bytes_per_s=0),
+        lambda d: d["profile"].update(bandwidth_bytes_per_s=math.nan),
+        lambda d: d["profile"].update(store_bandwidth_bytes_per_s=math.nan),
+        lambda d: d["profile"].update(latency_s=math.nan),
+        lambda d: d["profile"].update(alpha=math.nan),
     ])
     def test_malformed_documents_rejected(self, mutate):
         data = trace_to_json(generate_trace(GenParams(cells=3), 1))
