@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,6 +38,29 @@ def _ablate(value: str | None) -> tuple[str, ...]:
     return flags
 
 
+def _channel_number(text: str, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and (value > 0 if positive else value >= 0):
+        return value
+    bound = "positive" if positive else "non-negative"
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite {bound} number")
+
+
+def _non_negative(text: str) -> float:
+    return _channel_number(text, positive=False)
+
+
+def _positive(text: str) -> float:
+    return _channel_number(text, positive=True)
+
+
+def _bandwidths(text: str) -> list[float]:
+    return [_positive(part) for part in text.split(",")]
+
+
 def _plan_kwargs(args) -> dict:
     return {
         "alpha": args.alpha,
@@ -48,11 +72,11 @@ def _plan_kwargs(args) -> dict:
 
 
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None,
+    parser.add_argument("--alpha", type=_non_negative, default=None,
                         help="storage-time discount (overrides --objective)")
-    parser.add_argument("--bandwidth", type=float, default=None,
+    parser.add_argument("--bandwidth", type=_positive, default=None,
                         help="storage bandwidth, bytes/s")
-    parser.add_argument("--latency", type=float, default=None,
+    parser.add_argument("--latency", type=_non_negative, default=None,
                         help="storage latency, seconds")
     parser.add_argument("--objective", choices=["migrate", "restore"], default=None,
                         help="migrate: alpha=1; restore: alpha=0.05")
@@ -144,10 +168,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
-    bandwidths = [float(b) for b in args.bandwidths.split(",")]
     session, _ = run_trace(trace)
     rows = []
-    for bandwidth in bandwidths:
+    for bandwidth in args.bandwidths:
         plan = plan_session(
             session, alpha=args.alpha, bandwidth=bandwidth,
             latency=args.latency, objective=args.objective,
@@ -275,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-plan a trace across storage bandwidths")
     p.add_argument("trace")
-    p.add_argument("--bandwidths", required=True, help="comma-separated bytes/s values")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--latency", type=float, default=None)
+    p.add_argument("--bandwidths", type=_bandwidths, required=True,
+                   help="comma-separated bytes/s values")
+    p.add_argument("--alpha", type=_non_negative, default=None)
+    p.add_argument("--latency", type=_non_negative, default=None)
     p.add_argument("--objective", choices=["migrate", "restore"], default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import ChainMap
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -156,6 +156,16 @@ class NameIndex:
         return left
 
 
+def _local(ids: dict[ObjectId, ObjectId] | None, oid: ObjectId) -> ObjectId:
+    """The heap's own id for an op's ``oid``: itself, or its entry in ``ids``."""
+    if ids is None:
+        return oid
+    try:
+        return ids[oid]
+    except KeyError:
+        raise UnknownObject(f"op names object {oid}, which no earlier op created") from None
+
+
 class SimHeap:
     """Object heap plus variable namespace for one simulated session."""
 
@@ -212,23 +222,30 @@ class SimHeap:
         self.get(oid)
         return reachable_ids(self.objects, oid)
 
-    def apply(self, ops: list[HeapOp]) -> MutationRecord:
+    def apply(self, ops: Iterable[HeapOp], ids: dict[ObjectId, ObjectId] | None = None) -> MutationRecord:
         """Apply ops in order; on error, the raised exception carries the
-        partial MutationRecord as ``.partial``."""
+        partial MutationRecord as ``.partial`` and the failing op's position
+        as ``.op_index`` (the ops before it took effect, it did not).
+
+        With ``ids``, the ops name another heap's objects: each create takes
+        a fresh id and records it in ``ids``, and every other object id is
+        looked up there (UnknownObject if absent). The record holds this
+        heap's ids."""
         record = MutationRecord()
         self.version += 1
-        for op in ops:
+        for index, op in enumerate(ops):
             try:
-                self._apply_one(op, record)
+                self._apply_one(op, record, ids)
             except (UnknownVariable, UnknownObject, InvalidHeapOp) as err:
                 err.partial = record
+                err.op_index = index
                 raise
         return record
 
-    def _apply_one(self, op: HeapOp, record: MutationRecord) -> None:
+    def _apply_one(self, op: HeapOp, record: MutationRecord, ids: dict[ObjectId, ObjectId] | None) -> None:
         if op.op == "create":
             obj = HeapObject(
-                id=op.id,
+                id=op.id if ids is None else self.allocate_id(),
                 kind=op.kind,
                 value=op.value,
                 size_bytes=op.size_bytes,
@@ -237,10 +254,12 @@ class SimHeap:
                 hashable=op.hashable,
             )
             self.add_object(obj)
-            record.created.add(op.id)
+            if ids is not None:
+                ids[op.id] = obj.id
+            record.created.add(obj.id)
         elif op.op == "bind":
             old = self.namespace.get(op.name)
-            self.bind(op.name, op.id)
+            self.bind(op.name, _local(ids, op.id))
             record.bound.add(op.name)
             record.old_roots.setdefault(op.name, old)
         elif op.op == "unbind":
@@ -249,20 +268,20 @@ class SimHeap:
             record.unbound.add(op.name)
             record.old_roots.setdefault(op.name, old)
         elif op.op == "set_slot":
-            parent = self.get(op.parent_id)
+            parent = self.get(_local(ids, op.parent_id))
             if parent.kind != "container":
                 raise InvalidHeapOp(f"object {op.parent_id} is not a container")
-            self.get(op.child_id)
+            child = self.get(_local(ids, op.child_id))
             record.log(parent)
-            parent.slots[op.slot] = op.child_id
+            parent.slots[op.slot] = child.id
         elif op.op == "clear_slot":
-            parent = self.get(op.parent_id)
+            parent = self.get(_local(ids, op.parent_id))
             if op.slot not in parent.slots:
                 raise InvalidHeapOp(f"object {op.parent_id} has no slot {op.slot!r}")
             record.log(parent)
             del parent.slots[op.slot]
         elif op.op == "set_value":
-            obj = self.get(op.id)
+            obj = self.get(_local(ids, op.id))
             if obj.kind == "container":
                 raise InvalidHeapOp("containers carry values through slots")
             record.log(obj)

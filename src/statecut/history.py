@@ -31,7 +31,11 @@ class CellExecution:
     runtime_s: float
     never_rerun: bool = False
     nondeterministic: bool = False
-    failed: bool = False
+    failed_at: int | None = None  # position of the op that failed, if one did
+
+    @property
+    def failed(self) -> bool:
+        return self.failed_at is not None
 
 
 @dataclass
@@ -47,7 +51,11 @@ class CellRecord:
     deleted: set[str] = field(default_factory=set)
     never_rerun: bool = False
     nondeterministic: bool = False
-    failed: bool = False
+    failed_at: int | None = None  # position of the op that failed, if one did
+
+    @property
+    def failed(self) -> bool:
+        return self.failed_at is not None
 
 
 class HistoryGraph:
@@ -75,7 +83,7 @@ class HistoryGraph:
             runtime_s=rec.runtime_s,
             never_rerun=rec.never_rerun,
             nondeterministic=rec.nondeterministic,
-            failed=rec.failed,
+            failed_at=rec.failed_at,
         )
         self.cells.append(cell)
         self._cell_by_t[rec.t] = cell
@@ -126,54 +134,67 @@ class HistoryGraph:
     ) -> list[CellExecution]:
         """Backward closure from ``targets``, stopping each path at a snapshot
         in ``ground_vses`` (available as-is); returns the producing cells that
-        rebuild every target, each once, sorted by completion time."""
+        rebuild every target, each once, sorted by completion time.
+
+        With ``require_rerunnable``, a never-rerun cell in the closure raises
+        Unreconstructable for the latest such cell, naming the least snapshot
+        name of it the walk reached. Every other cell on a path from a target
+        to it is later, so none of them is never-rerun: it blocks first."""
         need: set[int] = set()
         stack = [vs for vs in targets if vs not in ground_vses]
         seen = set(stack)
         while stack:
-            vs = stack.pop()
-            t = vs.t
+            t = stack.pop().t
             if t in need:
                 continue
             need.add(t)
-            if require_rerunnable and self._cell_by_t[t].never_rerun:
-                raise Unreconstructable(vs.name, blocked_at=t)
             for dep in self.reads.get(t, ()):
                 if dep not in seen and dep not in ground_vses:
                     seen.add(dep)
                     stack.append(dep)
+        if require_rerunnable:
+            blocked = [t for t in need if self._cell_by_t[t].never_rerun]
+            if blocked:
+                t = max(blocked)
+                raise Unreconstructable(min(vs.name for vs in seen if vs.t == t), blocked_at=t)
         return [self._cell_by_t[t] for t in sorted(need)]
 
     # -- serialization ------------------------------------------------------
 
     def to_manifest(self) -> dict:
-        return {
-            "cells": [
-                {
-                    "t": c.t,
-                    "code_ref": c.code_ref,
-                    "runtime_s": c.runtime_s,
-                    "never_rerun": c.never_rerun,
-                    "nondeterministic": c.nondeterministic,
-                    "failed": c.failed,
-                    "reads": sorted([vs.name, vs.t] for vs in self.reads.get(c.t, ())),
-                    "writes": sorted(vs.name for vs in self.writes.get(c.t, ())),
-                }
-                for c in self.cells
-            ],
-            "deleted": dict(sorted(self.deleted.items())),
-        }
+        cells = []
+        for c in self.cells:
+            entry = {
+                "t": c.t,
+                "code_ref": c.code_ref,
+                "runtime_s": c.runtime_s,
+                "never_rerun": c.never_rerun,
+                "nondeterministic": c.nondeterministic,
+                "failed": c.failed,
+                "reads": sorted([vs.name, vs.t] for vs in self.reads.get(c.t, ())),
+                "writes": sorted(vs.name for vs in self.writes.get(c.t, ())),
+            }
+            if c.failed:
+                entry["failed_at"] = c.failed_at
+            cells.append(entry)
+        return {"cells": cells, "deleted": dict(sorted(self.deleted.items()))}
 
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a cell's code_ref is not a string or it reads a snapshot that no
-        earlier cell wrote."""
+        when a cell's code_ref is not a string, it reads a snapshot that no
+        earlier cell wrote, or a failed cell lacks the position of its
+        failing op (or a cell that did not fail has one)."""
         graph = cls()
         written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
             if type(entry["code_ref"]) is not str:
                 raise FormatError(f"cell {entry['t']} has a code_ref that is not a string")
+            failed, failed_at = entry.get("failed", False), entry.get("failed_at")
+            if failed is not (failed_at is not None) or (
+                failed and not (type(failed_at) is int and failed_at >= 0)
+            ):
+                raise FormatError(f"cell {entry['t']} has failed={failed!r} and failed_at={failed_at!r}")
             accessed = {VariableSnapshot(n, t) for n, t in entry["reads"]}
             unwritten = accessed - written
             if unwritten:
@@ -188,7 +209,7 @@ class HistoryGraph:
                     written=set(entry["writes"]),
                     never_rerun=entry["never_rerun"],
                     nondeterministic=entry["nondeterministic"],
-                    failed=entry.get("failed", False),
+                    failed_at=failed_at,
                 )
             )
             written |= graph.writes[cell.t]

@@ -3,8 +3,9 @@
 Runs cell programs against the simulated heap and works out which variables
 each cell accessed, created, modified, or deleted. Direct reads come declared
 with the cell (the stand-in for source analysis); indirect reads are inferred
-from ID-graph overlap; modifications from value-hash changes, reference-
-structure changes, and the modified-on-access rule for unhashable variables.
+from ID-graph overlap and from objects changed in place; modifications from
+value-hash changes, reference-structure changes, and the modified-on-access
+rule for unhashable variables.
 Detection may over-identify but never misses, which is what downstream
 reconstruction relies on.
 
@@ -102,13 +103,23 @@ class PreSnapshot:
         return self._hashes[name]
 
 
-def detect_accesses(pre: PreSnapshot, direct_reads: set[str], *, use_id_graphs: bool = True) -> set[str]:
-    """Declared reads plus every variable whose ID graph overlaps one of them."""
+def detect_accesses(
+    pre: PreSnapshot,
+    direct_reads: set[str],
+    *,
+    touched: set[int] = frozenset(),
+    use_id_graphs: bool = True,
+) -> set[str]:
+    """Declared reads plus every variable whose ID graph overlaps one of them
+    or holds an object the cell changed in place (``touched``)."""
     accessed = set(direct_reads)
     if not use_id_graphs:
         return accessed
     for name, graph in pre.id_graphs.items():
         if name in accessed:
+            continue
+        if not graph.nodes.isdisjoint(touched):
+            accessed.add(name)
             continue
         for read in direct_reads:
             read_graph = pre.id_graphs.get(read)
@@ -195,22 +206,25 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
 
     ops = replay_ops if replay_ops is not None else program.ops
     failure: Exception | None = None
+    failed_at: int | None = None
     try:
         mutation = heap.apply(ops)
     except StatecutError as err:
-        mutation = err.partial
+        mutation, failed_at = err.partial, err.op_index
         failure = err
     before = HeapBefore(heap, mutation)
 
     # declared reads bound before the cell, plus every name sharing an object
-    # with one of them
+    # with one of them, plus every name the cell changed in place: its new
+    # state is its old one with the change
+    touched = mutation.touched
+    affected = index.reaching(touched)
     accessed = {name for name in program.direct_reads if before.root_or_none(name) is not None}
     if use_id_graphs:
         for name in list(accessed):
             accessed |= index.reaching(reachable_ids(before.objects, before.root(name)))
+        accessed |= affected
 
-    touched = mutation.touched
-    affected = index.reaching(touched)
     affected.update(mutation.old_roots)
     created: set[str] = set()
     deleted: set[str] = set()
@@ -275,7 +289,7 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
         deleted=deleted,
         never_rerun=program.never_rerun,
         nondeterministic=program.nondeterministic,
-        failed=failure is not None,
+        failed_at=failed_at,
     )
     session.history.record(record)
     session.cost.record_runtime(t, program.declared_runtime_s)

@@ -28,10 +28,9 @@ from .errors import (
     MissingCellProgram,
     SerializationError,
     StatecutError,
-    UnknownObject,
     Unreconstructable,
 )
-from .heap import HeapObject, HeapOp, NameIndex, SimHeap, reachable_ids
+from .heap import HeapObject, NameIndex, SimHeap, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
@@ -289,50 +288,6 @@ def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], 
     return moved, [c.t for c in extra]
 
 
-def _remap(current: dict[int, int], oid: int) -> int:
-    if oid not in current:
-        raise UnknownObject(f"replay references object {oid} that was never produced")
-    return current[oid]
-
-
-def _replay_ops(heap: SimHeap, ops: list[HeapOp], current: dict[int, int]) -> None:
-    """Re-execute recorded ops against the fresh heap, allocating fresh ids
-    for creates and routing every other reference through the id map."""
-    for op in ops:
-        if op.op == "create":
-            fresh = heap.allocate_id()
-            heap.add_object(
-                HeapObject(
-                    id=fresh,
-                    kind=op.kind,
-                    value=op.value,
-                    size_bytes=op.size_bytes,
-                    serializable=op.serializable,
-                    deserializable=op.deserializable,
-                    hashable=op.hashable,
-                )
-            )
-            current[op.id] = fresh
-        elif op.op == "bind":
-            heap.bind(op.name, _remap(current, op.id))
-        elif op.op == "unbind":
-            # deletions carry no lineage edges, so the name may never have
-            # been rebuilt here; an already-absent name satisfies the effect
-            if op.name in heap.namespace:
-                heap.unbind(op.name)
-        elif op.op == "set_slot":
-            parent = heap.get(_remap(current, op.parent_id))
-            heap.get(_remap(current, op.child_id))
-            parent.slots[op.slot] = current[op.child_id]
-        elif op.op == "clear_slot":
-            parent = heap.get(_remap(current, op.parent_id))
-            if op.slot not in parent.slots:
-                raise InvalidHeapOp(f"object {op.parent_id} has no slot {op.slot!r}")
-            del parent.slots[op.slot]
-        elif op.op == "set_value":
-            heap.get(_remap(current, op.id)).value = op.value
-
-
 def _declare_variable(
     heap: SimHeap,
     checkpoint: Checkpoint,
@@ -422,12 +377,13 @@ def restore(
                 )
             program = programs[cell.code_ref]
             ops = program.alt_ops if (program.nondeterministic and program.alt_ops is not None) else program.ops
-            try:
-                _replay_ops(heap, ops, current)
-            except StatecutError:
-                if not cell.failed:
-                    raise
-                # the original run failed mid-cell too; partial effects stand
+            # a cell that failed replays the ops that ran before its failing
+            # op; deletions carry no lineage edges, so an unbound name may
+            # never have been rebuilt here, and its absence satisfies the unbind
+            heap.apply(
+                (op for op in ops[: cell.failed_at] if op.op != "unbind" or op.name in heap.namespace),
+                current,
+            )
         for name in declare_at.get(cell.t, ()):
             _declare_variable(heap, checkpoint, name, payload_map, current)
 

@@ -154,6 +154,27 @@ def _cell_from_json(data: dict, index: int) -> CellProgram:
     )
 
 
+def _check_creates(cells: list[CellProgram]) -> None:
+    """Raise FormatError unless each object id names one object across the
+    trace: no two creates of the cells' ``ops`` share an id, and a cell's
+    ``alt_ops`` create each id once, and only ids that its own ``ops`` or
+    no ``ops`` create. A restore maps each recorded id to the object its
+    replay made; an id created again would redirect later cells' ops."""
+    created: set[int] = set()
+    for i, cell in enumerate(cells):
+        for op in cell.ops:
+            if op.op == "create":
+                if op.id in created:
+                    raise FormatError(f"cells[{i}]: object id {op.id} is created twice")
+                created.add(op.id)
+    for i, cell in enumerate(cells):
+        if cell.alt_ops is not None:
+            own = {op.id for op in cell.ops if op.op == "create"}
+            alt = [op.id for op in cell.alt_ops if op.op == "create"]
+            if len(set(alt)) < len(alt) or created.intersection(alt) - own:
+                raise FormatError(f"cells[{i}]: alt_ops create an id twice or another cell's id")
+
+
 def trace_to_json(trace: TraceFile) -> dict:
     return {
         "version": trace.version,
@@ -182,6 +203,7 @@ def trace_from_json(data: dict) -> TraceFile:
     refs = [c.code_ref for c in cells]
     if len(set(refs)) != len(refs):
         raise FormatError("cell code_refs must be unique")
+    _check_creates(cells)
     return TraceFile(profile=profile, cells=cells, variable_annotations=dict(annotations))
 
 

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from copy import deepcopy
+from pathlib import Path
 
 import pytest
 
+import statecut
 from statecut.errors import NonMonotonicTimestamp, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.history import CellRecord, HistoryGraph, VariableSnapshot
@@ -146,6 +151,50 @@ class TestRerunCells:
             graph.rerun_cells_from({vs("y", 2)}, set(), require_rerunnable=True)
         # without the flag the list is still produced for cost accounting
         assert [c.t for c in graph.rerun_cells_from({vs("y", 2)}, set())] == [1, 2]
+
+
+def blocked_branches() -> HistoryGraph:
+    """Two never-rerun cells (t=1 and t=2), each writing three names, feed
+    y@5 through one rerunnable cell each."""
+    graph = HistoryGraph()
+    graph.record(record(1, written={"p1", "p2", "p3"}, never_rerun=True))
+    graph.record(record(2, written={"q3", "q1", "q2"}, never_rerun=True))
+    graph.record(record(3, written={"r"}, accessed={vs(f"p{i}", 1) for i in (1, 2, 3)}))
+    graph.record(record(4, written={"s"}, accessed={vs(f"q{i}", 2) for i in (1, 2, 3)}))
+    graph.record(record(5, written={"y"}, accessed={vs("r", 3), vs("s", 4)}))
+    return graph
+
+
+class TestBlockingCell:
+    def test_latest_never_rerun_cell_blocks(self):
+        with pytest.raises(Unreconstructable) as exc:
+            blocked_branches().rerun_cells_from({vs("y", 5)}, set(), require_rerunnable=True)
+        assert (exc.value.blocked_at, exc.value.name) == (2, "q1")
+        # with s as ground, only the t=1 branch is left
+        with pytest.raises(Unreconstructable) as exc:
+            blocked_branches().rerun_cells_from({vs("y", 5)}, {vs("s", 4)}, require_rerunnable=True)
+        assert (exc.value.blocked_at, exc.value.name) == (1, "p1")
+
+    def test_blocking_cell_is_the_same_under_every_hash_seed(self):
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from statecut.errors import Unreconstructable\n"
+            "from statecut.history import VariableSnapshot\n"
+            "from test_history import blocked_branches\n"
+            "try:\n"
+            "    blocked_branches().rerun_cells_from({VariableSnapshot('y', 5)}, set(),\n"
+            "                                        require_rerunnable=True)\n"
+            "except Unreconstructable as err:\n"
+            "    print(err.blocked_at, err.name)\n"
+        )
+        src = str(Path(statecut.__file__).resolve().parents[1])
+        env_path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=env_path)
+            run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                                 env=env, capture_output=True, text=True, timeout=60, check=True)
+            assert run.stdout.split() == ["2", "q1"], hash_seed
 
 
 def _oracle_closure(graph, target, ground):

@@ -99,7 +99,25 @@ class TestRunCell:
             ))
         assert session.heap.namespace == {"x": 1}
         assert session.history.cells[-1].failed
+        assert session.history.cells[-1].failed_at == 2
         assert session.history.active_snapshots()["x"] == VariableSnapshot("x", 1)
+
+    def test_in_place_change_reads_the_changed_names(self):
+        # the cell declares no read of c or e, yet changes their shared
+        # object: both new states are the old ones with the change
+        session = session_with()
+        run_cell(session, CellProgram(code_ref="c1", ops=[
+            HeapOp(op="create", id=1, kind="container", size_bytes=8),
+            HeapOp(op="create", id=2, kind="scalar", value=1, size_bytes=8),
+            HeapOp(op="set_slot", parent_id=1, slot="s0", child_id=2),
+            HeapOp(op="bind", name="c", id=1),
+            HeapOp(op="bind", name="e", id=2),
+        ]))
+        rec = run_cell(session, CellProgram(code_ref="c2", direct_reads={"absent"}, ops=[
+            HeapOp(op="set_value", id=2, value=9),
+        ]))
+        assert rec.accessed == {VariableSnapshot("c", 1), VariableSnapshot("e", 1)}
+        assert rec.written == {"c", "e"}
 
     def test_bind_then_unbind_in_one_cell_is_a_delete(self):
         session = session_with()
@@ -310,7 +328,8 @@ def rescan_cell(session, program) -> dict:
     except StatecutError as err:
         mutation, failed = err.partial, True
     use_id_graphs = session.options.use_id_graphs
-    accessed = detect_accesses(pre, program.direct_reads, use_id_graphs=use_id_graphs) & pre.names
+    accessed = detect_accesses(pre, program.direct_reads, touched=mutation.touched,
+                               use_id_graphs=use_id_graphs) & pre.names
     changes = detect_modifications(
         pre, heap, accessed, touched=mutation.touched, use_id_graphs=use_id_graphs,
     )

@@ -5,15 +5,18 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import statecut
 from statecut import replicator
 from statecut.cli import main
 from statecut.cost import CostProfile
-from statecut.errors import FormatError, SerializationError, Unreconstructable
+from statecut.errors import FormatError, SerializationError, StatecutError, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.heap import HeapObject, HeapOp, SimHeap
 from statecut.monitor import CellProgram
@@ -27,7 +30,7 @@ from statecut.replicator import (
     verify,
     write_checkpoint,
 )
-from statecut.trace import TraceFile, run_trace, save_trace
+from statecut.trace import TraceFile, run_trace, save_trace, trace_from_json, trace_to_json
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import worked_example_trace
@@ -185,8 +188,11 @@ class TestCheckpointFormat:
         lambda m: {**m, "variables": {**m["variables"], "l1": 1.0}},
         lambda m: with_leaf(m, ("history", "cells", 4, "writes"), []),
         lambda m: with_leaf(m, ("history", "cells", 0, "code_ref"), ["cell_1"]),
+        lambda m: with_leaf(m, ("history", "cells", 0, "failed"), True),
+        lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), 0),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
-            "float-root", "stored-without-active-snapshot", "code-ref-not-string"])
+            "float-root", "stored-without-active-snapshot", "code-ref-not-string",
+            "failed-without-failing-op", "failing-op-without-failure"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -532,6 +538,150 @@ class TestFallbackRecomputation:
         assert with_fallbacks >= 10
 
 
+def failing_cell_trace(bad: HeapOp, *later: CellProgram) -> TraceFile:
+    """Cell 1 binds scalar 1 to ``a`` and a container to ``c``; cell 2 sets
+    the scalar to 5, runs ``bad``, then sets it to 99. Storage is so slow
+    that every plan reruns every cell."""
+    cells = [
+        CellProgram(code_ref="c1", ops=[
+            HeapOp(op="create", id=1, kind="scalar", value=0, size_bytes=8),
+            HeapOp(op="bind", name="a", id=1),
+            HeapOp(op="create", id=2, kind="container", size_bytes=8),
+            HeapOp(op="bind", name="c", id=2),
+        ]),
+        CellProgram(code_ref="c2", direct_reads={"a", "c"}, ops=[
+            HeapOp(op="set_value", id=1, value=5),
+            bad,
+            HeapOp(op="set_value", id=1, value=99),
+        ]),
+        *later,
+    ]
+    return TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells)
+
+
+BAD_OPS = ("bind-absent", "set_slot-on-scalar", "set_value-on-container", "clear-missing-slot")
+
+
+def heap_at(trace: TraceFile, index: int, position: int) -> SimHeap:
+    """The recorded run's heap just before op ``position`` of cell ``index``
+    (every earlier cell runs without error)."""
+    heap = SimHeap()
+    for cell in trace.cells[:index]:
+        heap.apply(cell.ops)
+        heap.collect_garbage()
+    heap.apply(trace.cells[index].ops[:position])
+    return heap
+
+
+class TestFailedCells:
+    # the recorded run stops at a cell's failing op; a restore that reruns
+    # the cell must stop there too
+
+    @pytest.mark.parametrize("trace", [
+        failing_cell_trace(HeapOp(op="set_slot", parent_id=1, slot="s", child_id=2)),
+        failing_cell_trace(HeapOp(op="set_value", id=2, value=7)),
+        # a create of a live id, loaded without the trace loader's check
+        failing_cell_trace(
+            HeapOp(op="create", id=1, kind="scalar", value=3, size_bytes=8),
+            CellProgram(code_ref="c3", direct_reads={"a"},
+                        ops=[HeapOp(op="set_value", id=1, value=6)]),
+        ),
+        # cell 3 creates object 3, links it nowhere and fails, so the
+        # recorded run sweeps it, and cell 4 fails when it links it
+        failing_cell_trace(
+            HeapOp(op="set_value", id=2, value=7),
+            CellProgram(code_ref="c3", direct_reads={"a", "c"}, ops=[
+                HeapOp(op="create", id=3, kind="scalar", value=1, size_bytes=8),
+                HeapOp(op="set_value", id=1, value=8),
+                HeapOp(op="set_value", id=2, value=7),
+            ]),
+            CellProgram(code_ref="c4", direct_reads={"a", "c"}, ops=[
+                HeapOp(op="set_value", id=1, value=42),
+                HeapOp(op="set_slot", parent_id=2, slot="s", child_id=3),
+                HeapOp(op="bind", name="b", id=1),
+            ]),
+        ),
+    ], ids=["set_slot-on-scalar", "set_value-on-container", "create-live-id", "swept-object"])
+    def test_restore_stops_where_the_cell_failed(self, tmp_path, trace):
+        session, records = run_trace(trace)
+        assert records[1].failed
+        plan, path = plan_session(session), tmp_path / "f.ckpt"
+        assert plan.rerun == [c.t for c in session.history.cells] and not plan.migrate
+        write_checkpoint(session, plan, path)
+        result = restore(read_checkpoint(path), trace.programs())
+        report = verify(session.heap, result.session.heap)
+        assert report.isomorphic, report.to_json()
+
+    def test_in_place_change_reruns_the_changed_names_producers(self, tmp_path):
+        # after a failed cell, a later cell may change an object of a name it
+        # does not declare (here: cell 3 sets object 2, c's element, reading
+        # only the never-bound d); rerunning it needs c as cell 2 left it
+        cells = [
+            CellProgram(code_ref="c1", ops=[
+                HeapOp(op="create", id=1, kind="container", size_bytes=8),
+                HeapOp(op="create", id=2, kind="scalar", value=1, size_bytes=8),
+                HeapOp(op="set_slot", parent_id=1, slot="s0", child_id=2),
+                HeapOp(op="bind", name="c", id=1),
+                HeapOp(op="create", id=4, kind="scalar", value=4, size_bytes=8),
+                HeapOp(op="bind", name="g", id=4),
+            ]),
+            CellProgram(code_ref="c2", direct_reads={"c"}, ops=[
+                HeapOp(op="create", id=3, kind="scalar", value=3, size_bytes=8),
+                HeapOp(op="set_slot", parent_id=1, slot="s1", child_id=3),
+            ]),
+            CellProgram(code_ref="c3", direct_reads={"d"}, ops=[
+                HeapOp(op="set_value", id=2, value=9),
+            ]),
+        ]
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells)
+        session, _, path = checkpoint_roundtrip(tmp_path, trace)
+        result = restore(read_checkpoint(path), trace.programs())
+        report = verify(session.heap, result.session.heap)
+        assert report.isomorphic, report.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_restore_after_a_failed_cell_is_isomorphic_or_an_error(self, tmp_path_factory, seed, data):
+        trace = generate_trace(GenParams(
+            cells=8, variables=5, alias_density=0.4, unserializable_rate=0.1,
+        ), seed)
+        index = data.draw(st.sampled_from([i for i, c in enumerate(trace.cells) if len(c.ops) > 1]))
+        cell = trace.cells[index]
+        position = data.draw(st.integers(1, len(cell.ops) - 1))
+        heap = heap_at(trace, index, position)
+        live = sorted(heap.objects)
+        kinds = {kind: [oid for oid in live if heap.objects[oid].kind == kind]
+                 for kind in ("scalar", "container")}
+        bad = data.draw(st.sampled_from(BAD_OPS))
+        if bad == "bind-absent":
+            op = HeapOp(op="bind", name="v0", id=10**9)
+        elif bad == "set_slot-on-scalar":
+            assume(kinds["scalar"])
+            op = HeapOp(op="set_slot", parent_id=data.draw(st.sampled_from(kinds["scalar"])),
+                        slot="s0", child_id=data.draw(st.sampled_from(live)))
+        elif bad == "set_value-on-container":
+            assume(kinds["container"])
+            op = HeapOp(op="set_value", id=data.draw(st.sampled_from(kinds["container"])), value=1)
+        else:
+            assume(kinds["container"])
+            op = HeapOp(op="clear_slot", parent_id=data.draw(st.sampled_from(kinds["container"])),
+                        slot="missing")
+        cells = list(trace.cells)
+        cells[index] = replace(cell, ops=[*cell.ops[:position], op, *cell.ops[position:]])
+        trace = trace_from_json(trace_to_json(replace(trace, cells=cells)))
+        session, records = run_trace(trace)
+        assert records[index].failed
+        path = tmp_path_factory.mktemp("failed") / "f.ckpt"
+        for bandwidth in (1.0, data.draw(st.floats(1e2, 1e9))):
+            try:
+                write_checkpoint(session, plan_session(session, bandwidth=bandwidth), path)
+                result = restore(read_checkpoint(path), trace.programs())
+            except StatecutError:
+                continue
+            report = verify(session.heap, result.session.heap)
+            assert report.isomorphic, (bandwidth, report.to_json())
+
+
 class TestVerify:
     def test_identity_passes(self):
         session, _ = run_trace(worked_example_trace())
@@ -548,12 +698,12 @@ class TestVerify:
         write_checkpoint(session, plan, path)
         checkpoint = read_checkpoint(path)
 
-        from statecut.replicator import _declare_variable, _replay_ops
+        from statecut.replicator import _declare_variable
 
         isolated = SimHeap()
         replay_map: dict[int, int] = {}
         for cell in trace.cells[:3]:  # rebuild x, y, z by replaying t1..t3
-            _replay_ops(isolated, cell.ops, replay_map)
+            isolated.apply(cell.ops, replay_map)
         for name in sorted(checkpoint.variables):
             private: dict[int, int] = {}
             _declare_variable(isolated, checkpoint, name, private, {})

@@ -77,6 +77,10 @@ class TestTraceFormat:
         lambda d: d["profile"].update(store_bandwidth_bytes_per_s=math.nan),
         lambda d: d["profile"].update(latency_s=math.nan),
         lambda d: d["profile"].update(alpha=math.nan),
+        # an id created again by a later cell (the original run fails with
+        # "already live"), and by a cell's alt_ops beyond its own ops' creates
+        lambda d: d["cells"][2]["ops"].insert(0, dict(d["cells"][0]["ops"][0])),
+        lambda d: d["cells"][2].update(alt_ops=[dict(d["cells"][0]["ops"][0])]),
     ])
     def test_malformed_documents_rejected(self, mutate):
         data = trace_to_json(generate_trace(GenParams(cells=3), 1))
@@ -275,6 +279,30 @@ class TestCliExitCodes:
         assert main(["restore", str(ckpt), "--trace", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "variables" in summary
+
+    @pytest.mark.parametrize("flags", [
+        ["plan", "--alpha", "nan"],
+        ["plan", "--alpha", "-1"],
+        ["plan", "--latency", "inf"],
+        ["plan", "--latency", "-0.5"],
+        ["plan", "--bandwidth", "-1"],
+        ["plan", "--bandwidth", "0"],
+        ["plan", "--bandwidth", "nan"],
+        ["checkpoint", "--bandwidth", "inf"],
+        ["sweep", "--bandwidths", "0,1e6"],
+        ["sweep", "--bandwidths", "1e6,-1e3"],
+        ["sweep", "--bandwidths", "1e6", "--alpha", "nan"],
+        ["sweep", "--bandwidths", "1e6", "--latency", "-1"],
+    ])
+    def test_bad_channel_flag_is_a_usage_error(self, tmp_path, capsys, flags):
+        command, *rest = flags
+        args = [command, str(self.seeded_trace(tmp_path))]
+        if command == "checkpoint":
+            args.append(str(tmp_path / "c.ckpt"))
+        with pytest.raises(SystemExit) as exc:
+            main(args + rest)
+        assert exc.value.code == 2
+        assert f"error: argument {rest[-2]}" in capsys.readouterr().err
 
     def test_bench_reports_metrics(self, capsys):
         assert main(["bench", "--cells", "60", "--json"]) == 0
