@@ -169,13 +169,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
     session, _ = run_trace(trace)
+    sizes = session_cost_model(session).var_sizes
     rows = []
     for bandwidth in args.bandwidths:
         plan = plan_session(
             session, alpha=args.alpha, bandwidth=bandwidth,
             latency=args.latency, objective=args.objective,
         )
-        migrated_bytes = sum(session.cost.var_sizes[n] for n in plan.migrate)
+        migrated_bytes = sum(sizes[n] for n in plan.migrate)
         rows.append({
             "bandwidth_bytes_per_s": bandwidth,
             "cost_s": plan.cost_s,

@@ -1,18 +1,18 @@
 """Cost model for replication planning.
 
 Store/load time estimates come from profiled variable sizes and the storage
-channel (bandwidth, latency); recompute estimates from observed cell
-runtimes. The alpha coefficient discounts checkpoint-write time relative to
-restore time: alpha=1 prices end-to-end migration, small alpha prices the
-user-perceived restart after a suspension. Unserializable variables price at
-infinity so plans route around them; never-rerun cells likewise price rerun
-at infinity.
+channel (bandwidth, latency); recompute estimates from the cell runtimes
+the lineage records. The alpha coefficient discounts checkpoint-write time
+relative to restore time: alpha=1 prices end-to-end migration, small alpha
+prices the user-perceived restart after a suspension. Unserializable
+variables price at infinity so plans route around them; never-rerun cells
+likewise price rerun at infinity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import FormatError, UnknownVariable
 # build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
@@ -83,22 +83,8 @@ class CostModel:
     """Profiled metrics plus the cost equations the planner optimizes."""
 
     profile: CostProfile
-    cell_runtimes: dict[int, float] = field(default_factory=dict)
     var_sizes: dict[str, int] = field(default_factory=dict)
     var_serializable: dict[str, bool] = field(default_factory=dict)
-
-    def record_runtime(self, t: int, seconds: float) -> None:
-        self.cell_runtimes[t] = seconds
-
-    def with_profile(self, **overrides) -> CostModel:
-        """Copy of this model under an adjusted storage profile."""
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return CostModel(
-            profile=replace(self.profile, **clean),
-            cell_runtimes=dict(self.cell_runtimes),
-            var_sizes=dict(self.var_sizes),
-            var_serializable=dict(self.var_serializable),
-        )
 
     # -- profiling ----------------------------------------------------------
 
@@ -140,9 +126,7 @@ class CostModel:
         return self.profile.alpha * self.store_seconds(name) + self.load_seconds(name)
 
     def rerun_seconds(self, cell: CellExecution) -> float:
-        if cell.never_rerun:
-            return INF
-        return self.cell_runtimes.get(cell.t, cell.runtime_s)
+        return INF if cell.never_rerun else cell.runtime_s
 
     # -- plan-level costs -----------------------------------------------------
 

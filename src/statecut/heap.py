@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import ChainMap
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -83,13 +83,16 @@ class MutationRecord:
     bound: set[str] = field(default_factory=set)
     unbound: set[str] = field(default_factory=set)
     created: set[ObjectId] = field(default_factory=set)
-    touched: set[ObjectId] = field(default_factory=set)
     undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = field(default_factory=dict)
     old_roots: dict[str, ObjectId | None] = field(default_factory=dict)
 
+    @property
+    def touched(self) -> KeysView[ObjectId]:
+        """The objects the batch changed in place."""
+        return self.undo.keys()
+
     def log(self, obj: HeapObject) -> None:
         """Keep ``obj``'s value and slots, unless the batch already changed it."""
-        self.touched.add(obj.id)
         if obj.id not in self.undo:
             self.undo[obj.id] = (obj.value, dict(obj.slots))
 

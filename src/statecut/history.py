@@ -170,7 +170,6 @@ class HistoryGraph:
                 "runtime_s": c.runtime_s,
                 "never_rerun": c.never_rerun,
                 "nondeterministic": c.nondeterministic,
-                "failed": c.failed,
                 "reads": sorted([vs.name, vs.t] for vs in self.reads.get(c.t, ())),
                 "writes": sorted(vs.name for vs in self.writes.get(c.t, ())),
             }
@@ -183,18 +182,16 @@ class HistoryGraph:
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
         when a cell's code_ref is not a string, it reads a snapshot that no
-        earlier cell wrote, or a failed cell lacks the position of its
-        failing op (or a cell that did not fail has one)."""
+        earlier cell wrote, or the position of its failing op, when given,
+        is not a non-negative int."""
         graph = cls()
         written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
             if type(entry["code_ref"]) is not str:
                 raise FormatError(f"cell {entry['t']} has a code_ref that is not a string")
-            failed, failed_at = entry.get("failed", False), entry.get("failed_at")
-            if failed is not (failed_at is not None) or (
-                failed and not (type(failed_at) is int and failed_at >= 0)
-            ):
-                raise FormatError(f"cell {entry['t']} has failed={failed!r} and failed_at={failed_at!r}")
+            failed_at = entry.get("failed_at")
+            if "failed_at" in entry and not (type(failed_at) is int and failed_at >= 0):
+                raise FormatError(f"cell {entry['t']} has failed_at={failed_at!r}")
             accessed = {VariableSnapshot(n, t) for n, t in entry["reads"]}
             unwritten = accessed - written
             if unwritten:

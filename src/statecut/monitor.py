@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import CostModel
+from .cost import CostProfile
 from .errors import CellExecutionError, StatecutError
 from .heap import (
     HeapBefore,
@@ -67,11 +67,12 @@ class MonitorOptions:
 
 @dataclass
 class Session:
-    """One live simulated session: heap, lineage, costs, and the cell archive."""
+    """One live simulated session: heap, lineage, storage profile, and the
+    cell archive."""
 
     heap: SimHeap
     history: HistoryGraph
-    cost: CostModel
+    profile: CostProfile
     programs: dict[str, CellProgram] = field(default_factory=dict)
     annotations: dict[str, str] = field(default_factory=dict)  # name -> always_copy|always_recompute
     options: MonitorOptions = field(default_factory=MonitorOptions)
@@ -177,11 +178,11 @@ def detect_modifications(
     return {"modified": modified, "created": created, "deleted": deleted}
 
 
-def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp] | None = None) -> CellRecord:
+def run_cell(session: Session, program: CellProgram) -> CellRecord:
     """Execute one cell under monitoring and fold the outcome into the session.
 
     Applies the ops, detects accesses and modifications, appends to the
-    history graph, records the runtime and sweeps what no name reaches any
+    history graph (runtime included) and sweeps what no name reaches any
     more. The results equal the full rescan's (``PreSnapshot``,
     ``detect_accesses``, ``detect_modifications``, then ``collect_garbage``),
     but only names the cell affected, those the index lists on an object it
@@ -204,11 +205,10 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
         # reaches; the full sweep at the end of this cell would delete them
         orphans = set(heap.objects).difference(index.names)
 
-    ops = replay_ops if replay_ops is not None else program.ops
     failure: Exception | None = None
     failed_at: int | None = None
     try:
-        mutation = heap.apply(ops)
+        mutation = heap.apply(program.ops)
     except StatecutError as err:
         mutation, failed_at = err.partial, err.op_index
         failure = err
@@ -292,7 +292,6 @@ def run_cell(session: Session, program: CellProgram, *, replay_ops: list[HeapOp]
         failed_at=failed_at,
     )
     session.history.record(record)
-    session.cost.record_runtime(t, program.declared_runtime_s)
     for oid in maybe_dead.difference(index.names):
         del heap.objects[oid]
     index.version = heap.version

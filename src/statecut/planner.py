@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cost import CostModel
 from .errors import Infeasible, TooLarge
@@ -293,8 +293,9 @@ def session_cost_model(
     latency: float | None = None,
     objective: str | None = None,
 ) -> CostModel:
-    """Complete the session's cost model (sizes, serializability) and return
-    a copy adjusted to the requested storage profile and objective.
+    """A fresh cost model of the session: its storage profile adjusted to the
+    requested channel and objective, with the active variables' sizes and
+    serializability profiled from the heap.
 
     ``objective="migrate"`` prices store time fully (alpha=1);
     ``objective="restore"`` discounts it (alpha=0.05). An explicit ``alpha``
@@ -305,10 +306,12 @@ def session_cost_model(
             raise ValueError(f"unknown objective {objective!r}")
         if alpha is None:
             alpha = 1.0 if objective == "migrate" else 0.05
-    session.cost.profile_variables(session.heap, session.history.active_snapshots())
-    return session.cost.with_profile(
-        alpha=alpha, bandwidth_bytes_per_s=bandwidth, latency_s=latency
-    )
+    overrides = {"alpha": alpha, "bandwidth_bytes_per_s": bandwidth, "latency_s": latency}
+    cost = CostModel(replace(
+        session.profile, **{k: v for k, v in overrides.items() if v is not None}
+    ))
+    cost.profile_variables(session.heap, session.history.active_snapshots())
+    return cost
 
 
 def plan_session(

@@ -1,8 +1,9 @@
 """Checkpoint writer, session restorer, and replication verifier.
 
 A checkpoint is one self-contained file: magic and version, a JSON manifest
-(lineage graph, plan, cost model, variable table, annotations), and a binary
-payload holding every object reachable from a migrated variable exactly once.
+(lineage graph, plan, storage profile, variable table, annotations), a binary
+payload holding every object reachable from a migrated variable exactly once,
+and a SHA-256 digest of every byte before it.
 Restoration walks the original timestamps, interleaving cell reruns with
 variable re-declaration, so every rerun cell reads the inputs it originally
 saw; a migrated variable also produced by a rerun cell is overwritten with
@@ -14,6 +15,7 @@ once, on the amended plan.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from .cost import CostModel, CostProfile, linked_groups
+from .cost import CostProfile, linked_groups
 from .errors import (
     FormatError,
     InvalidHeapOp,
@@ -36,7 +38,8 @@ from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
 
 MAGIC = b"SCCKPT01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_BYTES = 32  # SHA-256
 
 _KIND_CODES = {"scalar": 0, "container": 1, "opaque": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -48,7 +51,7 @@ class Checkpoint:
 
     history: HistoryGraph
     plan: ReplicationPlan
-    cost: CostModel
+    profile: CostProfile
     variables: dict[str, int]  # migrated name -> root object id (original ids)
     annotations: dict[str, str]
     objects: dict[int, HeapObject]  # payload records keyed by original id
@@ -136,24 +139,6 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
     return objects
 
 
-def _cost_to_manifest(cost: CostModel) -> dict:
-    return {
-        "profile": cost.profile.to_json(),
-        "cell_runtimes": {str(t): s for t, s in sorted(cost.cell_runtimes.items())},
-        "var_sizes": dict(sorted(cost.var_sizes.items())),
-        "var_serializable": dict(sorted(cost.var_serializable.items())),
-    }
-
-
-def _cost_from_manifest(data: dict) -> CostModel:
-    return CostModel(
-        profile=CostProfile.from_json(data["profile"]),
-        cell_runtimes={int(t): s for t, s in data["cell_runtimes"].items()},
-        var_sizes=dict(data["var_sizes"]),
-        var_serializable=dict(data["var_serializable"]),
-    )
-
-
 # -- writing ------------------------------------------------------------------
 
 
@@ -180,7 +165,7 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
     checkpoint = Checkpoint(
         history=session.history,
         plan=plan,
-        cost=session.cost,
+        profile=session.profile,
         variables=variables,
         annotations=dict(session.annotations),
         objects={oid: heap.objects[oid] for oid in closure},
@@ -188,25 +173,24 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
     manifest = {
         "history": session.history.to_manifest(),
         "plan": plan.to_json(),
-        "cost_model": _cost_to_manifest(session.cost),
+        "profile": session.profile.to_json(),
         "variables": dict(sorted(variables.items())),
         "annotations": dict(sorted(session.annotations.items())),
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     payload = b"".join(_encode_object(heap.objects[oid]) for oid in sorted(closure))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(manifest_bytes)))
-        fh.write(manifest_bytes)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
+    body = b"".join((
+        MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(manifest_bytes)), manifest_bytes,
+        struct.pack("<Q", len(payload)), payload,
+    ))
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
     return checkpoint
 
 
 def _sections(path: str | Path) -> tuple[bytes, bytes]:
     """The manifest and payload sections of a checkpoint file, after
-    checking its magic, version and section lengths."""
+    checking its magic and version, that the section lengths account for
+    every byte, and that the digest matches."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise FormatError(f"{path}: bad magic")
@@ -217,12 +201,14 @@ def _sections(path: str | Path) -> tuple[bytes, bytes]:
         (manifest_len,) = struct.unpack_from("<Q", raw, 12)
         manifest_end = 20 + manifest_len
         (payload_len,) = struct.unpack_from("<Q", raw, manifest_end)
-    except struct.error as err:
+    except (struct.error, OverflowError) as err:  # OverflowError: a length past 2**63
         raise FormatError(f"{path}: corrupt checkpoint ({err})") from err
-    payload = raw[manifest_end + 8 : manifest_end + 8 + payload_len]
-    if len(payload) != payload_len:
-        raise FormatError(f"{path}: truncated payload")
-    return raw[20:manifest_end], payload
+    payload_end = manifest_end + 8 + payload_len
+    if len(raw) != payload_end + DIGEST_BYTES:
+        raise FormatError(f"{path}: {len(raw)} bytes, not the {payload_end + DIGEST_BYTES} its header gives")
+    if hashlib.sha256(memoryview(raw)[:payload_end]).digest() != raw[payload_end:]:
+        raise FormatError(f"{path}: digest mismatch")
+    return raw[20:manifest_end], raw[manifest_end + 8 : payload_end]
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -235,7 +221,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         checkpoint = Checkpoint(
             history=HistoryGraph.from_manifest(manifest["history"]),
             plan=ReplicationPlan.from_json(manifest["plan"]),
-            cost=_cost_from_manifest(manifest["cost_model"]),
+            profile=CostProfile.from_json(manifest["profile"]),
             variables=dict(manifest["variables"]),
             annotations=dict(manifest["annotations"]),
             objects=objects,
@@ -391,14 +377,10 @@ def restore(
         heap.unbind(name)
     heap.collect_garbage()
 
-    cost = checkpoint.cost.with_profile()
-    for t in sorted(rerun):
-        program = programs[history.cell(t).code_ref]
-        cost.record_runtime(t, program.declared_runtime_s)
     session = Session(
         heap=heap,
         history=history,
-        cost=cost,
+        profile=checkpoint.profile,
         programs=dict(programs),
         annotations=dict(checkpoint.annotations),
         next_t=(history.cells[-1].t + 1) if history.cells else 1,
@@ -443,34 +425,37 @@ def _compare_values(
     relation: dict[int, set[int]],
     diffs: dict[str, str],
 ) -> None:
-    relation.setdefault(old_id, set()).add(new_id)
-    if (old_id, new_id) in seen:
-        return
-    seen.add((old_id, new_id))
-    old = original.objects[old_id]
-    new = restored.objects[new_id]
-    if old.kind != new.kind:
-        diffs[path] = f"kind {old.kind} != {new.kind}"
-        return
-    if old.kind == "opaque":
-        if old.size_bytes != new.size_bytes:
-            diffs[path] = f"opaque size {old.size_bytes} != {new.size_bytes}"
-        return
-    if old.kind == "scalar":
-        if old.value != new.value:
-            diffs[path] = f"value {old.value!r} != {new.value!r}"
-        return
-    old_labels = list(old.slots)
-    new_labels = list(new.slots)
-    if old_labels != new_labels:
-        diffs[path] = f"slots {old_labels} != {new_labels}"
-    for label in old.slots:
-        if label in new.slots:
-            _compare_values(
-                original, restored,
-                old.slots[label], new.slots[label],
-                f"{path}.{label}", seen, relation, diffs,
-            )
+    """Walk two object graphs in step, depth first and slots in order, from
+    one pair of roots. The stack keeps deep graphs off the call stack; each
+    pair is compared once, under the first path that reaches it."""
+    stack = [(old_id, new_id, path)]
+    while stack:
+        old_id, new_id, path = stack.pop()
+        relation.setdefault(old_id, set()).add(new_id)
+        if (old_id, new_id) in seen:
+            continue
+        seen.add((old_id, new_id))
+        old = original.objects[old_id]
+        new = restored.objects[new_id]
+        if old.kind != new.kind:
+            diffs[path] = f"kind {old.kind} != {new.kind}"
+            continue
+        if old.kind == "opaque":
+            if old.size_bytes != new.size_bytes:
+                diffs[path] = f"opaque size {old.size_bytes} != {new.size_bytes}"
+            continue
+        if old.kind == "scalar":
+            if old.value != new.value:
+                diffs[path] = f"value {old.value!r} != {new.value!r}"
+            continue
+        old_labels = list(old.slots)
+        new_labels = list(new.slots)
+        if old_labels != new_labels:
+            diffs[path] = f"slots {old_labels} != {new_labels}"
+        # pushed in reverse, so the first slot's subgraph is walked first
+        for label in reversed(old_labels):
+            if label in new.slots:
+                stack.append((old.slots[label], new.slots[label], f"{path}.{label}"))
 
 
 def verify(original: SimHeap, restored: SimHeap) -> VerificationReport:

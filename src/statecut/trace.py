@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cost import CostModel, CostProfile
+from .cost import CostProfile
 from .errors import CellExecutionError, FormatError
 from .heap import KINDS, HeapOp, SimHeap
 from .history import HistoryGraph
@@ -224,7 +224,7 @@ def new_session(profile: CostProfile, annotations: dict[str, str] | None = None,
     return Session(
         heap=SimHeap(),
         history=HistoryGraph(),
-        cost=CostModel(profile=profile),
+        profile=profile,
         annotations=dict(annotations or {}),
         options=options or MonitorOptions(),
     )

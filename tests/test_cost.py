@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -118,13 +119,14 @@ class TestMigrationCost:
 class TestRecomputeCost:
     def test_empty_set(self):
         session, _ = run_trace(worked_example_trace())
-        assert session.cost.recompute_cost(session.history, set(), ground=set()) == 0.0
+        cost = session_cost_model(session)
+        assert cost.recompute_cost(session.history, set(), ground=set()) == 0.0
 
     def test_shared_ancestor_charged_once(self):
         # x and y both come from cell 1 (2 s); recomputing the pair costs the
         # ancestor once, plus x's own cell
         session, _ = run_trace(worked_example_trace())
-        cost = session.cost
+        cost = session_cost_model(session)
         only_x = cost.recompute_cost(session.history, {"x"}, ground={"z"})
         both = cost.recompute_cost(session.history, {"x", "y"}, ground={"z"})
         assert only_x == pytest.approx(2.0 + 2.0)  # cells 1 and 3
@@ -139,8 +141,6 @@ class TestRecomputeCost:
         graph.record(CellRecord(t=2, code_ref="c2", runtime_s=1.0, written={"y"},
                                 accessed={VariableSnapshot("x", 1)}))
         m = model()
-        m.record_runtime(1, 1.0)
-        m.record_runtime(2, 1.0)
         assert m.recompute_cost(graph, {"y"}, ground=set()) == INF
         assert m.recompute_cost(graph, {"y"}, ground={"x"}) == 1.0  # ground cuts the path
 
@@ -268,6 +268,9 @@ class TestCostProperties:
         cost = session_cost_model(session, latency=0.5)
         names = sorted(session.history.active_snapshots())
         k = 3.0
+        slow_session, _ = run_trace(replace(base_trace, cells=[
+            replace(cell, declared_runtime_s=cell.declared_runtime_s * k) for cell in base_trace.cells
+        ]))
         scaled = CostModel(CostProfile(
             bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
             latency_s=cost.profile.latency_s * k,
@@ -275,12 +278,11 @@ class TestCostProperties:
         ))
         scaled.var_sizes = {n: s * k for n, s in cost.var_sizes.items()}
         scaled.var_serializable = dict(cost.var_serializable)
-        scaled.cell_runtimes = {t: r * k for t, r in cost.cell_runtimes.items()}
         for subset in _all_subsets(names):
             base = cost.total_cost(session.history, set(subset))
-            assert scaled.total_cost(session.history, set(subset)) == pytest.approx(k * base)
+            assert scaled.total_cost(slow_session.history, set(subset)) == pytest.approx(k * base)
         base_plan = brute_force_plan(session.history, cost)
-        scaled_plan = brute_force_plan(session.history, scaled)
+        scaled_plan = brute_force_plan(slow_session.history, scaled)
         assert base_plan.migrate == scaled_plan.migrate
 
 

@@ -71,7 +71,7 @@ class TestRunCell:
         session = session_with()
         rec = run_cell(session, CellProgram(code_ref="noop", declared_runtime_s=0.25))
         assert rec.accessed == set() and rec.written == set() and rec.created == set()
-        assert session.cost.cell_runtimes[1] == 0.25
+        assert session.history.cell(1).runtime_s == 0.25
 
     def test_alias_write_through(self):
         # mutating through l1 also marks the sharing variable accessed+modified

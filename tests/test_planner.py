@@ -162,7 +162,6 @@ class TestBruteForce:
         from statecut.cost import CostModel, CostProfile
 
         cost = CostModel(CostProfile(bandwidth_bytes_per_s=1.0))
-        cost.record_runtime(1, 10.0)
         cost.var_sizes["x"] = 2
         cost.var_serializable["x"] = True
         plan = brute_force_plan(graph, cost)
@@ -174,7 +173,6 @@ class TestBruteForce:
         from statecut.cost import CostModel, CostProfile
 
         cost = CostModel(CostProfile(bandwidth_bytes_per_s=1.0))
-        cost.record_runtime(1, 1.0)
         cost.var_sizes["x"] = 100
         cost.var_serializable["x"] = True
         plan = brute_force_plan(graph, cost)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -42,13 +43,18 @@ def read_manifest(path) -> dict:
     return json.loads(raw[20:20 + manifest_len])
 
 
+def seal(path, body: bytes) -> None:
+    """Write ``body`` (a checkpoint without its digest) with a matching digest."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def write_manifest(path, manifest) -> None:
-    """Swap a checkpoint's manifest section, keeping a correct header."""
+    """Swap a checkpoint's manifest section, keeping a correct header and digest."""
     raw = path.read_bytes()
     (manifest_len,) = struct.unpack_from("<Q", raw, 12)
     edited = json.dumps(manifest).encode()
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(edited)) + edited
-                     + raw[20 + manifest_len:])
+    seal(path, raw[:12] + struct.pack("<Q", len(edited)) + edited
+         + raw[20 + manifest_len:-replicator.DIGEST_BYTES])
 
 
 def payload_records(path) -> list[bytes]:
@@ -58,11 +64,11 @@ def payload_records(path) -> list[bytes]:
 
 
 def write_payload(path, records: list[bytes]) -> None:
-    """Swap a checkpoint's payload section, keeping a correct header."""
+    """Swap a checkpoint's payload section, keeping a correct header and digest."""
     raw = path.read_bytes()
     (manifest_len,) = struct.unpack_from("<Q", raw, 12)
     payload = b"".join(records)
-    path.write_bytes(raw[:20 + manifest_len] + struct.pack("<Q", len(payload)) + payload)
+    seal(path, raw[:20 + manifest_len] + struct.pack("<Q", len(payload)) + payload)
 
 
 def without_code_ref(manifest: dict) -> dict:
@@ -92,7 +98,10 @@ class TestCheckpointFormat:
         assert loaded.plan.rerun == plan.rerun
         assert loaded.variables.keys() == plan.migrate
         assert loaded.history.active_snapshots() == session.history.active_snapshots()
-        assert loaded.cost.cell_runtimes == session.cost.cell_runtimes
+        assert loaded.profile == session.profile
+        assert [c.runtime_s for c in loaded.history.cells] == [
+            c.runtime_s for c in session.history.cells
+        ]
         for oid, rec in loaded.objects.items():
             original = session.heap.objects[oid]
             assert (rec.kind, rec.value, rec.slots, rec.size_bytes) == (
@@ -128,7 +137,7 @@ class TestCheckpointFormat:
     def test_payload_bytes_rejects_truncated_file(self, tmp_path):
         _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
         raw = path.read_bytes()
-        for cut in (10, 24, len(raw) - 4):  # in the header, the manifest, the payload
+        for cut in (10, 24, len(raw) - 4):  # in the header, the manifest, the digest
             path.write_bytes(raw[:cut])
             with pytest.raises(FormatError):
                 payload_bytes(path)
@@ -136,7 +145,7 @@ class TestCheckpointFormat:
     def test_invalid_stored_profile_rejected(self, tmp_path):
         _, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
         manifest = read_manifest(path)
-        manifest["cost_model"]["profile"]["bandwidth_bytes_per_s"] = "fast"
+        manifest["profile"]["bandwidth_bytes_per_s"] = "fast"
         write_manifest(path, manifest)
         with pytest.raises(FormatError):
             read_checkpoint(path)
@@ -188,11 +197,11 @@ class TestCheckpointFormat:
         lambda m: {**m, "variables": {**m["variables"], "l1": 1.0}},
         lambda m: with_leaf(m, ("history", "cells", 4, "writes"), []),
         lambda m: with_leaf(m, ("history", "cells", 0, "code_ref"), ["cell_1"]),
-        lambda m: with_leaf(m, ("history", "cells", 0, "failed"), True),
-        lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), 0),
+        lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), -1),
+        lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), "x"),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
-            "failed-without-failing-op", "failing-op-without-failure"])
+            "failed-at-negative", "failing-op-not-an-int"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -221,6 +230,37 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             read_checkpoint(path)
         trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
+
+    def test_version_1_file_is_a_format_error(self, tmp_path):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
+        with pytest.raises(FormatError, match="version 1"):
+            read_checkpoint(path)
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_any_bit_flip_or_truncation_is_a_format_error(self, tmp_path_factory, seed, data):
+        trace = generate_trace(GenParams(cells=10, variables=5, alias_density=0.4), seed)
+        session, _ = run_trace(trace)
+        directory = tmp_path_factory.mktemp("damaged")
+        path, trace_path = directory / "c.ckpt", directory / "trace.json"
+        write_checkpoint(session, plan_session(session), path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            raw[bit // 8] ^= 1 << (bit % 8)
+        else:
+            del raw[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_checkpoint(path)
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
@@ -309,12 +349,12 @@ class TestRestore:
         # so the rerun-produced l1 object was dropped in favor of the payload copy
         assert result.id_map[4] == l1_root
 
-    def test_rerun_observations_refresh_cost_model(self, tmp_path):
+    def test_restored_lineage_keeps_rerun_runtimes(self, tmp_path):
         trace = worked_example_trace()
         _, plan, path = checkpoint_roundtrip(tmp_path, trace)
         result = restore(read_checkpoint(path), trace.programs())
         for t in plan.rerun:
-            assert result.session.cost.cell_runtimes[t] == trace.cells[t - 1].declared_runtime_s
+            assert result.session.history.cell(t).runtime_s == trace.cells[t - 1].declared_runtime_s
 
     def test_missing_cell_program_reported(self, tmp_path):
         from statecut.errors import MissingCellProgram
@@ -711,6 +751,24 @@ class TestVerify:
         assert report.value_equivalent
         assert not report.isomorphic
         assert report.reference_violations
+
+    def test_deep_chain_verifies(self, tmp_path):
+        # 3000 containers in a row: deeper than Python's recursion limit
+        depth = 3000
+        ops = [HeapOp(op="create", id=i, kind="container", size_bytes=8) for i in range(1, depth)]
+        ops.append(HeapOp(op="create", id=depth, kind="scalar", value=7, size_bytes=8))
+        ops += [HeapOp(op="set_slot", parent_id=i, slot="next", child_id=i + 1) for i in range(1, depth)]
+        ops.append(HeapOp(op="bind", name="chain", id=1))
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0),
+                          cells=[CellProgram(code_ref="c1", ops=ops)])
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        for bandwidth in (1.0, 1e9):  # rerun the cell, then store the chain
+            session, plan, path = checkpoint_roundtrip(tmp_path, trace, bandwidth=bandwidth)
+            assert bool(plan.migrate) == (bandwidth > 1)
+            result = restore(read_checkpoint(path), trace.programs())
+            assert verify(session.heap, result.session.heap).isomorphic
+            assert main(["verify", str(trace_path), str(path)]) == 0
 
     def test_namespace_mismatch_listed(self):
         a, b = SimHeap(), SimHeap()

@@ -324,7 +324,7 @@ class TestSweep:
         assert costs == sorted(costs)
 
     def test_rows_match_a_fresh_session_per_bandwidth(self, tmp_path, capsys):
-        from statecut.planner import plan_session
+        from statecut.planner import plan_session, session_cost_model
 
         path = tmp_path / "t.json"
         save_trace(generate_trace(GenParams(cells=20, variables=8, alias_density=0.4), 5), path)
@@ -337,11 +337,12 @@ class TestSweep:
         for bandwidth in bandwidths:
             session, _ = run_trace(load_trace(path))
             plan = plan_session(session, bandwidth=bandwidth)
+            sizes = session_cost_model(session).var_sizes
             expected.append({
                 "bandwidth_bytes_per_s": bandwidth,
                 "cost_s": plan.cost_s,
                 "migrate_count": len(plan.migrate),
-                "migrated_bytes": sum(session.cost.var_sizes[n] for n in plan.migrate),
+                "migrated_bytes": sum(sizes[n] for n in plan.migrate),
             })
         assert rows == expected
 
