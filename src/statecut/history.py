@@ -5,10 +5,12 @@ from the cell that finished at timestamp ``t`` to the ``(name, t)`` snapshots
 it produced; read edges run from the snapshots a cell consumed to the cell.
 From it we derive the active snapshot of every live variable and the ordered
 cell list needed to rebuild any snapshot from a set of available variables.
+Its manifest form keeps only the live cells, the ones such a list can hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable
@@ -141,17 +143,18 @@ class HistoryGraph:
         name of it the walk reached. Every other cell on a path from a target
         to it is later, so none of them is never-rerun: it blocks first."""
         need: set[int] = set()
-        stack = [vs for vs in targets if vs not in ground_vses]
-        seen = set(stack)
+        # set algebra reuses the hashes the sets store; the closure does not
+        # depend on the order the walk takes
+        seen = targets - ground_vses
+        stack = list(seen)
         while stack:
             t = stack.pop().t
             if t in need:
                 continue
             need.add(t)
-            for dep in self.reads.get(t, ()):
-                if dep not in seen and dep not in ground_vses:
-                    seen.add(dep)
-                    stack.append(dep)
+            fresh = self.reads.get(t, set()) - seen - ground_vses
+            seen |= fresh
+            stack.extend(fresh)
         if require_rerunnable:
             blocked = [t for t in need if self._cell_by_t[t].never_rerun]
             if blocked:
@@ -159,11 +162,23 @@ class HistoryGraph:
                 raise Unreconstructable(min(vs.name for vs in seen if vs.t == t), blocked_at=t)
         return [self._cell_by_t[t] for t in sorted(need)]
 
+    def live_cells(self) -> list[CellExecution]:
+        """The cells in the backward closure of the active snapshots, sorted
+        by completion time: the only cells any plan or restore fallback can
+        rerun. Later cells read only active snapshots, so a dead cell stays
+        dead."""
+        return self.rerun_cells_from(set(self.active_snapshots().values()), set())
+
     # -- serialization ------------------------------------------------------
 
     def to_manifest(self) -> dict:
+        """The live cells with their edges, and the tombstones of the names
+        they write: enough to rebuild every active snapshot, and the same
+        active set as the whole lineage."""
         cells = []
-        for c in self.cells:
+        written: set[str] = set()
+        for c in self.live_cells():
+            written.update(vs.name for vs in self.writes[c.t])
             entry = {
                 "t": c.t,
                 "code_ref": c.code_ref,
@@ -176,19 +191,29 @@ class HistoryGraph:
             if c.failed:
                 entry["failed_at"] = c.failed_at
             cells.append(entry)
-        return {"cells": cells, "deleted": dict(sorted(self.deleted.items()))}
+        deleted = {name: t for name, t in self.deleted.items() if name in written}
+        return {"cells": cells, "deleted": dict(sorted(deleted.items()))}
 
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a cell's code_ref is not a string, it reads a snapshot that no
-        earlier cell wrote, or the position of its failing op, when given,
-        is not a non-negative int."""
+        when a cell's t is not an int, its code_ref is not a string, its
+        runtime is not a finite non-negative number, a flag is not a bool,
+        it reads a snapshot that no earlier cell wrote, or the position of
+        its failing op, when given, is not a non-negative int."""
         graph = cls()
         written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
+            if type(entry["t"]) is not int:
+                raise FormatError(f"cell t={entry['t']!r} is not an int")
             if type(entry["code_ref"]) is not str:
                 raise FormatError(f"cell {entry['t']} has a code_ref that is not a string")
+            runtime = entry["runtime_s"]
+            if not (type(runtime) in (int, float) and 0 <= runtime < math.inf):
+                raise FormatError(f"cell {entry['t']} has runtime_s={runtime!r}")
+            for flag in ("never_rerun", "nondeterministic"):
+                if type(entry[flag]) is not bool:
+                    raise FormatError(f"cell {entry['t']} has {flag}={entry[flag]!r}")
             failed_at = entry.get("failed_at")
             if "failed_at" in entry and not (type(failed_at) is int and failed_at >= 0):
                 raise FormatError(f"cell {entry['t']} has failed_at={failed_at!r}")

@@ -2,16 +2,17 @@
 
 Reduces the migrate-vs-recompute decision to a src-sink min cut over the
 session lineage. Each active variable snapshot hangs off the source at its
-migration cost and points at the cell that produced it; each cell feeds the
-sink at its rerun cost and points at the producers of the non-active
-snapshots it read (an active one is available either as stored or as rebuilt
-by its own arc). Linked variables are tied both ways, so aliased pairs land
-on the same side of the cut. These ties are infinite, so a recomputed
-variable drags every cell of its rebuild to the source side, and there are
-at most as many as lineage read edges plus one per active variable. The min
-cut's sink side is the migrate set; its source-side cells form the rerun
-list. A variable none of whose options is finite lies on an all-infinite
-source-sink path.
+migration cost and points at the cell that produced it; each live cell (one
+in the backward closure of the active snapshots, the only cells a plan can
+rerun) feeds the sink at its rerun cost and points at the producers of the
+non-active snapshots it read (an active one is available either as stored or
+as rebuilt by its own arc). Linked variables are tied both ways, so aliased
+pairs land on the same side of the cut. These ties are infinite, so a
+recomputed variable drags every cell of its rebuild to the source side, and
+there are at most as many as lineage read edges plus one per active
+variable. The min cut's sink side is the migrate set; its source-side cells
+form the rerun list. A variable none of whose options is finite lies on an
+all-infinite source-sink path.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ def build_flow_graph(
     fg = FlowGraph(
         node_labels=labels, arcs={SRC: {}, SINK: {}}, vs_nodes={}, ce_nodes={}, cost=cost
     )
+    live = history.live_cells()
     for name in sorted(active):
         fg.vs_nodes[name] = len(labels)
         labels.append(active[name])
-    for cell in history.cells:
+    for cell in live:
         fg.ce_nodes[cell.t] = len(labels)
         labels.append(cell.t)
 
@@ -110,17 +112,13 @@ def build_flow_graph(
         if name in forced_migrate:
             fg.add_arc(u, SINK, INF)
         fg.add_arc(u, fg.ce_nodes[active[name].t], INF)
-    # one backward pass: a cell that some active snapshot's rebuild reaches
-    # needs the producers of the non-active snapshots it read
+    # a live cell needs the producers of the non-active snapshots it read,
+    # which are live too; no other cell is reachable from the source
     active_vses = set(active.values())
-    reached = {vs.t for vs in active_vses}
-    for cell in reversed(history.cells):
+    for cell in reversed(live):
         u = fg.ce_nodes[cell.t]
-        if cell.t in reached:
-            producers = {dep.t for dep in history.reads[cell.t] if dep not in active_vses}
-            reached |= producers
-            for t in sorted(producers):
-                fg.add_arc(u, fg.ce_nodes[t], INF)
+        for t in sorted({dep.t for dep in history.reads[cell.t] if dep not in active_vses}):
+            fg.add_arc(u, fg.ce_nodes[t], INF)
         fg.add_arc(u, SINK, cost.rerun_seconds(cell))
     for a, b in linked or ():
         if a in fg.vs_nodes and b in fg.vs_nodes:

@@ -1,9 +1,10 @@
 """Checkpoint writer, session restorer, and replication verifier.
 
 A checkpoint is one self-contained file: magic and version, a JSON manifest
-(lineage graph, plan, storage profile, variable table, annotations), a binary
-payload holding every object reachable from a migrated variable exactly once,
-and a SHA-256 digest of every byte before it.
+(the live lineage, plan, storage profile, variable table, annotations and the
+next timestamp), a binary payload holding every object reachable from a
+migrated variable exactly once, and a SHA-256 digest of every byte before it.
+The file is written to a temporary name and renamed into place.
 Restoration walks the original timestamps, interleaving cell reruns with
 variable re-declaration, so every rerun cell reads the inputs it originally
 saw; a migrated variable also produced by a rerun cell is overwritten with
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +40,7 @@ from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
 
 MAGIC = b"SCCKPT01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DIGEST_BYTES = 32  # SHA-256
 
 _KIND_CODES = {"scalar": 0, "container": 1, "opaque": 2}
@@ -55,6 +57,7 @@ class Checkpoint:
     variables: dict[str, int]  # migrated name -> root object id (original ids)
     annotations: dict[str, str]
     objects: dict[int, HeapObject]  # payload records keyed by original id
+    next_t: int  # the timestamp the session's next cell gets
 
     def payload_closure(self, name: str) -> set[int]:
         """Original ids of every payload object reachable from ``name``."""
@@ -169,6 +172,7 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         variables=variables,
         annotations=dict(session.annotations),
         objects={oid: heap.objects[oid] for oid in closure},
+        next_t=session.next_t,
     )
     manifest = {
         "history": session.history.to_manifest(),
@@ -176,6 +180,7 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         "profile": session.profile.to_json(),
         "variables": dict(sorted(variables.items())),
         "annotations": dict(sorted(session.annotations.items())),
+        "next_t": session.next_t,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     payload = b"".join(_encode_object(heap.objects[oid]) for oid in sorted(closure))
@@ -183,8 +188,26 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(manifest_bytes)), manifest_bytes,
         struct.pack("<Q", len(payload)), payload,
     ))
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    _replace_file(Path(path), body + hashlib.sha256(body).digest())
     return checkpoint
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: write a temporary file in
+    the same directory, flush it to disk, then rename it over ``path``, so a
+    reader finds the old file or the new one, never a part of either. On any
+    error the temporary file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sections(path: str | Path) -> tuple[bytes, bytes]:
@@ -225,6 +248,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             variables=dict(manifest["variables"]),
             annotations=dict(manifest["annotations"]),
             objects=objects,
+            next_t=manifest["next_t"],
         )
         _check_consistent(checkpoint)
     except (StatecutError, LookupError, TypeError, ValueError, AttributeError) as err:
@@ -235,15 +259,19 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 def _check_consistent(checkpoint: Checkpoint) -> None:
     """Raise FormatError unless the plan, the variable table, the lineage and
     the payload agree: the plan reruns only recorded cells and stores exactly
-    the table's variables, each of them active, with its root in the payload."""
-    plan, variables = checkpoint.plan, checkpoint.variables
-    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - {c.t for c in checkpoint.history.cells}:
+    the table's variables, each of them active, with its root in the payload,
+    and the next timestamp is an int after every cell and tombstone."""
+    plan, variables, history = checkpoint.plan, checkpoint.variables, checkpoint.history
+    recorded = [c.t for c in history.cells] + list(history.deleted.values())
+    if type(checkpoint.next_t) is not int or any(t >= checkpoint.next_t for t in recorded):
+        raise FormatError(f"next_t={checkpoint.next_t!r} is not an int after every recorded timestamp")
+    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - {c.t for c in history.cells}:
         raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
     if plan.migrate != variables.keys():
         raise FormatError("plan.migrate differs from the stored variables")
     if {type(oid) for oid in variables.values()} - {int} or set(variables.values()) - checkpoint.objects.keys():
         raise FormatError("a stored variable's root is not in the payload")
-    inactive = variables.keys() - checkpoint.history.active_snapshots().keys()
+    inactive = variables.keys() - history.active_snapshots().keys()
     if inactive:
         raise FormatError(f"stored variables without an active snapshot: {sorted(inactive)}")
 
@@ -383,7 +411,7 @@ def restore(
         profile=checkpoint.profile,
         programs=dict(programs),
         annotations=dict(checkpoint.annotations),
-        next_t=(history.cells[-1].t + 1) if history.cells else 1,
+        next_t=checkpoint.next_t,
     )
     live = set(heap.objects)
     id_map = {old: new for old, new in current.items() if new in live}

@@ -9,6 +9,7 @@ docs/trace.schema.json.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,7 @@ def _is_str_list(v) -> bool:
 
 
 def _is_seconds(v) -> bool:
-    return type(v) in (int, float) and v >= 0
+    return type(v) in (int, float) and 0 <= v < math.inf
 
 
 # Field types of trace entries; docs/trace.schema.json states the same types

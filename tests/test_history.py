@@ -283,6 +283,33 @@ class TestSupersetUnderInjection:
                 assert base <= grown
 
 
+class TestLiveCells:
+    def graph(self):
+        # x@1 and w@1; y@2 reads x@1; x@3 overwrites x without reading it;
+        # z@4 is deleted with w at t=5; t=6 only reads y
+        graph = HistoryGraph()
+        graph.record(record(1, written={"x", "w"}))
+        graph.record(record(2, written={"y"}, accessed={vs("x", 1)}))
+        graph.record(record(3, written={"x"}))
+        graph.record(record(4, written={"z"}))
+        graph.record(record(5, deleted={"z", "w"}))
+        graph.record(record(6, accessed={vs("y", 2)}))
+        return graph
+
+    def test_dead_writes_deletions_and_reads_are_not_live(self):
+        assert [c.t for c in self.graph().live_cells()] == [1, 2, 3]
+
+    def test_manifest_keeps_live_cells_and_their_names_tombstones(self):
+        graph = self.graph()
+        manifest = graph.to_manifest()
+        assert [c["t"] for c in manifest["cells"]] == [1, 2, 3]
+        # w is written by a kept cell, z only by the dead t=4
+        assert manifest["deleted"] == {"w": 5}
+        clone = HistoryGraph.from_manifest(manifest)
+        assert clone.active_snapshots() == graph.active_snapshots()
+        assert clone.to_manifest() == manifest
+
+
 class TestManifestRoundTrip:
     def test_round_trip(self, worked_history):
         data = worked_history.to_manifest()
@@ -291,11 +318,14 @@ class TestManifestRoundTrip:
         assert clone.active_snapshots() == worked_history.active_snapshots()
 
     def test_size_scales_with_cells_not_objects(self):
-        # lineage metadata is independent of how many objects variables hold
+        # lineage metadata is independent of how many objects variables hold:
+        # one entry per live cell
         trace = generate_trace(GenParams(cells=30, variables=5), 7)
         session, _ = run_trace(trace)
         manifest = session.history.to_manifest()
-        assert len(manifest["cells"]) == 30
+        live = session.history.live_cells()
+        assert 0 < len(live) < 30
+        assert [c["t"] for c in manifest["cells"]] == [c.t for c in live]
 
     def test_memory_independent_of_object_counts(self):
         from statecut.cli import history_memory_bytes

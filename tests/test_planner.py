@@ -81,6 +81,19 @@ class TestFlowGraphConstruction:
                             stack.append(v)
                 assert {t for t, node in fg.ce_nodes.items() if node in seen} == expected
 
+    def test_nodes_only_for_live_cells(self):
+        # a cell outside the backward closure of the active snapshots can
+        # never be rerun, so it gets no node and no sink arc
+        for seed in range(10):
+            trace = generate_trace(GenParams(cells=40, variables=4, delete_rate=0.1), seed)
+            session, cost, linked = planner_inputs(trace)
+            fg = build_flow_graph(session.history, cost, linked)
+            live = session.history.live_cells()
+            assert len(live) < len(session.history.cells)
+            assert len(fg.ce_nodes) == len(live)
+            assert list(fg.ce_nodes) == [c.t for c in live]
+            assert len(fg.node_labels) == 2 + len(fg.vs_nodes) + len(live)
+
     def test_empty_session(self):
         graph = HistoryGraph()
         from statecut.cost import CostModel, CostProfile

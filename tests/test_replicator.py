@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import struct
@@ -17,7 +18,9 @@ import statecut
 from statecut import replicator
 from statecut.cli import main
 from statecut.cost import CostProfile
-from statecut.errors import FormatError, SerializationError, StatecutError, Unreconstructable
+from statecut.errors import (
+    FormatError, Infeasible, SerializationError, StatecutError, Unreconstructable,
+)
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.heap import HeapObject, HeapOp, SimHeap
 from statecut.monitor import CellProgram
@@ -188,7 +191,10 @@ class TestCheckpointFormat:
                     continue
                 assert verify(session.heap, result.session.heap).isomorphic, (leaf, value)
                 outcomes["restored"] += 1
-        assert outcomes["rejected"] > 100 and outcomes["restored"] > 100
+        # the reader type-checks each cell's t, runtime and flags and the next
+        # timestamp, so most damaged leaves are rejected; leaves a restore does
+        # not depend on, such as the plan's cost, still restore
+        assert outcomes["rejected"] > 300 and outcomes["restored"] > 50
 
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "plan": {**m["plan"], "rerun": m["plan"]["rerun"] + [99]}},
@@ -199,9 +205,24 @@ class TestCheckpointFormat:
         lambda m: with_leaf(m, ("history", "cells", 0, "code_ref"), ["cell_1"]),
         lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), -1),
         lambda m: with_leaf(m, ("history", "cells", 0, "failed_at"), "x"),
+        lambda m: with_leaf(m, ("history", "cells", 0, "t"), 1.0),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), "x"),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), -1),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), math.inf),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), math.nan),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), True),
+        lambda m: with_leaf(m, ("history", "cells", 0, "never_rerun"), 0),
+        lambda m: with_leaf(m, ("history", "cells", 0, "nondeterministic"), "yes"),
+        lambda m: {**m, "next_t": "6"},
+        lambda m: {**m, "next_t": True},
+        lambda m: {**m, "next_t": 5},
+        lambda m: with_leaf(m, ("history", "deleted"), {"x": 6}),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
-            "failed-at-negative", "failing-op-not-an-int"])
+            "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
+            "runtime-negative", "runtime-infinite", "runtime-nan", "runtime-bool",
+            "never-rerun-int", "nondeterministic-string", "next-t-string", "next-t-bool",
+            "next-t-not-after-last-cell", "next-t-not-after-tombstone"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -209,6 +230,9 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
         assert str(path) in str(exc.value)
+        trace_path = tmp_path / "trace.json"
+        save_trace(trace, trace_path)
+        assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
     # the worked example's payload holds objects 4 (container, slots 0 -> 5
     # and 1 -> 6), 5, 6, 7 and 8 (container, slot 0 -> 4), in that order;
@@ -233,16 +257,38 @@ class TestCheckpointFormat:
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
-    def test_version_1_file_is_a_format_error(self, tmp_path):
+    @staticmethod
+    def check_old_version_is_a_format_error(tmp_path, version):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
         raw = path.read_bytes()
-        path.write_bytes(raw[:8] + struct.pack("<I", 1) + raw[12:])
-        with pytest.raises(FormatError, match="version 1"):
+        path.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
+        with pytest.raises(FormatError, match=f"version {version}"):
             read_checkpoint(path)
         trace_path = tmp_path / "trace.json"
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
+
+    def test_version_1_file_is_a_format_error(self, tmp_path):
+        self.check_old_version_is_a_format_error(tmp_path, 1)
+
+    def test_version_2_file_is_a_format_error(self, tmp_path):
+        # version 2 stored the whole lineage and no next timestamp
+        self.check_old_version_is_a_format_error(tmp_path, 2)
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        session, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rerun_all = ReplicationPlan(migrate=set(), rerun=[1, 2, 3, 4, 5], cost_s=0.0)
+        with pytest.raises(OSError, match="replace refused"):
+            write_checkpoint(session, rerun_all, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
@@ -1064,3 +1110,66 @@ class TestRecheckpoint:
         write_checkpoint(session, plan, p2)
         raw1, raw2 = p1.read_bytes(), p2.read_bytes()
         assert raw1 == raw2
+
+
+def restore_outcome(checkpoint, programs, faulty: set[str], original: SimHeap):
+    """What a restore gives: the error it raises, or its namespace, id map,
+    fallbacks and verify report against ``original``."""
+    try:
+        result = restore(checkpoint, programs, deserialization_fault=faulty.__contains__)
+    except StatecutError as err:
+        return f"{type(err).__name__}: {err}", None
+    heap = result.session.heap
+    return (sorted(heap.namespace.items()), sorted(result.id_map.items()),
+            result.fallback_recomputed, verify(original, heap).to_json()), result
+
+
+class TestLiveLineage:
+    # a checkpoint holds only the cells in the backward closure of the active
+    # snapshots; restoring it must behave as restoring the whole lineage
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_pruned_checkpoint_restores_and_plans_as_the_whole_lineage(self, tmp_path_factory, seed, data):
+        nondet = data.draw(st.booleans(), label="nondet")
+        trace = generate_trace(GenParams(
+            cells=30, variables=6, alias_density=0.4, unserializable_rate=0.1,
+            undeserializable_rate=0.2, never_rerun_rate=0.1, nondet_rate=0.1 * nondet,
+            delete_rate=0.15,
+        ), seed)
+        session, _ = run_trace(trace)
+        try:
+            plan = plan_session(session)
+        except Infeasible:
+            assume(False)
+        path = tmp_path_factory.mktemp("live") / "c.ckpt"
+        write_checkpoint(session, plan, path)
+        manifest = read_manifest(path)
+        history = session.history
+        closure = history.rerun_cells_from(set(history.active_snapshots().values()), set())
+        assert [c["t"] for c in manifest["history"]["cells"]] == [c.t for c in closure]
+
+        pruned = read_checkpoint(path)
+        whole = replace(pruned, history=history)
+        faulty = set(data.draw(st.lists(st.sampled_from(sorted(plan.migrate)), unique=True))
+                     if plan.migrate else [])
+        programs = trace.programs()
+        outcome, result = restore_outcome(pruned, programs, faulty, session.heap)
+        assert outcome == restore_outcome(whole, programs, faulty, session.heap)[0]
+        if result is None:
+            return
+        # a fallback that reruns a nondeterministic cell may diverge
+        assert nondet or verify(session.heap, result.session.heap).isomorphic
+        assert result.session.next_t == session.next_t
+        again = plan_session(result.session)
+        assert (again.migrate, again.rerun, repr(again.cost_s)) == (
+            plan.migrate, plan.rerun, repr(plan.cost_s))
+
+        # pruning is idempotent: the restored session's checkpoint has the
+        # same manifest, up to the fresh ids of the stored roots
+        second = path.with_name("again.ckpt")
+        write_checkpoint(result.session, plan, second)
+        remapped = read_manifest(second)
+        assert remapped.pop("variables") == {
+            name: result.id_map[oid] for name, oid in manifest.pop("variables").items()}
+        assert remapped == manifest

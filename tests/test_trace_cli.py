@@ -77,6 +77,8 @@ class TestTraceFormat:
         lambda d: d["profile"].update(store_bandwidth_bytes_per_s=math.nan),
         lambda d: d["profile"].update(latency_s=math.nan),
         lambda d: d["profile"].update(alpha=math.nan),
+        # a checkpoint of the session would hold the runtime, which must be finite
+        lambda d: d["cells"][0].update(declared_runtime_s=math.inf),
         # an id created again by a later cell (the original run fails with
         # "already live"), and by a cell's alt_ops beyond its own ops' creates
         lambda d: d["cells"][2]["ops"].insert(0, dict(d["cells"][0]["ops"][0])),
