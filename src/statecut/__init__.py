@@ -37,7 +37,6 @@ from .heap import (
 from .history import CellExecution, CellRecord, HistoryGraph, VariableSnapshot
 from .monitor import (
     CellProgram,
-    MonitorOptions,
     PreSnapshot,
     Session,
     detect_accesses,

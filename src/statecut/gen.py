@@ -44,7 +44,9 @@ class _TraceBuilder:
     def __init__(self, params: GenParams, rng: random.Random):
         self.params = params
         self.rng = rng
-        self.heap = SimHeap()  # scratch replica kept in lockstep with the ops
+        # scratch replica kept in lockstep with the ops; never swept, since
+        # every choice reads bound names and the closures they reach
+        self.heap = SimHeap()
         self.ids = count(1)
         self.pool = [f"v{i}" for i in range(params.variables)]
         self.frozen: set[str] = set()  # nondeterministic outputs; never mutated
@@ -206,7 +208,6 @@ class _TraceBuilder:
                 declared_runtime_s=round(rng.uniform(0.1, 10.0), 3),
                 never_rerun=rng.random() < self.params.never_rerun_rate,
             )
-        self.heap.collect_garbage()
         return program
 
 

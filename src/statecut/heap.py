@@ -80,7 +80,6 @@ class MutationRecord:
     before the batch (None if it was unbound). The log over the untouched
     live heap is the heap as it stood before the batch (``HeapBefore``)."""
 
-    bound: set[str] = field(default_factory=set)
     unbound: set[str] = field(default_factory=set)
     created: set[ObjectId] = field(default_factory=set)
     undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = field(default_factory=dict)
@@ -219,11 +218,7 @@ class SimHeap:
 
     def reachable(self, name: str) -> set[ObjectId]:
         """Transitive closure over slots from the variable's root, root included."""
-        return self.reachable_from(self.root(name))
-
-    def reachable_from(self, oid: ObjectId) -> set[ObjectId]:
-        self.get(oid)
-        return reachable_ids(self.objects, oid)
+        return reachable_ids(self.objects, self.root(name))
 
     def apply(self, ops: Iterable[HeapOp], ids: dict[ObjectId, ObjectId] | None = None) -> MutationRecord:
         """Apply ops in order; on error, the raised exception carries the
@@ -263,7 +258,6 @@ class SimHeap:
         elif op.op == "bind":
             old = self.namespace.get(op.name)
             self.bind(op.name, _local(ids, op.id))
-            record.bound.add(op.name)
             record.old_roots.setdefault(op.name, old)
         elif op.op == "unbind":
             old = self.namespace.get(op.name)
@@ -297,7 +291,7 @@ class SimHeap:
         live: set[ObjectId] = set()
         for oid in self.namespace.values():
             if oid not in live:
-                live |= self.reachable_from(oid)
+                live |= reachable_ids(self.objects, oid)
         dead = set(self.objects) - live
         for oid in dead:
             del self.objects[oid]
@@ -387,49 +381,41 @@ def _digest(parts: list[bytes]) -> bytes:
     return h.digest()
 
 
-FrozenObject = tuple  # (kind, value, slot items tuple, size_bytes, hashable)
-
-
-def freeze_object(obj: HeapObject) -> FrozenObject:
-    """Immutable view of an object's hash-relevant state at this instant."""
-    return (obj.kind, obj.value, tuple(obj.slots.items()), obj.size_bytes, obj.hashable)
-
-
-def subgraph_hash(root: ObjectId, get) -> int | None:
+def subgraph_hash(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> int | None:
     """Stable 64-bit hash over the values and shape reachable from ``root``.
 
-    ``get(oid)`` supplies a FrozenObject, so the hash can run against either
-    the live heap or a pre-execution snapshot. Identity-blind: relabeling
-    every object id leaves the hash unchanged. Children fold in sorted
-    slot-label order; cycles are cut by hashing a back-edge marker carrying
-    the DFS discovery index of the target. Returns None if any reachable
-    object is unhashable.
+    ``objects`` may be the live heap's or a view of an earlier state
+    (``HeapBefore``, ``PreSnapshot``). Identity-blind: relabeling every
+    object id leaves the hash unchanged. Children fold in sorted slot-label
+    order; cycles are cut by hashing a back-edge marker carrying the DFS
+    discovery index of the target. Returns None if any reachable object is
+    unhashable.
     """
     order: dict[ObjectId, int] = {}
     memo: dict[ObjectId, bytes] = {}
     stack: list[tuple[ObjectId, bool]] = [(root, False)]
     while stack:
         oid, finalize = stack.pop()
-        kind, value, slots, size_bytes, hashable = get(oid)
-        if not hashable:
+        obj = objects[oid]
+        if not obj.hashable:
             return None
-        labels = sorted(label for label, _ in slots)
-        children = dict(slots)
+        slots = obj.slots
+        labels = sorted(slots)
         if not finalize:
             if oid in order:
                 continue
             order[oid] = len(order)
             stack.append((oid, True))
             for label in reversed(labels):
-                child = children[label]
+                child = slots[label]
                 if child not in order:
                     stack.append((child, False))
             continue
-        parts = [kind.encode(), _canon(value)]
-        if kind == "opaque":
-            parts.append(str(size_bytes).encode())
+        parts = [obj.kind.encode(), _canon(obj.value)]
+        if obj.kind == "opaque":
+            parts.append(str(obj.size_bytes).encode())
         for label in labels:
-            child = children[label]
+            child = slots[label]
             parts.append(label.encode())
             if child in memo:
                 parts.append(memo[child])
@@ -442,5 +428,4 @@ def subgraph_hash(root: ObjectId, get) -> int | None:
 
 def value_hash(heap: SimHeap | HeapBefore, name: str) -> int | None:
     """Hash the heap's subgraph reachable from ``name``."""
-    root = heap.root(name)
-    return subgraph_hash(root, lambda oid: freeze_object(heap.objects[oid]))
+    return subgraph_hash(heap.objects, heap.root(name))

@@ -41,23 +41,13 @@ class CellExecution:
 
 
 @dataclass
-class CellRecord:
+class CellRecord(CellExecution):
     """What the monitor observed for one cell execution."""
 
-    t: int
-    code_ref: str
-    runtime_s: float
     accessed: set[VariableSnapshot] = field(default_factory=set)
     written: set[str] = field(default_factory=set)
     created: set[str] = field(default_factory=set)
     deleted: set[str] = field(default_factory=set)
-    never_rerun: bool = False
-    nondeterministic: bool = False
-    failed_at: int | None = None  # position of the op that failed, if one did
-
-    @property
-    def failed(self) -> bool:
-        return self.failed_at is not None
 
 
 class HistoryGraph:
@@ -138,10 +128,11 @@ class HistoryGraph:
         in ``ground_vses`` (available as-is); returns the producing cells that
         rebuild every target, each once, sorted by completion time.
 
-        With ``require_rerunnable``, a never-rerun cell in the closure raises
-        Unreconstructable for the latest such cell, naming the least snapshot
-        name of it the walk reached. Every other cell on a path from a target
-        to it is later, so none of them is never-rerun: it blocks first."""
+        With ``require_rerunnable``, a never-rerun or nondeterministic cell
+        in the closure raises Unreconstructable for the latest such cell,
+        naming the least snapshot name of it the walk reached: a rerun could
+        not reproduce the recorded values. Every other cell on a path from a
+        target to it is later, so none of them blocks: it blocks first."""
         need: set[int] = set()
         # set algebra reuses the hashes the sets store; the closure does not
         # depend on the order the walk takes
@@ -156,7 +147,8 @@ class HistoryGraph:
             seen |= fresh
             stack.extend(fresh)
         if require_rerunnable:
-            blocked = [t for t in need if self._cell_by_t[t].never_rerun]
+            cells = self._cell_by_t
+            blocked = [t for t in need if cells[t].never_rerun or cells[t].nondeterministic]
             if blocked:
                 t = max(blocked)
                 raise Unreconstructable(min(vs.name for vs in seen if vs.t == t), blocked_at=t)

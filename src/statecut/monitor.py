@@ -19,7 +19,7 @@ binding it changed, get ID graphs and hashes. ``PreSnapshot``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cost import CostProfile
 from .errors import CellExecutionError, StatecutError
@@ -31,7 +31,6 @@ from .heap import (
     ObjectId,
     SimHeap,
     build_id_graph,
-    freeze_object,
     id_graph_changed,
     id_graphs_overlap,
     reachable_ids,
@@ -59,23 +58,15 @@ class CellProgram:
 
 
 @dataclass
-class MonitorOptions:
-    """Detection switches; ``use_id_graphs=False`` is the hash-only ablation."""
-
-    use_id_graphs: bool = True
-
-
-@dataclass
 class Session:
-    """One live simulated session: heap, lineage, storage profile, and the
-    cell archive."""
+    """One live simulated session: heap, lineage, storage profile and
+    annotations. ``use_id_graphs=False`` is the hash-only ablation."""
 
     heap: SimHeap
     history: HistoryGraph
     profile: CostProfile
-    programs: dict[str, CellProgram] = field(default_factory=dict)
     annotations: dict[str, str] = field(default_factory=dict)  # name -> always_copy|always_recompute
-    options: MonitorOptions = field(default_factory=MonitorOptions)
+    use_id_graphs: bool = True
     next_t: int = 1
     index: NameIndex | None = field(default=None, repr=False, compare=False)
 
@@ -83,10 +74,11 @@ class Session:
 class PreSnapshot:
     """Namespace state captured before a cell runs.
 
-    ID graphs are built for every name; a metadata-level frozen view of each
-    object (kind, value reference, slot table) is captured alongside so value
-    hashes can be computed lazily, after the cell has already mutated the
-    heap, without paying to hash values nobody asks about.
+    ID graphs are built for every name; a copy of each object, with its own
+    slots dict, is kept alongside so value hashes can be computed lazily,
+    after the cell has already mutated the heap, without paying to hash
+    values nobody asks about. It offers ``objects`` and ``root``, the view
+    ``HeapBefore`` offers.
     """
 
     def __init__(self, heap: SimHeap):
@@ -94,13 +86,15 @@ class PreSnapshot:
         self.id_graphs: dict[str, IdGraph] = {
             name: build_id_graph(heap, name) for name in heap.namespace
         }
-        self._frozen = {oid: freeze_object(obj) for oid, obj in heap.objects.items()}
+        self.objects = {oid: replace(obj, slots=dict(obj.slots)) for oid, obj in heap.objects.items()}
         self._hashes: dict[str, int | None] = {}
+
+    def root(self, name: str) -> ObjectId:
+        return self.id_graphs[name].root_id
 
     def hash_of(self, name: str) -> int | None:
         if name not in self._hashes:
-            root = self.id_graphs[name].root_id
-            self._hashes[name] = subgraph_hash(root, self._frozen.__getitem__)
+            self._hashes[name] = subgraph_hash(self.objects, self.root(name))
         return self._hashes[name]
 
 
@@ -194,8 +188,7 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     heap = session.heap
     t = session.next_t
     session.next_t += 1
-    session.programs[program.code_ref] = program
-    use_id_graphs = session.options.use_id_graphs
+    use_id_graphs = session.use_id_graphs
 
     index = session.index
     orphans: set[ObjectId] = set()
@@ -255,7 +248,7 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
             continue
         if name not in accessed and pre_graph.nodes.isdisjoint(touched):
             continue
-        pre_hash = subgraph_hash(pre_root, lambda oid: freeze_object(before.objects[oid]))
+        pre_hash = subgraph_hash(before.objects, pre_root)
         if pre_hash is None:
             if name in accessed:
                 modified.add(name)
@@ -268,9 +261,9 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
         if any(not heap.objects[oid].hashable for oid in closure):
             modified.add(name)
 
-    # a name unbound then rebound within the same cell counts as created;
-    # bound-then-unbound churn that ends unbound is just a deletion
-    created |= {name for name in mutation.bound & mutation.unbound if name in heap.namespace}
+    # a name the cell unbound that is bound at its end was rebound after the
+    # unbind, and counts as created; churn that ends unbound is a deletion
+    created |= {name for name in mutation.unbound if name in heap.namespace}
     modified -= created
 
     accessed_vses: set[VariableSnapshot] = set()

@@ -59,10 +59,6 @@ class Checkpoint:
     objects: dict[int, HeapObject]  # payload records keyed by original id
     next_t: int  # the timestamp the session's next cell gets
 
-    def payload_closure(self, name: str) -> set[int]:
-        """Original ids of every payload object reachable from ``name``."""
-        return reachable_ids(self.objects, self.variables[name])
-
     @cached_property
     def payload_groups(self) -> dict[str, set[str]]:
         """Each stored name's group: the stored names linked to it by shared
@@ -310,7 +306,7 @@ def _declare_variable(
     current: dict[int, int],
 ) -> None:
     """Materialize a stored variable's subgraph (once per object) and bind it."""
-    closure = checkpoint.payload_closure(name)
+    closure = reachable_ids(checkpoint.objects, checkpoint.variables[name])
     fresh = sorted(oid for oid in closure if oid not in payload_map)
     for oid in fresh:
         rec = checkpoint.objects[oid]
@@ -360,7 +356,7 @@ def restore(
     for name in sorted(checkpoint.variables, key=lambda n: (active[n].t, n)):
         if name in moved:
             continue
-        closure = checkpoint.payload_closure(name)
+        closure = reachable_ids(checkpoint.objects, checkpoint.variables[name])
         if any(not checkpoint.objects[oid].deserializable for oid in closure) or (
             deserialization_fault is not None and deserialization_fault(name)
         ):
@@ -409,7 +405,6 @@ def restore(
         heap=heap,
         history=history,
         profile=checkpoint.profile,
-        programs=dict(programs),
         annotations=dict(checkpoint.annotations),
         next_t=checkpoint.next_t,
     )

@@ -18,7 +18,7 @@ from .cost import CostProfile
 from .errors import CellExecutionError, FormatError
 from .heap import KINDS, HeapOp, SimHeap
 from .history import HistoryGraph
-from .monitor import CellProgram, MonitorOptions, Session, run_cell
+from .monitor import CellProgram, Session, run_cell
 
 TRACE_VERSION = 1
 
@@ -221,13 +221,13 @@ def save_trace(trace: TraceFile, path: str | Path) -> None:
 
 
 def new_session(profile: CostProfile, annotations: dict[str, str] | None = None,
-                options: MonitorOptions | None = None) -> Session:
+                use_id_graphs: bool = True) -> Session:
     return Session(
         heap=SimHeap(),
         history=HistoryGraph(),
         profile=profile,
         annotations=dict(annotations or {}),
-        options=options or MonitorOptions(),
+        use_id_graphs=use_id_graphs,
     )
 
 
@@ -238,8 +238,8 @@ def run_trace(trace: TraceFile, *, ablate: tuple[str, ...] = ()) -> tuple[Sessio
     a notebook session with runtime errors. Returns the session and the
     per-cell records.
     """
-    options = MonitorOptions(use_id_graphs="no-idgraph" not in ablate)
-    session = new_session(trace.profile, trace.variable_annotations, options)
+    session = new_session(trace.profile, trace.variable_annotations,
+                          use_id_graphs="no-idgraph" not in ablate)
     records = []
     for cell in trace.cells:
         try:

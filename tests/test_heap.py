@@ -239,7 +239,7 @@ class TestApplyOps:
             HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8),
             HeapOp(op="bind", name="x", id=1),
         ])
-        assert record.bound == {"x"}
+        assert record.old_roots == {"x": None}
         assert record.created == {1}
         assert "x" in heap.namespace
 
@@ -249,7 +249,7 @@ class TestApplyOps:
         make_object(heap, 2)
         heap.bind("x", 1)
         record = heap.apply([HeapOp(op="bind", name="x", id=2)])
-        assert record.bound == {"x"}
+        assert record.old_roots == {"x": 1}
 
     def test_cycle_assignment_permitted(self):
         heap = SimHeap()
@@ -275,7 +275,7 @@ class TestApplyOps:
                 HeapOp(op="bind", name="y", id=404),
             ])
         except UnknownObject as err:
-            assert err.partial.bound == {"x"}
+            assert err.partial.old_roots == {"x": None}
             assert err.partial.created == {1}
         else:
             pytest.fail("expected UnknownObject")
@@ -290,7 +290,7 @@ class TestApplyOps:
                 HeapOp(op="bind", name="y", id=1),
             ])
         assert exc.value.op_index == 1
-        assert exc.value.partial.bound == {"x"}
+        assert exc.value.partial.old_roots == {"x": None}
 
     def test_ops_of_another_heap_go_through_the_id_map(self):
         heap = SimHeap()

@@ -545,23 +545,40 @@ class TestFallbackRecomputation:
         assert report.value_equivalent and report.isomorphic
 
     def test_random_fault_injection_still_isomorphic(self, tmp_path):
-        restored_with_fallback = 0
-        for seed in range(40):
-            trace = generate_trace(GenParams(
-                cells=8, variables=5, alias_density=0.4, unserializable_rate=0.1,
-            ), seed + 7000)
+        # a fallback through a nondeterministic cell cannot reproduce the
+        # stored value, so with such cells a restore may end Unreconstructable
+        nondet = GenParams(
+            cells=30, variables=6, alias_density=0.4, unserializable_rate=0.1,
+            undeserializable_rate=0.2, never_rerun_rate=0.1, nondet_rate=0.1, delete_rate=0.15,
+        )
+        cases = [(GenParams(cells=8, variables=5, alias_density=0.4, unserializable_rate=0.1),
+                  seed + 7000, None) for seed in range(40)]
+        cases += [(nondet, seed + 7100, None) for seed in range(20)]
+        # v0's fallback runs through the nondeterministic cell at t=19
+        cases.append((nondet, 0, {"v0"}))
+        restored_with_fallback = blocked = 0
+        for i, (params, seed, faulty) in enumerate(cases):
+            trace = generate_trace(params, seed)
             session, _ = run_trace(trace)
-            plan = plan_session(session)
-            path = tmp_path / f"fi{seed}.ckpt"
+            try:
+                plan = plan_session(session)
+            except Infeasible:
+                continue  # an unserializable value behind a never-rerun cell
+            path = tmp_path / f"fi{i}.ckpt"
             write_checkpoint(session, plan, path)
-            rng = random.Random(seed)
-            fault = lambda name: rng.random() < 0.1
-            result = restore(read_checkpoint(path), trace.programs(),
-                             deserialization_fault=fault)
+            rng = random.Random(i)
+            fault = (lambda name: rng.random() < 0.1) if faulty is None else faulty.__contains__
+            try:
+                result = restore(read_checkpoint(path), trace.programs(),
+                                 deserialization_fault=fault)
+            except Unreconstructable:
+                assert params.nondet_rate or params.never_rerun_rate, (params, seed)
+                blocked += 1
+                continue
             report = verify(session.heap, result.session.heap)
-            assert report.value_equivalent and report.isomorphic, seed
+            assert report.value_equivalent and report.isomorphic, (params, seed)
             restored_with_fallback += bool(result.fallback_recomputed)
-        assert restored_with_fallback >= 3
+        assert restored_with_fallback >= 3 and blocked >= 1
 
 
     def test_single_walk_fallbacks_on_random_sessions(self, tmp_path, monkeypatch):
@@ -1158,7 +1175,8 @@ class TestLiveLineage:
         assert outcome == restore_outcome(whole, programs, faulty, session.heap)[0]
         if result is None:
             return
-        # a fallback that reruns a nondeterministic cell may diverge
+        # a plan that reruns a nondeterministic cell may diverge; a fallback
+        # through one raises Unreconstructable
         assert nondet or verify(session.heap, result.session.heap).isomorphic
         assert result.session.next_t == session.next_t
         again = plan_session(result.session)
