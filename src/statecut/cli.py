@@ -28,16 +28,6 @@ EXIT_VERIFY_FAILED = 3
 EXIT_FORMAT = 4
 
 
-def _ablate(value: str | None) -> tuple[str, ...]:
-    if not value:
-        return ()
-    flags = tuple(part.strip() for part in value.split(",") if part.strip())
-    for flag in flags:
-        if flag not in ("no-linked", "no-idgraph"):
-            raise FormatError(f"unknown ablation {flag!r}")
-    return flags
-
-
 def _channel_number(text: str, positive: bool) -> float:
     try:
         value = float(text)
@@ -67,7 +57,6 @@ def _plan_kwargs(args) -> dict:
         "bandwidth": args.bandwidth,
         "latency": args.latency,
         "objective": args.objective,
-        "ablate": _ablate(args.ablate),
     }
 
 
@@ -80,13 +69,11 @@ def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
                         help="storage latency, seconds")
     parser.add_argument("--objective", choices=["migrate", "restore"], default=None,
                         help="migrate: alpha=1; restore: alpha=0.05")
-    parser.add_argument("--ablate", default=None,
-                        help="comma-separated: no-linked,no-idgraph")
 
 
 def cmd_run(args) -> int:
     trace = load_trace(args.trace)
-    session, records = run_trace(trace, ablate=_ablate(args.ablate))
+    session, records = run_trace(trace)
     history = session.history
     edges = sum(len(v) for v in history.reads.values()) + sum(
         len(v) for v in history.writes.values()
@@ -108,14 +95,11 @@ def cmd_run(args) -> int:
 
 def cmd_plan(args) -> int:
     trace = load_trace(args.trace)
-    session, _ = run_trace(trace, ablate=_ablate(args.ablate))
+    session, _ = run_trace(trace)
     plan = plan_session(session, **_plan_kwargs(args))
     output = plan.to_json()
     if args.baselines:
-        cost = session_cost_model(
-            session, alpha=args.alpha, bandwidth=args.bandwidth,
-            latency=args.latency, objective=args.objective,
-        )
+        cost = session_cost_model(session, **_plan_kwargs(args))
         output["baselines"] = {
             name: {"cost_s": p.cost_s}
             for name, p in baseline_plans(session.history, cost).items()
@@ -129,7 +113,7 @@ def cmd_plan(args) -> int:
 
 def cmd_checkpoint(args) -> int:
     trace = load_trace(args.trace)
-    session, _ = run_trace(trace, ablate=_ablate(args.ablate))
+    session, _ = run_trace(trace)
     plan = plan_session(session, **_plan_kwargs(args))
     write_checkpoint(session, plan, args.out)
     size = Path(args.out).stat().st_size
@@ -271,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="replay a trace under monitoring and print lineage stats")
     p.add_argument("trace")
-    p.add_argument("--ablate", default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("plan", help="compute a replication plan for a trace")

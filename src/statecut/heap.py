@@ -82,6 +82,7 @@ class MutationRecord:
 
     unbound: set[str] = field(default_factory=set)
     created: set[ObjectId] = field(default_factory=set)
+    linked: set[ObjectId] = field(default_factory=set)  # bound to a name or put in a slot
     undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = field(default_factory=dict)
     old_roots: dict[str, ObjectId | None] = field(default_factory=dict)
 
@@ -258,6 +259,7 @@ class SimHeap:
         elif op.op == "bind":
             old = self.namespace.get(op.name)
             self.bind(op.name, _local(ids, op.id))
+            record.linked.add(self.namespace[op.name])
             record.old_roots.setdefault(op.name, old)
         elif op.op == "unbind":
             old = self.namespace.get(op.name)
@@ -270,6 +272,7 @@ class SimHeap:
                 raise InvalidHeapOp(f"object {op.parent_id} is not a container")
             child = self.get(_local(ids, op.child_id))
             record.log(parent)
+            record.linked.add(child.id)
             parent.slots[op.slot] = child.id
         elif op.op == "clear_slot":
             parent = self.get(_local(ids, op.parent_id))

@@ -191,8 +191,10 @@ class HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
         when a cell's t is not an int, its code_ref is not a string, its
         runtime is not a finite non-negative number, a flag is not a bool,
+        its writes are not a list of names, a read is not a [name, t] pair,
         it reads a snapshot that no earlier cell wrote, or the position of
-        its failing op, when given, is not a non-negative int."""
+        its failing op, when given, is not a non-negative int; or when a
+        tombstone's t is not an int after the last write of its name."""
         graph = cls()
         written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
@@ -209,7 +211,14 @@ class HistoryGraph:
             failed_at = entry.get("failed_at")
             if "failed_at" in entry and not (type(failed_at) is int and failed_at >= 0):
                 raise FormatError(f"cell {entry['t']} has failed_at={failed_at!r}")
-            accessed = {VariableSnapshot(n, t) for n, t in entry["reads"]}
+            reads, writes = entry["reads"], entry["writes"]
+            if type(writes) is not list or any(type(name) is not str for name in writes):
+                raise FormatError(f"cell {entry['t']} has writes={writes!r}")
+            accessed = set()
+            for r in reads:  # a plain loop: no allocation per read
+                if type(r) is not list or len(r) != 2 or type(r[0]) is not str or type(r[1]) is not int:
+                    raise FormatError(f"cell {entry['t']} reads {r!r}, which is not a [name, t] pair")
+                accessed.add(VariableSnapshot(*r))
             unwritten = accessed - written
             if unwritten:
                 names = ", ".join(sorted(f"{vs.name}@{vs.t}" for vs in unwritten))
@@ -220,12 +229,17 @@ class HistoryGraph:
                     code_ref=entry["code_ref"],
                     runtime_s=entry["runtime_s"],
                     accessed=accessed,
-                    written=set(entry["writes"]),
+                    written=set(writes),
                     never_rerun=entry["never_rerun"],
                     nondeterministic=entry["nondeterministic"],
                     failed_at=failed_at,
                 )
             )
             written |= graph.writes[cell.t]
-        graph.deleted = dict(data["deleted"])
+        deleted = dict(data["deleted"])
+        for name, t in deleted.items():
+            versions = graph.snapshots.get(name)
+            if not versions or type(t) is not int or t <= versions[-1].t:
+                raise FormatError(f"tombstone {name!r} at t={t!r} does not follow a write of the name")
+        graph.deleted = deleted
         return graph

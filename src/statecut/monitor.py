@@ -3,7 +3,8 @@
 Runs cell programs against the simulated heap and works out which variables
 each cell accessed, created, modified, or deleted. Direct reads come declared
 with the cell (the stand-in for source analysis); indirect reads are inferred
-from ID-graph overlap and from objects changed in place; modifications from
+from ID-graph overlap, from objects changed in place and from existing
+objects bound to a name or put in a slot; modifications from
 value-hash changes, reference-structure changes, and the modified-on-access
 rule for unhashable variables.
 Detection may over-identify but never misses, which is what downstream
@@ -14,7 +15,8 @@ object to the names that reach it, and the heap's undo log gives the state
 before the cell, so only the names whose closure the cell touched, or whose
 binding it changed, get ID graphs and hashes. ``PreSnapshot``,
 ``detect_accesses`` and ``detect_modifications`` are the full rescan that
-``run_cell`` agrees with exactly; they are kept as its test oracle.
+``run_cell`` agrees with exactly; they are kept as its test oracle, and with
+``use_id_graphs=False`` as the hash-only ablation.
 """
 
 from __future__ import annotations
@@ -60,13 +62,12 @@ class CellProgram:
 @dataclass
 class Session:
     """One live simulated session: heap, lineage, storage profile and
-    annotations. ``use_id_graphs=False`` is the hash-only ablation."""
+    annotations."""
 
     heap: SimHeap
     history: HistoryGraph
     profile: CostProfile
     annotations: dict[str, str] = field(default_factory=dict)  # name -> always_copy|always_recompute
-    use_id_graphs: bool = True
     next_t: int = 1
     index: NameIndex | None = field(default=None, repr=False, compare=False)
 
@@ -106,7 +107,8 @@ def detect_accesses(
     use_id_graphs: bool = True,
 ) -> set[str]:
     """Declared reads plus every variable whose ID graph overlaps one of them
-    or holds an object the cell changed in place (``touched``)."""
+    or holds an object in ``touched``: one the cell changed in place, bound
+    to a name or put in a slot."""
     accessed = set(direct_reads)
     if not use_id_graphs:
         return accessed
@@ -188,7 +190,6 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     heap = session.heap
     t = session.next_t
     session.next_t += 1
-    use_id_graphs = session.use_id_graphs
 
     index = session.index
     orphans: set[ObjectId] = set()
@@ -208,15 +209,15 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     before = HeapBefore(heap, mutation)
 
     # declared reads bound before the cell, plus every name sharing an object
-    # with one of them, plus every name the cell changed in place: its new
-    # state is its old one with the change
+    # with one of them, plus every name the cell changed in place (its new
+    # state is its old one with the change) or that reached an object the
+    # cell bound or put in a slot (the cell got hold of it through a name)
     touched = mutation.touched
     affected = index.reaching(touched)
     accessed = {name for name in program.direct_reads if before.root_or_none(name) is not None}
-    if use_id_graphs:
-        for name in list(accessed):
-            accessed |= index.reaching(reachable_ids(before.objects, before.root(name)))
-        accessed |= affected
+    for name in list(accessed):
+        accessed |= index.reaching(reachable_ids(before.objects, before.root(name)))
+    accessed |= affected | index.reaching(mutation.linked)
 
     affected.update(mutation.old_roots)
     created: set[str] = set()
@@ -238,12 +239,7 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
         pre_graph = build_id_graph(before, name)
         post_graph = build_id_graph(heap, name)
         maybe_dead |= index.move(name, pre_graph.nodes, post_graph.nodes)
-        if use_id_graphs:
-            changed = id_graph_changed(pre_graph, post_graph)
-        else:
-            # even without ID graphs, a rebind of the name itself is visible
-            changed = pre_root != post_root
-        if changed:
+        if id_graph_changed(pre_graph, post_graph):
             modified.add(name)
             continue
         if name not in accessed and pre_graph.nodes.isdisjoint(touched):

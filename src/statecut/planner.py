@@ -73,8 +73,8 @@ class ReplicationPlan:
             migrate=set(data["migrate"]),
             rerun=list(data["rerun"]),
             cost_s=data["cost_s"],
-            alpha=data.get("alpha", 1.0),
-            bandwidth_bytes_per_s=data.get("bandwidth", 0.0),
+            alpha=data["alpha"],
+            bandwidth_bytes_per_s=data["bandwidth"],
         )
 
 
@@ -319,7 +319,6 @@ def plan_session(
     bandwidth: float | None = None,
     latency: float | None = None,
     objective: str | None = None,
-    ablate: tuple[str, ...] = (),
 ) -> ReplicationPlan:
     """Profile the session and compute a plan under the requested objective."""
     from .cost import linked_pairs
@@ -329,7 +328,7 @@ def plan_session(
     )
     active = session.history.active_snapshots()
 
-    linked = set() if "no-linked" in ablate else linked_pairs(session.heap, active)
+    linked = linked_pairs(session.heap, active)
     forced_migrate = {n for n, a in session.annotations.items() if a == "always_copy" and n in active}
     forced_recompute = {n for n, a in session.annotations.items() if a == "always_recompute" and n in active}
 

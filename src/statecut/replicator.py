@@ -38,6 +38,7 @@ from .heap import HeapObject, NameIndex, SimHeap, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
+from .trace import check_annotations
 
 MAGIC = b"SCCKPT01"
 FORMAT_VERSION = 3
@@ -242,7 +243,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             plan=ReplicationPlan.from_json(manifest["plan"]),
             profile=CostProfile.from_json(manifest["profile"]),
             variables=dict(manifest["variables"]),
-            annotations=dict(manifest["annotations"]),
+            annotations=check_annotations(manifest["annotations"], "annotations"),
             objects=objects,
             next_t=manifest["next_t"],
         )

@@ -76,6 +76,17 @@ _CELL_REQUIRED = {"code_ref", "ops"}
 ANNOTATIONS = ("always_copy", "always_recompute")
 
 
+def check_annotations(annotations, where: str) -> dict[str, str]:
+    """A copy of ``annotations``; raises FormatError unless it maps names
+    to values in ``ANNOTATIONS``. Traces and checkpoints share this rule."""
+    if not isinstance(annotations, dict):
+        raise FormatError(f"{where} must be an object")
+    for name, value in annotations.items():
+        if type(name) is not str or value not in ANNOTATIONS:
+            raise FormatError(f"{where}[{name!r}]: unknown annotation {value!r}")
+    return dict(annotations)
+
+
 @dataclass
 class TraceFile:
     """Parsed trace: profile, annotated cell programs, variable annotations."""
@@ -191,12 +202,7 @@ def trace_from_json(data: dict) -> TraceFile:
     if type(data.get("version")) is not int or data["version"] != TRACE_VERSION:
         raise FormatError(f"unsupported trace version {data.get('version')!r}")
     profile = CostProfile.from_json(data.get("profile"))
-    annotations = data.get("variable_annotations", {})
-    if not isinstance(annotations, dict):
-        raise FormatError("variable_annotations must be an object")
-    for name, value in annotations.items():
-        if value not in ANNOTATIONS:
-            raise FormatError(f"variable_annotations[{name!r}]: unknown annotation {value!r}")
+    annotations = check_annotations(data.get("variable_annotations", {}), "variable_annotations")
     cells_data = data.get("cells")
     if not isinstance(cells_data, list):
         raise FormatError("cells must be a list")
@@ -205,7 +211,7 @@ def trace_from_json(data: dict) -> TraceFile:
     if len(set(refs)) != len(refs):
         raise FormatError("cell code_refs must be unique")
     _check_creates(cells)
-    return TraceFile(profile=profile, cells=cells, variable_annotations=dict(annotations))
+    return TraceFile(profile=profile, cells=cells, variable_annotations=annotations)
 
 
 def load_trace(path: str | Path) -> TraceFile:
@@ -220,26 +226,23 @@ def save_trace(trace: TraceFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n")
 
 
-def new_session(profile: CostProfile, annotations: dict[str, str] | None = None,
-                use_id_graphs: bool = True) -> Session:
+def new_session(profile: CostProfile, annotations: dict[str, str] | None = None) -> Session:
     return Session(
         heap=SimHeap(),
         history=HistoryGraph(),
         profile=profile,
         annotations=dict(annotations or {}),
-        use_id_graphs=use_id_graphs,
     )
 
 
-def run_trace(trace: TraceFile, *, ablate: tuple[str, ...] = ()) -> tuple[Session, list]:
+def run_trace(trace: TraceFile) -> tuple[Session, list]:
     """Replay every cell of the trace under monitoring.
 
     Failed cells keep their partial effects and the run continues, mirroring
     a notebook session with runtime errors. Returns the session and the
     per-cell records.
     """
-    session = new_session(trace.profile, trace.variable_annotations,
-                          use_id_graphs="no-idgraph" not in ablate)
+    session = new_session(trace.profile, trace.variable_annotations)
     records = []
     for cell in trace.cells:
         try:

@@ -1,9 +1,24 @@
-"""Hand-built traces shared across test modules."""
+"""Hand-built traces shared across test modules, and the two ablations:
+a hash-only monitor and a link-blind planner, built on the oracles."""
 
 from statecut.cost import CostProfile
-from statecut.heap import HeapOp
-from statecut.monitor import CellProgram
-from statecut.trace import TraceFile
+from statecut.errors import StatecutError
+from statecut.heap import HeapOp, SimHeap
+from statecut.history import CellRecord, HistoryGraph
+from statecut.monitor import (
+    CellProgram,
+    PreSnapshot,
+    Session,
+    detect_accesses,
+    detect_modifications,
+)
+from statecut.planner import (
+    ReplicationPlan,
+    build_flow_graph,
+    min_cut_plan,
+    session_cost_model,
+)
+from statecut.trace import TraceFile, new_session
 
 
 def worked_example_trace() -> TraceFile:
@@ -150,3 +165,103 @@ def alpha_flip_trace() -> TraceFile:
             )
         ],
     )
+
+
+def aliased_pair_trace() -> TraceFile:
+    """l1's list nested in big2d, priced so that a plan blind to the link
+    migrates big2d and recomputes l1, splitting the alias."""
+    return TraceFile(
+        profile=CostProfile(bandwidth_bytes_per_s=1.0),
+        cells=[
+            CellProgram(code_ref="c1", ops=[
+                HeapOp(op="create", id=1, kind="container", size_bytes=5),
+                HeapOp(op="create", id=2, kind="scalar", value=3, size_bytes=5),
+                HeapOp(op="set_slot", parent_id=1, slot="0", child_id=2),
+                HeapOp(op="bind", name="l1", id=1),
+            ], declared_runtime_s=0.1),
+            CellProgram(code_ref="c2", direct_reads={"l1"}, ops=[
+                HeapOp(op="create", id=3, kind="container", size_bytes=1),
+                HeapOp(op="set_slot", parent_id=3, slot="0", child_id=1),
+                HeapOp(op="bind", name="big2d", id=3),
+            ], declared_runtime_s=50.0),
+        ],
+    )
+
+
+def reference_swap_trace() -> TraceFile:
+    """c2 swaps big2d's nested slot to a fresh, value-equal scalar and c3
+    then changes list1, big2d's old element. Storage is slow, so every plan
+    reruns: a lineage that misses the swap replays c3's change into big2d."""
+    return TraceFile(
+        profile=CostProfile(bandwidth_bytes_per_s=1e-3),
+        cells=[
+            CellProgram(code_ref="c1", ops=[
+                HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8),
+                HeapOp(op="bind", name="list1", id=1),
+                HeapOp(op="create", id=2, kind="container", size_bytes=8),
+                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=1),
+                HeapOp(op="bind", name="big2d", id=2),
+            ], declared_runtime_s=0.1),
+            CellProgram(code_ref="c2", direct_reads={"big2d"}, ops=[
+                HeapOp(op="create", id=3, kind="scalar", value=1, size_bytes=8),
+                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=3),
+            ], declared_runtime_s=0.1),
+            CellProgram(code_ref="c3", direct_reads={"list1"}, ops=[
+                HeapOp(op="set_value", id=1, value=9),
+            ], declared_runtime_s=0.1),
+        ],
+    )
+
+
+def rescan(heap: SimHeap, history: HistoryGraph, t: int, program: CellProgram,
+           *, use_id_graphs: bool = True) -> CellRecord:
+    """Monitor one cell by full rescan: apply its ops to ``heap``, detect
+    accesses and modifications with the oracles, then sweep. Returns the
+    cell's record at timestamp ``t``, its reads resolved in ``history``
+    (with ID graphs, the record ``run_cell`` makes); the caller decides
+    whether to record it."""
+    pre = PreSnapshot(heap)
+    failed_at = None
+    try:
+        mutation = heap.apply(program.ops)
+    except StatecutError as err:
+        mutation, failed_at = err.partial, err.op_index
+    accessed = detect_accesses(pre, program.direct_reads, touched=mutation.touched | mutation.linked,
+                               use_id_graphs=use_id_graphs) & pre.names
+    changes = detect_modifications(
+        pre, heap, accessed, touched=mutation.touched, use_id_graphs=use_id_graphs,
+    )
+    created = changes["created"] | (mutation.unbound & pre.names & set(heap.namespace))
+    heap.collect_garbage()
+    snapshots = (history.latest_snapshot(name, before=t) for name in accessed)
+    return CellRecord(
+        t=t,
+        code_ref=program.code_ref,
+        runtime_s=program.declared_runtime_s,
+        accessed={vs for vs in snapshots if vs is not None},
+        written=changes["modified"] - created,
+        created=created,
+        deleted=changes["deleted"],
+        never_rerun=program.never_rerun,
+        nondeterministic=program.nondeterministic,
+        failed_at=failed_at,
+    )
+
+
+def hash_only_session(trace: TraceFile) -> Session:
+    """The trace monitored without ID graphs: only declared reads count as
+    accesses, and only value-hash changes and rebinds as modifications.
+    Failed cells keep their partial effects, as in ``run_trace``."""
+    session = new_session(trace.profile, trace.variable_annotations)
+    for program in trace.cells:
+        session.history.record(rescan(
+            session.heap, session.history, session.next_t, program, use_id_graphs=False,
+        ))
+        session.next_t += 1
+    return session
+
+
+def link_blind_plan(session: Session) -> ReplicationPlan:
+    """The min-cut plan with no ties between linked variables (and no
+    annotations): free to split an aliased pair."""
+    return min_cut_plan(build_flow_graph(session.history, session_cost_model(session)))

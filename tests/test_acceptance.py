@@ -26,7 +26,15 @@ from statecut.planner import (
 from statecut.replicator import payload_bytes, read_checkpoint, restore, verify, write_checkpoint
 from statecut.trace import run_trace
 
-from sessions import alpha_flip_trace, fast_migrate_trace, worked_example_trace
+from sessions import (
+    alpha_flip_trace,
+    aliased_pair_trace,
+    fast_migrate_trace,
+    hash_only_session,
+    link_blind_plan,
+    reference_swap_trace,
+    worked_example_trace,
+)
 
 
 def report(criterion: int, message: str) -> None:
@@ -116,64 +124,28 @@ def test_criterion_2_end_to_end_correctness(tmp_path):
 
 def test_criterion_3_ablations_reproduce_failures(tmp_path):
     """Dropping the linked constraint breaks isomorphism; dropping ID graphs
-    breaks value correctness on a structural swap."""
-    from statecut.cost import CostProfile
-    from statecut.heap import HeapOp
-    from statecut.monitor import CellProgram
-    from statecut.trace import TraceFile
+    breaks value correctness on a structural swap. The full path restores
+    both sessions isomorphic."""
 
-    aliased = TraceFile(
-        profile=CostProfile(bandwidth_bytes_per_s=1.0),
-        cells=[
-            CellProgram(code_ref="c1", ops=[
-                HeapOp(op="create", id=1, kind="container", size_bytes=5),
-                HeapOp(op="create", id=2, kind="scalar", value=3, size_bytes=5),
-                HeapOp(op="set_slot", parent_id=1, slot="0", child_id=2),
-                HeapOp(op="bind", name="l1", id=1),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c2", direct_reads={"l1"}, ops=[
-                HeapOp(op="create", id=3, kind="container", size_bytes=1),
-                HeapOp(op="set_slot", parent_id=3, slot="0", child_id=1),
-                HeapOp(op="bind", name="big2d", id=3),
-            ], declared_runtime_s=50.0),
-        ],
-    )
+    def restored(session, plan, trace, name):
+        path = tmp_path / name
+        write_checkpoint(session, plan, path)
+        return verify(session.heap, restore(read_checkpoint(path), trace.programs()).session.heap)
+
+    aliased = aliased_pair_trace()
     session, _ = run_trace(aliased)
-    ablated = plan_session(session, ablate=("no-linked",))
-    assert ablated.migrate == {"big2d"}  # the pair was split
-    path = tmp_path / "nolinked.ckpt"
-    write_checkpoint(session, ablated, path)
-    broken = verify(session.heap, restore(read_checkpoint(path), aliased.programs()).session.heap)
+    blind = link_blind_plan(session)
+    assert blind.migrate == {"big2d"}  # the pair was split
+    broken = restored(session, blind, aliased, "nolinked.ckpt")
     assert broken.value_equivalent and not broken.isomorphic
+    assert restored(session, plan_session(session), aliased, "linked.ckpt").isomorphic
 
-    swap = TraceFile(
-        profile=CostProfile(bandwidth_bytes_per_s=1e-3),
-        cells=[
-            CellProgram(code_ref="c1", ops=[
-                HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8),
-                HeapOp(op="bind", name="list1", id=1),
-                HeapOp(op="create", id=2, kind="container", size_bytes=8),
-                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=1),
-                HeapOp(op="bind", name="big2d", id=2),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c2", direct_reads={"big2d"}, ops=[
-                HeapOp(op="create", id=3, kind="scalar", value=1, size_bytes=8),
-                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=3),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c3", direct_reads={"list1"}, ops=[
-                HeapOp(op="set_value", id=1, value=9),
-            ], declared_runtime_s=0.1),
-        ],
-    )
-    blind_session, _ = run_trace(swap, ablate=("no-idgraph",))
-    blind_plan = plan_session(blind_session)
-    path2 = tmp_path / "noidgraph.ckpt"
-    write_checkpoint(blind_session, blind_plan, path2)
-    wrong = verify(
-        blind_session.heap,
-        restore(read_checkpoint(path2), swap.programs()).session.heap,
-    )
+    swap = reference_swap_trace()
+    blind_session = hash_only_session(swap)
+    wrong = restored(blind_session, plan_session(blind_session), swap, "noidgraph.ckpt")
     assert not wrong.value_equivalent
+    full_session, _ = run_trace(swap)
+    assert restored(full_session, plan_session(full_session), swap, "idgraph.ckpt").isomorphic
     report(3, "no-linked split an alias (isomorphism violation); no-idgraph "
               "missed a reference swap (value-incorrect restore)")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statecut.monitor as monitor_mod
-from statecut.errors import CellExecutionError, StatecutError
+from statecut.errors import CellExecutionError
 from statecut.gen import GenParams, generate_trace
 from statecut.heap import HeapOp, build_id_graph, value_hash
 from statecut.history import VariableSnapshot
@@ -19,7 +19,7 @@ from statecut.monitor import (
 )
 from statecut.trace import new_session, run_trace
 
-from sessions import worked_example_trace
+from sessions import rescan, worked_example_trace
 
 
 def session_with(profile_bandwidth=1e6):
@@ -316,48 +316,19 @@ class TestWorkedExampleLineage:
         assert active["x"].t == 3 and active["l1"].t == 3 and active["big2d"].t == 5
 
 
-def rescan_cell(session, program) -> dict:
-    """The full rescan of one cell, on a copy of the session's heap: what
-    run_cell must report for it, and the objects left after a full sweep."""
+def rescan_cell(session, program) -> tuple:
+    """The full rescan of one cell, on a copy of the session's heap: the
+    record run_cell must make for it, and the objects left after a full sweep."""
     heap = copy.deepcopy(session.heap)
-    pre = PreSnapshot(heap)
-    failed = False
-    try:
-        mutation = heap.apply(program.ops)
-    except StatecutError as err:
-        mutation, failed = err.partial, True
-    use_id_graphs = session.use_id_graphs
-    accessed = detect_accesses(pre, program.direct_reads, touched=mutation.touched,
-                               use_id_graphs=use_id_graphs) & pre.names
-    changes = detect_modifications(
-        pre, heap, accessed, touched=mutation.touched, use_id_graphs=use_id_graphs,
-    )
-    created = changes["created"] | (mutation.unbound & pre.names & set(heap.namespace))
-    heap.collect_garbage()
-    return {
-        "accessed": {n for n in accessed
-                     if session.history.latest_snapshot(n, before=session.next_t) is not None},
-        "written": changes["modified"] - created,
-        "created": created,
-        "deleted": changes["deleted"],
-        "failed": failed,
-        "objects": set(heap.objects),
-    }
+    return rescan(heap, session.history, session.next_t, program), set(heap.objects)
 
 
-def monitored(session, program) -> dict:
+def monitored(session, program) -> tuple:
     try:
         rec = run_cell(session, program)
     except CellExecutionError as err:
         rec = err.record
-    return {
-        "accessed": {vs.name for vs in rec.accessed},
-        "written": rec.written,
-        "created": rec.created,
-        "deleted": rec.deleted,
-        "failed": rec.failed,
-        "objects": set(session.heap.objects),
-    }
+    return rec, set(session.heap.objects)
 
 
 def outside_mutation(heap, rng: random.Random) -> list[HeapOp]:
@@ -395,16 +366,15 @@ class TestIncrementalMatchesRescan:
         delete_rate=st.floats(0.0, 0.3),
         fail_rate=st.floats(0.0, 0.3),
         outside_rate=st.floats(0.0, 0.4),
-        use_id_graphs=st.booleans(),
     )
     def test_cell_by_cell(self, seed, alias_density, unhashable_rate, delete_rate,
-                          fail_rate, outside_rate, use_id_graphs):
+                          fail_rate, outside_rate):
         rng = random.Random(seed)
         trace = generate_trace(GenParams(
             cells=14, variables=rng.randint(3, 10), alias_density=alias_density,
             unhashable_rate=unhashable_rate, delete_rate=delete_rate, nondet_rate=0.1,
         ), seed)
-        session = new_session(trace.profile, use_id_graphs=use_id_graphs)
+        session = new_session(trace.profile)
         for program in trace.cells:
             if rng.random() < fail_rate and program.ops:
                 # a bad op mid-batch: the ops before it keep their effects
@@ -416,13 +386,12 @@ class TestIncrementalMatchesRescan:
             expected = rescan_cell(session, program)
             assert monitored(session, program) == expected, program.code_ref
 
-    def test_worked_example_and_ablation(self):
-        for ablate in ((), ("no-idgraph",)):
-            trace = worked_example_trace()
-            session = new_session(trace.profile, use_id_graphs=not ablate)
-            for program in trace.cells:
-                expected = rescan_cell(session, program)
-                assert monitored(session, program) == expected, (ablate, program.code_ref)
+    def test_worked_example(self):
+        trace = worked_example_trace()
+        session = new_session(trace.profile)
+        for program in trace.cells:
+            expected = rescan_cell(session, program)
+            assert monitored(session, program) == expected, program.code_ref
 
 
 class TestWorkCount:

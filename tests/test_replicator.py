@@ -37,7 +37,13 @@ from statecut.replicator import (
 from statecut.trace import TraceFile, run_trace, save_trace, trace_from_json, trace_to_json
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
-from sessions import worked_example_trace
+from sessions import (
+    aliased_pair_trace,
+    hash_only_session,
+    link_blind_plan,
+    reference_swap_trace,
+    worked_example_trace,
+)
 
 
 def read_manifest(path) -> dict:
@@ -217,12 +223,22 @@ class TestCheckpointFormat:
         lambda m: {**m, "next_t": True},
         lambda m: {**m, "next_t": 5},
         lambda m: with_leaf(m, ("history", "deleted"), {"x": 6}),
+        lambda m: with_leaf(m, ("history", "deleted"), {**m["history"]["deleted"], "x": 1}),
+        lambda m: with_leaf(m, ("history", "cells", 0, "writes"),
+                            m["history"]["cells"][0]["writes"] + [7]),
+        lambda m: with_leaf(m, ("history", "cells", 2, "reads", 0, 1), 1.0),
+        lambda m: {**m, "annotations": {"l1": "bogus"}},
+        lambda m: {**m, "annotations": {"v0": 5}},
+        lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "alpha"}},
+        lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "bandwidth"}},
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
             "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
             "runtime-negative", "runtime-infinite", "runtime-nan", "runtime-bool",
             "never-rerun-int", "nondeterministic-string", "next-t-string", "next-t-bool",
-            "next-t-not-after-last-cell", "next-t-not-after-tombstone"])
+            "next-t-not-after-last-cell", "next-t-not-after-tombstone", "stale-tombstone",
+            "write-not-a-string", "read-t-not-an-int", "annotation-unknown",
+            "annotation-not-a-string", "plan-without-alpha", "plan-without-bandwidth"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -401,6 +417,31 @@ class TestRestore:
         result = restore(read_checkpoint(path), trace.programs())
         for t in plan.rerun:
             assert result.session.history.cell(t).runtime_s == trace.cells[t - 1].declared_runtime_s
+
+    def test_linking_an_undeclared_name_s_object_reads_that_name(self, tmp_path):
+        # c3 declares only v0 but puts v2's object in a slot: it read v2, so
+        # rebuilding v0 must rerun c2's change to that object
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e-3), cells=[
+            CellProgram(code_ref="c1", ops=[
+                HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8),
+                HeapOp(op="bind", name="v2", id=1),
+                HeapOp(op="create", id=2, kind="scalar", value=0, size_bytes=8),
+                HeapOp(op="bind", name="v0", id=2),
+            ]),
+            CellProgram(code_ref="c2", direct_reads={"v2"}, ops=[
+                HeapOp(op="set_value", id=1, value=2),
+            ]),
+            CellProgram(code_ref="c3", direct_reads={"v0"}, ops=[
+                HeapOp(op="unbind", name="v2"),
+                HeapOp(op="create", id=3, kind="container", size_bytes=8),
+                HeapOp(op="set_slot", parent_id=3, slot="s0", child_id=1),
+                HeapOp(op="bind", name="v0", id=3),
+            ]),
+        ])
+        session, plan, path = checkpoint_roundtrip(tmp_path, trace)
+        assert plan.rerun == [1, 2, 3]
+        result = restore(read_checkpoint(path), trace.programs())
+        assert verify(session.heap, result.session.heap).isomorphic
 
     def test_missing_cell_program_reported(self, tmp_path):
         from statecut.errors import MissingCellProgram
@@ -857,28 +898,13 @@ class TestVerify:
 
 class TestAblations:
     def test_no_linked_splits_aliased_pair(self, tmp_path):
-        # price the pair so the unconstrained optimum migrates big2d but
-        # recomputes l1, splitting the alias across payload and rerun
-        cells = [
-            CellProgram(code_ref="c1", ops=[
-                HeapOp(op="create", id=1, kind="container", size_bytes=5),
-                HeapOp(op="create", id=2, kind="scalar", value=3, size_bytes=5),
-                HeapOp(op="set_slot", parent_id=1, slot="0", child_id=2),
-                HeapOp(op="bind", name="l1", id=1),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c2", direct_reads={"l1"}, ops=[
-                HeapOp(op="create", id=3, kind="container", size_bytes=1),
-                HeapOp(op="set_slot", parent_id=3, slot="0", child_id=1),
-                HeapOp(op="bind", name="big2d", id=3),
-            ], declared_runtime_s=50.0),
-        ]
-        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells)
+        trace = aliased_pair_trace()
         session, _ = run_trace(trace)
 
         honest = plan_session(session)
         assert honest.migrate in ({"l1", "big2d"}, set())
 
-        ablated = plan_session(session, ablate=("no-linked",))
+        ablated = link_blind_plan(session)
         assert ablated.migrate == {"big2d"}  # constraint violated on purpose
 
         path = tmp_path / "ablate.ckpt"
@@ -895,28 +921,10 @@ class TestAblations:
         assert verify(session.heap, good.session.heap).isomorphic
 
     def test_no_idgraph_restores_value_incorrectly(self, tmp_path):
-        # t2 swaps big2d's nested slot to a fresh value-equal list; hash-only
-        # monitoring misses it, so the stale lineage replays t3's mutation
-        # into the object big2d should no longer contain
-        cells = [
-            CellProgram(code_ref="c1", ops=[
-                HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8),
-                HeapOp(op="bind", name="list1", id=1),
-                HeapOp(op="create", id=2, kind="container", size_bytes=8),
-                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=1),
-                HeapOp(op="bind", name="big2d", id=2),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c2", direct_reads={"big2d"}, ops=[
-                HeapOp(op="create", id=3, kind="scalar", value=1, size_bytes=8),
-                HeapOp(op="set_slot", parent_id=2, slot="0", child_id=3),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c3", direct_reads={"list1"}, ops=[
-                HeapOp(op="set_value", id=1, value=9),
-            ], declared_runtime_s=0.1),
-        ]
-        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e-3), cells=cells)
-
-        session, _ = run_trace(trace, ablate=("no-idgraph",))
+        # hash-only monitoring misses c2's swap, so the stale lineage replays
+        # c3's mutation into the object big2d should no longer contain
+        trace = reference_swap_trace()
+        session = hash_only_session(trace)
         plan = plan_session(session)  # expensive storage: rerun everything
         assert plan.migrate == set()
         assert 2 not in plan.rerun  # the missed swap drops t2 from the lineage

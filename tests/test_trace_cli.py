@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import shlex
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from statecut.cli import main
+from statecut.cli import build_parser, main
 from statecut.errors import FormatError, StatecutError
 from statecut.gen import GenParams, generate_trace
 from statecut.planner import plan_session
@@ -25,7 +26,7 @@ from statecut.trace import (
 )
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
-from sessions import worked_example_trace
+from sessions import aliased_pair_trace, link_blind_plan, worked_example_trace
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "trace.schema.json").read_text())
 
@@ -231,28 +232,12 @@ class TestCliExitCodes:
 
     def test_verification_failure_exits_3(self, tmp_path):
         # a deliberately link-blind checkpoint of an aliased pair
-        from statecut.cost import CostProfile
-        from statecut.heap import HeapOp
-        from statecut.monitor import CellProgram
-        from statecut.trace import TraceFile
-
-        cells = [
-            CellProgram(code_ref="c1", ops=[
-                HeapOp(op="create", id=1, kind="container", size_bytes=5),
-                HeapOp(op="create", id=2, kind="scalar", value=3, size_bytes=5),
-                HeapOp(op="set_slot", parent_id=1, slot="0", child_id=2),
-                HeapOp(op="bind", name="l1", id=1),
-            ], declared_runtime_s=0.1),
-            CellProgram(code_ref="c2", direct_reads={"l1"}, ops=[
-                HeapOp(op="create", id=3, kind="container", size_bytes=1),
-                HeapOp(op="set_slot", parent_id=3, slot="0", child_id=1),
-                HeapOp(op="bind", name="big2d", id=3),
-            ], declared_runtime_s=50.0),
-        ]
+        trace = aliased_pair_trace()
         trace_path = tmp_path / "aliased.json"
-        save_trace(TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells), trace_path)
+        save_trace(trace, trace_path)
+        session, _ = run_trace(trace)
         ckpt = tmp_path / "broken.ckpt"
-        assert main(["checkpoint", str(trace_path), str(ckpt), "--ablate", "no-linked"]) == 0
+        write_checkpoint(session, link_blind_plan(session), ckpt)
         assert main(["verify", str(trace_path), str(ckpt)]) == 3
 
     def test_format_error_exits_4(self, tmp_path):
@@ -260,10 +245,6 @@ class TestCliExitCodes:
         bad.write_text('{"version": 1}')
         assert main(["run", str(bad)]) == 4
         assert main(["plan", str(bad)]) == 4
-
-    def test_unknown_ablation_exits_4(self, tmp_path):
-        path = self.seeded_trace(tmp_path)
-        assert main(["run", str(path), "--ablate", "no-gravity"]) == 4
 
     def test_gen_respects_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STATECUT_SEED", "77")
@@ -312,6 +293,17 @@ class TestCliExitCodes:
         assert data["cells"] == 60
         assert data["ahg_bytes"] > 0
         assert data["plan_ms"] >= 0
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        # every command the README documents is one the parser accepts
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.splitlines() if line.startswith("statecut ")]
+        assert len(commands) >= 8
+        for line in commands:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestSweep:
