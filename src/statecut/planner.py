@@ -13,12 +13,18 @@ there are at most as many as lineage read edges plus one per active
 variable. The min cut's sink side is the migrate set; its source-side cells
 form the rerun list. A variable none of whose options is finite lies on an
 all-infinite source-sink path.
+
+Dinic's algorithm solves the cut, in O(V^2 E): each phase levels the
+residual network by a breadth-first search from the source and pushes a
+blocking flow through the level graph by an iterative depth-first search.
+The plan is read from the source side that the final breadth-first search,
+the one that no longer reaches the sink, finds. That side is the same for
+every maximum flow, so the plan does not depend on the order of the arcs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .cost import CostModel
@@ -127,70 +133,130 @@ def build_flow_graph(
     return fg
 
 
-def _residual_bfs(
-    residual: dict[int, dict[int, float]], src: int, sink: int | None = None
-) -> dict[int, int]:
-    """Parent map of the nodes reachable from ``src`` along positive arcs,
-    in breadth-first order; the search stops as soon as it reaches ``sink``."""
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and v not in parent:
-                parent[v] = u
+def _arc_arrays(
+    arcs: dict[int, dict[int, float]], n: int
+) -> tuple[list[list[int]], list[int], list[float]]:
+    """The network as paired arc arrays: arc ``e`` runs to ``to[e]`` with
+    capacity ``cap[e]``, its reverse is arc ``e ^ 1``, and ``out[u]`` lists
+    the arcs leaving node ``u``. ``arcs`` holds both directions of every arc,
+    as ``FlowGraph.add_arc`` keeps it, so ``u -> v`` and ``v -> u`` become
+    one pair."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[float] = []
+    for u, targets in arcs.items():
+        out_u = out[u]
+        for v, c in targets.items():
+            if u < v:
+                out_u.append(len(to))
+                out[v].append(len(to) + 1)
+                to.append(v)
+                to.append(u)
+                cap.append(c)
+                cap.append(arcs[v][u])
+    return out, to, cap
+
+
+def _levels(
+    out: list[list[int]], to: list[int], cap: list[float], src: int, sink: int = -1
+) -> list[int]:
+    """Breadth-first distance from ``src`` along arcs of positive capacity,
+    -1 where unreached. The search stops as soon as it reaches ``sink``: by
+    then every node nearer than the sink has its level."""
+    level = [-1] * len(out)
+    level[src] = 0
+    queue = [src]
+    for u in queue:
+        d = level[u] + 1
+        for e in out[u]:
+            v = to[e]
+            if level[v] < 0 and cap[e] > 0:
+                level[v] = d
                 if v == sink:
-                    return parent
+                    return level
                 queue.append(v)
-    return parent
+    return level
 
 
 def _infeasible_variables(fg: FlowGraph) -> list[str]:
     """Active names on an all-infinite source-sink path: their linked group can
     neither migrate (infinite source arc) nor be recomputed (infinite path on
     to the sink, through a never-rerun cell or a forced migration)."""
-    arcs = fg.arcs
-    ahead = _residual_bfs(
-        {u: {v: c for v, c in out.items() if c == INF} for u, out in arcs.items()}, SRC
-    )
-    behind = _residual_bfs(
-        {v: {u: INF for u in out if arcs[u][v] == INF} for v, out in arcs.items()}, SINK
-    )
-    return [name for name, u in fg.vs_nodes.items() if u in ahead and u in behind]
+    out, to, cap = _arc_arrays(fg.arcs, len(fg.node_labels))
+    infinite = [c if c == INF else 0.0 for c in cap]
+    ahead = _levels(out, to, infinite, SRC)
+    # the reversed network: arc e is open where its partner e ^ 1 is infinite
+    behind = _levels(out, to, [infinite[e ^ 1] for e in range(len(cap))], SINK)
+    return [name for name, u in fg.vs_nodes.items() if ahead[u] >= 0 and behind[u] >= 0]
 
 
 def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
-    """Solve the network with BFS-selected augmenting paths and read the plan
-    off the residual src-side/sink-side partition.
+    """Solve the network with Dinic's algorithm and read the plan off the
+    source side of the final residual network.
+
+    Each phase builds a level graph by breadth-first search from the source,
+    stopping at the sink's level, then pushes a blocking flow through it by
+    an iterative depth-first search with current-arc pointers; a node the
+    search gets stuck at is dead for the rest of the phase. The distance to
+    the sink grows every phase, so there are at most V phases and O(V^2 E)
+    work. The last search finds no path and so reaches exactly the source
+    side of the minimum cut.
 
     Raises Infeasible when the cut value is infinite, naming the variables
     whose every option is infinite.
     """
-    residual = {u: dict(vs) for u, vs in fg.arcs.items()}
+    out, to, cap = _arc_arrays(fg.arcs, len(fg.node_labels))
     flow = 0.0
     while True:
-        parent = _residual_bfs(residual, SRC, SINK)
-        if SINK not in parent:
+        level = _levels(out, to, cap, SRC, SINK)
+        depth = level[SINK]
+        if depth < 0:
             break
-        path = []
-        v = SINK
-        while v != SRC:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(residual[u][v] for u, v in path)
-        if bottleneck == INF:
-            raise Infeasible(_infeasible_variables(fg))
-        for u, v in path:
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-        flow += bottleneck
+        current = [0] * len(out)  # next arc to try at each node
+        path: list[int] = []  # arcs from the source to u
+        u = SRC
+        while True:
+            if u == SINK:
+                # the first arc of least capacity is the first one the push
+                # saturates; the search backs up to its tail
+                bottleneck, first = INF, 0
+                for i, e in enumerate(path):
+                    if cap[e] < bottleneck:
+                        bottleneck, first = cap[e], i
+                if bottleneck == INF:
+                    raise Infeasible(_infeasible_variables(fg))
+                for e in path:
+                    cap[e] -= bottleneck
+                    cap[e ^ 1] += bottleneck
+                flow += bottleneck
+                u = to[path[first] ^ 1]
+                del path[first:]
+                continue
+            arcs = out[u]
+            end = len(arcs)
+            i = current[u]
+            d = level[u] + 1
+            while i < end:
+                e = arcs[i]
+                v = to[e]
+                if cap[e] > 0 and level[v] == d and (d < depth or v == SINK):
+                    break
+                i += 1
+            current[u] = i
+            if i < end:
+                path.append(e)
+                u = v
+            elif u == SRC:
+                break
+            else:
+                level[u] = -1  # a dead end: no arc leads into it again
+                u = to[path.pop() ^ 1]
+                current[u] += 1
 
-    # the last search found no path, so it reached the whole source side
-    src_side = parent
-    migrate = {name for name, u in fg.vs_nodes.items() if u not in src_side}
-    rerun = sorted(t for t, u in fg.ce_nodes.items() if u in src_side)
+    migrate = {name for name, u in fg.vs_nodes.items() if level[u] < 0}
+    rerun = sorted(t for t, u in fg.ce_nodes.items() if level[u] >= 0)
     # the cut's arcs summed in a fixed order: the flow's own sum follows the
-    # augmentation order, which follows set iteration and so the hash seed
+    # order of the pushes, and so the order of the arcs
     cut = sum(fg.arcs[SRC][fg.vs_nodes[n]] for n in sorted(migrate)) + sum(
         fg.arcs[fg.ce_nodes[t]][SINK] for t in rerun
     )

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -291,6 +293,54 @@ class TestAboveBruteForceBound:
             feasible += 1
         assert feasible >= 40 and infeasible >= 5
 
+    def test_matches_closure_network_on_rerun_heavy_shape(self):
+        # the recompute benchmark's shape, shortened: a slow channel and a
+        # restore-centric alpha make a rerun-heavy plan whose flow takes
+        # the solver 5 or more level-graph phases (sink distance 3 to 7+)
+        for seed in range(3):
+            trace = generate_trace(GenParams(
+                cells=120, variables=60, alias_density=0.8, unserializable_rate=0.05,
+                delete_rate=0.02, bandwidth_bytes_per_s=1e4, alpha=0.05,
+            ), seed)
+            session, cost, linked = planner_inputs(trace)
+            args = (session.history, cost, linked, set(), set())
+            plan = min_cut_plan(build_flow_graph(*args))
+            assert len(plan.rerun) > len(plan.migrate)
+            assert plan.cost_s == pytest.approx(
+                nx.minimum_cut_value(closure_network(*args), "src", "sink"), rel=1e-9, abs=1e-9
+            )
+
+
+class TestDeepNetwork:
+    def test_chain_deeper_than_recursion_limit(self):
+        # 3000 cells each rebinding x from the one before: every cell is
+        # live and the network is a 3000-arc path from x to the first cell
+        depth = 3000
+        cells = [CellProgram(code_ref="c0", declared_runtime_s=0.5, ops=[
+            HeapOp(op="create", id=1, kind="scalar", value=0, size_bytes=1000),
+            HeapOp(op="bind", name="x", id=1),
+        ])] + [
+            CellProgram(code_ref=f"c{i}", direct_reads={"x"}, declared_runtime_s=0.5, ops=[
+                HeapOp(op="create", id=i + 1, kind="scalar", value=i, size_bytes=1000),
+                HeapOp(op="bind", name="x", id=i + 1),
+            ])
+            for i in range(1, depth)
+        ]
+        from statecut.cost import CostProfile
+        from statecut.trace import TraceFile
+
+        session, _ = run_trace(TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells))
+        assert depth > sys.getrecursionlimit()
+        assert len(session.history.live_cells()) == depth
+        rerun_all = 0.5 * depth
+        for bandwidth, migrates in ((1.0, False), (1e9, True)):
+            plan = plan_session(session, bandwidth=bandwidth)
+            migrate_s = session_cost_model(session, bandwidth=bandwidth).migration_seconds("x")
+            assert (migrate_s < rerun_all) == migrates
+            assert plan.cost_s == min(migrate_s, rerun_all)
+            assert plan.migrate == ({"x"} if migrates else set())
+            assert plan.rerun == ([] if migrates else list(range(1, depth + 1)))
+
 
 class TestBaselines:
     def test_unserializable_breaks_copy_all_not_min_cut(self):
@@ -432,6 +482,38 @@ class TestDeterminism:
             plans.append(min_cut_plan(build_flow_graph(session.history, cost, linked)))
         assert all(p.migrate == plans[0].migrate for p in plans)
         assert all(p.rerun == plans[0].rerun for p in plans)
+
+    def test_arc_order_does_not_change_plan(self):
+        # the plan is the final residual search's source side, which every
+        # maximum flow shares, so the order the solver meets the arcs in
+        # moves neither the partition nor the fixed-order cut sum
+        shapes = [
+            dict(cells=200, variables=300, alias_density=0.3, unserializable_rate=0.05,
+                 undeserializable_rate=0.25, delete_rate=0.02, bandwidth_bytes_per_s=1e8),
+            dict(cells=150, variables=60, alias_density=0.8, unserializable_rate=0.05,
+                 delete_rate=0.02, bandwidth_bytes_per_s=1e4, alpha=0.05),
+        ]
+        mixed = 0
+        for shape in shapes:
+            for seed in range(4):
+                session, cost, linked = planner_inputs(generate_trace(GenParams(**shape), seed))
+                fg = build_flow_graph(session.history, cost, linked)
+                plan = min_cut_plan(fg)
+                mixed += bool(plan.migrate and plan.rerun)
+                rng = random.Random(seed)
+                for _ in range(3):
+                    order = list(fg.arcs)
+                    rng.shuffle(order)
+                    arcs = {}
+                    for u in order:
+                        targets = list(fg.arcs[u].items())
+                        rng.shuffle(targets)
+                        arcs[u] = dict(targets)
+                    shuffled = min_cut_plan(replace(fg, arcs=arcs))
+                    assert shuffled.migrate == plan.migrate
+                    assert shuffled.rerun == plan.rerun
+                    assert shuffled.cost_s.hex() == plan.cost_s.hex()
+        assert mixed >= 6
 
     def test_plan_json_round_trip(self):
         from statecut.planner import ReplicationPlan
