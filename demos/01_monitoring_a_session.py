@@ -83,5 +83,5 @@ record = run_cell(session, CellProgram(
 print("\nswapping table[0] for a value-equal copy:")
 print("   modified:", sorted(record.written), "(values identical, structure not)")
 print("\nlineage after", len(session.history.cells), "cells:",
-      sum(len(v) for v in session.history.snapshots.values()), "snapshots,",
+      sum(len(v) for v in session.history.writes.values()), "snapshots,",
       sum(len(v) for v in session.history.reads.values()), "read edges")

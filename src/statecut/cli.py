@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: run, plan, checkpoint, restore, verify, sweep, gen, bench.
-Exit codes: 0 success, 2 infeasible plan, 3 verification failure,
-4 malformed trace or checkpoint.
+Exit codes: 0 success, 1 any other error (a file that cannot be read or
+written, a failed restore), 2 infeasible plan or usage error, 3 verification
+failure, 4 malformed trace or checkpoint.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def _bandwidths(text: str) -> list[float]:
     return [_positive(part) for part in text.split(",")]
 
 
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        message = f"{text!r} is not an integer (from --seed or $STATECUT_SEED)"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _plan_kwargs(args) -> dict:
     return {
         "alpha": args.alpha,
@@ -79,7 +88,7 @@ def cmd_run(args) -> int:
         len(v) for v in history.writes.values()
     )
     print(f"cells executed:   {len(history.cells)}")
-    print(f"history graph:    {sum(len(v) for v in history.snapshots.values())} snapshots, "
+    print(f"history graph:    {sum(len(v) for v in history.writes.values())} snapshots, "
           f"{len(history.cells)} cell executions, {edges} edges")
     active = history.active_snapshots()
     print(f"active variables: {', '.join(sorted(active)) or '(none)'}")
@@ -178,7 +187,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("STATECUT_SEED", "0"))
     params = GenParams(
         cells=args.cells,
         variables=args.variables,
@@ -188,9 +196,9 @@ def cmd_gen(args) -> int:
         never_rerun_rate=args.never_rerun_rate,
         nondet_rate=args.nondet_rate,
     )
-    trace = generate_trace(params, seed)
+    trace = generate_trace(params, args.seed)
     save_trace(trace, args.out)
-    print(f"wrote {args.out} ({params.cells} cells, seed {seed})")
+    print(f"wrote {args.out} ({params.cells} cells, seed {args.seed})")
     return EXIT_OK
 
 
@@ -292,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random session trace")
     p.add_argument("out")
-    p.add_argument("--seed", type=int, default=None, help="defaults to $STATECUT_SEED or 0")
+    # a string default goes through _seed too, so a bad $STATECUT_SEED is a usage error
+    p.add_argument("--seed", type=_seed, default=os.environ.get("STATECUT_SEED", "0"),
+                   help="defaults to $STATECUT_SEED or 0")
     p.add_argument("--cells", type=int, default=8)
     p.add_argument("--variables", type=int, default=6)
     p.add_argument("--alias-density", type=float, default=0.3)
@@ -321,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except StatecutError as err:
+    except (StatecutError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

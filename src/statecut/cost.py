@@ -37,12 +37,12 @@ class CostProfile:
     store_bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        # "not x > 0" rather than "x <= 0", so that NaN fails too
+        # "not a < x < b" rather than "x <= a or x >= b", so that NaN fails too
         store = self.store_bandwidth_bytes_per_s
-        if not self.bandwidth_bytes_per_s > 0 or (store is not None and not store > 0):
-            raise ValueError("bandwidths must be positive")
-        if not (self.latency_s >= 0 and self.alpha >= 0):
-            raise ValueError("latency and alpha must be non-negative")
+        if not 0 < self.bandwidth_bytes_per_s < INF or (store is not None and not 0 < store < INF):
+            raise ValueError("bandwidths must be positive and finite")
+        if not (0 <= self.latency_s < INF and 0 <= self.alpha < INF):
+            raise ValueError("latency and alpha must be finite and non-negative")
 
     @property
     def store_bandwidth(self) -> float:

@@ -11,7 +11,6 @@ the reconstruction superset guarantee.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from itertools import count
 
@@ -244,9 +243,9 @@ def inject_false_edges(
     graph stays well-formed, and reconstruction must stay correct, only
     potentially costlier.
     """
-    all_vs = [vs for versions in history.snapshots.values() for vs in versions]
     if not history.cells:
         return
+    all_vs = _all_versions(history)
     for _ in range(reads):
         cell = rng.choice(history.cells)
         candidates = [vs for vs in all_vs if vs.t < cell.t]
@@ -254,19 +253,29 @@ def inject_false_edges(
             history.reads[cell.t].add(rng.choice(candidates))
     for _ in range(writes):
         cell = rng.choice(history.cells)
+        versions: dict[str, list[VariableSnapshot]] = {}
+        for vs in _all_versions(history):
+            versions.setdefault(vs.name, []).append(vs)
         names = [
             name
-            for name, versions in sorted(history.snapshots.items())
-            if versions
-            and versions[0].t < cell.t
-            and all(vs.t != cell.t for vs in versions)
+            for name, written in versions.items()
+            if written[0].t < cell.t
+            and all(vs.t != cell.t for vs in written)
             and (name not in history.deleted or cell.t < history.deleted[name])
         ]
         if not names:
             continue
         name = rng.choice(names)
-        prev = history.latest_snapshot(name, before=cell.t)
+        prev = max(vs for vs in versions[name] if vs.t < cell.t)
         fake = VariableSnapshot(name, cell.t)
-        insort(history.snapshots[name], fake)
         history.writes[cell.t].add(fake)
         history.reads[cell.t].add(prev)
+        if fake.t > history.latest[name].t:
+            history.latest[name] = fake
+
+
+def _all_versions(history: HistoryGraph) -> list[VariableSnapshot]:
+    """Every written snapshot, injected ones included, sorted by name, then t.
+    The injector draws from this order rather than from set order, so its
+    choices do not depend on the hash seed."""
+    return sorted(vs for written in history.writes.values() for vs in written)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable
 
 
-@dataclass(frozen=True, order=True)
-class VariableSnapshot:
+class VariableSnapshot(NamedTuple):
     """The version of ``name`` created or modified at timestamp ``t``."""
 
     name: str
@@ -56,9 +56,9 @@ class HistoryGraph:
     def __init__(self) -> None:
         self.cells: list[CellExecution] = []
         self._cell_by_t: dict[int, CellExecution] = {}
-        self.snapshots: dict[str, list[VariableSnapshot]] = {}  # per name, t-ascending
         self.reads: dict[int, set[VariableSnapshot]] = {}  # cell t -> snapshots read
         self.writes: dict[int, set[VariableSnapshot]] = {}  # cell t -> snapshots written
+        self.latest: dict[str, VariableSnapshot] = {}  # name -> last write; older ones only in writes
         self.deleted: dict[str, int] = {}  # name -> tombstone t
 
     # -- construction -------------------------------------------------------
@@ -83,7 +83,7 @@ class HistoryGraph:
         written = set()
         for name in rec.written | rec.created:
             vs = VariableSnapshot(name, rec.t)
-            self.snapshots.setdefault(name, []).append(vs)
+            self.latest[name] = vs
             self.deleted.pop(name, None)
             written.add(vs)
         self.writes[rec.t] = written
@@ -97,25 +97,9 @@ class HistoryGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def latest_snapshot(self, name: str, before: int | None = None) -> VariableSnapshot | None:
-        """Most recent snapshot of ``name``, optionally strictly before ``before``."""
-        versions = self.snapshots.get(name)
-        if not versions:
-            return None
-        if before is None:
-            return versions[-1]
-        for vs in reversed(versions):
-            if vs.t < before:
-                return vs
-        return None
-
     def active_snapshots(self) -> dict[str, VariableSnapshot]:
         """Latest snapshot of every non-deleted variable."""
-        return {
-            name: versions[-1]
-            for name, versions in self.snapshots.items()
-            if versions and name not in self.deleted
-        }
+        return {name: vs for name, vs in self.latest.items() if name not in self.deleted}
 
     def rerun_cells_from(
         self,
@@ -238,8 +222,8 @@ class HistoryGraph:
             written |= graph.writes[cell.t]
         deleted = dict(data["deleted"])
         for name, t in deleted.items():
-            versions = graph.snapshots.get(name)
-            if not versions or type(t) is not int or t <= versions[-1].t:
+            last = graph.latest.get(name)
+            if last is None or type(t) is not int or t <= last.t:
                 raise FormatError(f"tombstone {name!r} at t={t!r} does not follow a write of the name")
         graph.deleted = deleted
         return graph

@@ -39,7 +39,7 @@ from .heap import (
     subgraph_hash,
     value_hash,
 )
-from .history import CellRecord, HistoryGraph, VariableSnapshot
+from .history import CellRecord, HistoryGraph
 
 
 @dataclass
@@ -262,11 +262,9 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     created |= {name for name in mutation.unbound if name in heap.namespace}
     modified -= created
 
-    accessed_vses: set[VariableSnapshot] = set()
-    for name in accessed:
-        vs = session.history.latest_snapshot(name, before=t)
-        if vs is not None:
-            accessed_vses.add(vs)
+    # every recorded write precedes t, so a name's last write is what the cell read
+    latest = session.history.latest
+    accessed_vses = {latest[name] for name in accessed if name in latest}
 
     record = CellRecord(
         t=t,

@@ -216,8 +216,8 @@ def trace_from_json(data: dict) -> TraceFile:
 
 def load_trace(path: str | Path) -> TraceFile:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        data = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FormatError(f"{path}: not valid JSON ({err})") from err
     return trace_from_json(data)
 

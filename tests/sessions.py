@@ -233,12 +233,11 @@ def rescan(heap: SimHeap, history: HistoryGraph, t: int, program: CellProgram,
     )
     created = changes["created"] | (mutation.unbound & pre.names & set(heap.namespace))
     heap.collect_garbage()
-    snapshots = (history.latest_snapshot(name, before=t) for name in accessed)
     return CellRecord(
         t=t,
         code_ref=program.code_ref,
         runtime_s=program.declared_runtime_s,
-        accessed={vs for vs in snapshots if vs is not None},
+        accessed={history.latest[name] for name in accessed if name in history.latest},
         written=changes["modified"] - created,
         created=created,
         deleted=changes["deleted"],

@@ -1,9 +1,11 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 from copy import deepcopy
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -49,7 +51,7 @@ class TestRecord:
         graph = HistoryGraph()
         graph.record(record(1, written={"x"}))
         assert vs("x", 1) in graph.writes[1]
-        assert graph.snapshots["x"] == [vs("x", 1)]
+        assert graph.latest["x"] == vs("x", 1)
 
     def test_empty_cell(self):
         graph = HistoryGraph()
@@ -188,13 +190,19 @@ class TestBlockingCell:
             "except Unreconstructable as err:\n"
             "    print(err.blocked_at, err.name)\n"
         )
-        src = str(Path(statecut.__file__).resolve().parents[1])
-        env_path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         for hash_seed in ("0", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=env_path)
-            run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
-                                 env=env, capture_output=True, text=True, timeout=60, check=True)
-            assert run.stdout.split() == ["2", "q1"], hash_seed
+            assert run_under_hash_seed(script, hash_seed).split() == ["2", "q1"], hash_seed
+
+
+def run_under_hash_seed(script: str, hash_seed: str) -> str:
+    """The output of ``script`` run in a fresh interpreter under ``hash_seed``,
+    with this directory as its ``sys.argv[1]``."""
+    src = str(Path(statecut.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=env_path)
+    run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    return run.stdout
 
 
 def _oracle_closure(graph, target, ground):
@@ -282,6 +290,22 @@ class TestSupersetUnderInjection:
                 grown = {c.t for c in injected.rerun_cells_from({new_active}, set())}
                 assert base <= grown
 
+    def test_injection_is_the_same_under_every_hash_seed(self):
+        # on this session, drawing candidates in set order gives different
+        # edges under hash seeds 0 and 2
+        script = (
+            "import random\n"
+            "from statecut.gen import GenParams, generate_trace, inject_false_edges\n"
+            "from statecut.trace import run_trace\n"
+            "session, _ = run_trace(generate_trace(GenParams(cells=10, variables=6), 503))\n"
+            "graph = session.history\n"
+            "inject_false_edges(graph, random.Random(3), reads=4, writes=2)\n"
+            "for t in sorted(graph.reads):\n"
+            "    print(t, sorted(graph.reads[t]), sorted(graph.writes[t]))\n"
+            "print(sorted(graph.active_snapshots().values()))\n"
+        )
+        assert run_under_hash_seed(script, "0") == run_under_hash_seed(script, "2")
+
 
 class TestLiveCells:
     def graph(self):
@@ -351,3 +375,21 @@ class TestManifestRoundTrip:
         slim, _ = run_trace(trace_with(2))
         wide, _ = run_trace(trace_with(200))
         assert history_memory_bytes(wide.history) == history_memory_bytes(slim.history)
+
+    def test_memory_counts_everything_the_lineage_holds(self):
+        # the collector's view of every object the lineage references: a
+        # __slots__ class, whose fields history_memory_bytes cannot see,
+        # would make the measure fall short of it
+        from statecut.cli import history_memory_bytes
+
+        session, _ = run_trace(generate_trace(GenParams(cells=300, variables=30, delete_rate=0.05), 3))
+        measured = history_memory_bytes(session.history)
+        seen, stack, held = set(), [session.history], 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+                continue
+            seen.add(id(obj))
+            held += sys.getsizeof(obj)
+            stack.extend(gc.get_referents(obj))
+        assert abs(measured - held) <= 0.01 * held, (measured, held)

@@ -231,6 +231,7 @@ class TestCheckpointFormat:
         lambda m: {**m, "annotations": {"v0": 5}},
         lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "alpha"}},
         lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "bandwidth"}},
+        lambda m: {**m, "profile": {**m["profile"], "alpha": math.inf}},  # JSON Infinity
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
             "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
@@ -238,7 +239,8 @@ class TestCheckpointFormat:
             "never-rerun-int", "nondeterministic-string", "next-t-string", "next-t-bool",
             "next-t-not-after-last-cell", "next-t-not-after-tombstone", "stale-tombstone",
             "write-not-a-string", "read-t-not-an-int", "annotation-unknown",
-            "annotation-not-a-string", "plan-without-alpha", "plan-without-bandwidth"])
+            "annotation-not-a-string", "plan-without-alpha", "plan-without-bandwidth",
+            "profile-alpha-infinite"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)

@@ -78,6 +78,10 @@ class TestTraceFormat:
         lambda d: d["profile"].update(store_bandwidth_bytes_per_s=math.nan),
         lambda d: d["profile"].update(latency_s=math.nan),
         lambda d: d["profile"].update(alpha=math.nan),
+        lambda d: d["profile"].update(bandwidth_bytes_per_s=math.inf),
+        lambda d: d["profile"].update(store_bandwidth_bytes_per_s=math.inf),
+        lambda d: d["profile"].update(latency_s=math.inf),
+        lambda d: d["profile"].update(alpha=math.inf),
         # a checkpoint of the session would hold the runtime, which must be finite
         lambda d: d["cells"][0].update(declared_runtime_s=math.inf),
         # an id created again by a later cell (the original run fails with
@@ -245,6 +249,28 @@ class TestCliExitCodes:
         bad.write_text('{"version": 1}')
         assert main(["run", str(bad)]) == 4
         assert main(["plan", str(bad)]) == 4
+        bad.write_bytes(b'\xff{"version": 1}')  # not UTF-8
+        assert main(["run", str(bad)]) == 4
+
+    def test_infinite_profile_exits_4(self, tmp_path):
+        # an infinite channel used to reach the planner: a NaN cut value, or
+        # "alpha": Infinity in the printed plan
+        data = trace_to_json(worked_example_trace())
+        path = tmp_path / "inf.json"
+        for profile in ({"bandwidth_bytes_per_s": 1e400, "alpha": 1e400},
+                        {"bandwidth_bytes_per_s": 1.0, "alpha": 1e400}):
+            path.write_text(json.dumps({**data, "profile": profile}))
+            assert main(["plan", str(path)]) == 4
+
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_integer_env_seed_is_a_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STATECUT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", str(tmp_path / "a.json")])
+        assert exc.value.code == 2
 
     def test_gen_respects_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STATECUT_SEED", "77")
