@@ -82,6 +82,7 @@ record = run_cell(session, CellProgram(
 ))
 print("\nswapping table[0] for a value-equal copy:")
 print("   modified:", sorted(record.written), "(values identical, structure not)")
-print("\nlineage after", len(session.history.cells), "cells:",
-      sum(len(v) for v in session.history.writes.values()), "snapshots,",
-      sum(len(v) for v in session.history.reads.values()), "read edges")
+history = session.history
+print("\nlineage after", history.recorded_cells, "cells: keeps", len(history.cells), "live cells,",
+      sum(len(v) for v in history.writes.values()), "snapshots,",
+      sum(len(v) for v in history.reads.values()), "read edges")

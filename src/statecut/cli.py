@@ -48,6 +48,23 @@ def _positive(text: str) -> float:
     return _channel_number(text, positive=True)
 
 
+def _rate(text: str) -> float:
+    value = _non_negative(text)
+    if value > 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rate between 0 and 1")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _bandwidths(text: str) -> list[float]:
     return [_positive(part) for part in text.split(",")]
 
@@ -84,12 +101,10 @@ def cmd_run(args) -> int:
     trace = load_trace(args.trace)
     session, records = run_trace(trace)
     history = session.history
-    edges = sum(len(v) for v in history.reads.values()) + sum(
-        len(v) for v in history.writes.values()
-    )
-    print(f"cells executed:   {len(history.cells)}")
-    print(f"history graph:    {sum(len(v) for v in history.writes.values())} snapshots, "
-          f"{len(history.cells)} cell executions, {edges} edges")
+    snapshots = sum(len(v) for v in history.writes.values())
+    edges = snapshots + sum(len(v) for v in history.reads.values())
+    print(f"cells executed:   {history.recorded_cells}")
+    print(f"live lineage:     {snapshots} snapshots, {len(history.cells)} cells, {edges} edges")
     active = history.active_snapshots()
     print(f"active variables: {', '.join(sorted(active)) or '(none)'}")
     for rec in records:
@@ -303,17 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through _seed too, so a bad $STATECUT_SEED is a usage error
     p.add_argument("--seed", type=_seed, default=os.environ.get("STATECUT_SEED", "0"),
                    help="defaults to $STATECUT_SEED or 0")
-    p.add_argument("--cells", type=int, default=8)
-    p.add_argument("--variables", type=int, default=6)
-    p.add_argument("--alias-density", type=float, default=0.3)
-    p.add_argument("--unserializable-rate", type=float, default=0.1)
-    p.add_argument("--undeserializable-rate", type=float, default=0.0)
-    p.add_argument("--never-rerun-rate", type=float, default=0.0)
-    p.add_argument("--nondet-rate", type=float, default=0.0)
+    p.add_argument("--cells", type=_count, default=8)
+    p.add_argument("--variables", type=_count, default=6)
+    p.add_argument("--alias-density", type=_rate, default=0.3)
+    p.add_argument("--unserializable-rate", type=_rate, default=0.1)
+    p.add_argument("--undeserializable-rate", type=_rate, default=0.0)
+    p.add_argument("--never-rerun-rate", type=_rate, default=0.0)
+    p.add_argument("--nondet-rate", type=_rate, default=0.0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="scalability probe: lineage memory and planning time")
-    p.add_argument("--cells", type=int, default=2000)
+    p.add_argument("--cells", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -8,7 +8,8 @@ class StatecutError(Exception):
 
 
 class UnknownVariable(StatecutError):
-    """A variable name is not bound in the heap namespace."""
+    """A variable name is not bound in the heap namespace, or a cell reads a
+    snapshot of it that no live cell of the lineage wrote."""
 
 
 class UnknownObject(StatecutError):

@@ -237,22 +237,24 @@ def inject_false_edges(
 ) -> None:
     """Add false-positive dependencies to a lineage graph in place.
 
-    Injected read edges claim a cell consumed a snapshot it never touched;
-    injected writes add a spurious snapshot paired with a read of the prior
-    version, the way an over-cautious modified-on-access call would. The
-    graph stays well-formed, and reconstruction must stay correct, only
-    potentially costlier.
+    Injected read edges claim a cell consumed a snapshot it never touched:
+    the last kept version of a name before the cell, as a monitor that
+    over-reports would. Injected writes add a spurious snapshot paired with
+    a read of the prior version, the way an over-cautious modified-on-access
+    call would. The graph stays well-formed, its references counted, and
+    reconstruction must stay correct, only potentially costlier.
     """
     if not history.cells:
         return
+    cells = list(history.cells.values())
     all_vs = _all_versions(history)
     for _ in range(reads):
-        cell = rng.choice(history.cells)
-        candidates = [vs for vs in all_vs if vs.t < cell.t]
-        if candidates:
-            history.reads[cell.t].add(rng.choice(candidates))
+        cell = rng.choice(cells)
+        last = {vs.name: vs for vs in all_vs if vs.t < cell.t}
+        if last:
+            _add_read(history, cell.t, rng.choice(list(last.values())))
     for _ in range(writes):
-        cell = rng.choice(history.cells)
+        cell = rng.choice(cells)
         versions: dict[str, list[VariableSnapshot]] = {}
         for vs in _all_versions(history):
             versions.setdefault(vs.name, []).append(vs)
@@ -269,9 +271,20 @@ def inject_false_edges(
         prev = max(vs for vs in versions[name] if vs.t < cell.t)
         fake = VariableSnapshot(name, cell.t)
         history.writes[cell.t].add(fake)
-        history.reads[cell.t].add(prev)
+        _add_read(history, cell.t, prev)
         if fake.t > history.latest[name].t:
             history.latest[name] = fake
+            if name not in history.deleted:
+                # the active snapshot moves from prev to fake; prev's producer
+                # keeps the reference of the read just added
+                history.refs[cell.t] += 1
+                history.refs[prev.t] -= 1
+
+
+def _add_read(history: HistoryGraph, t: int, vs: VariableSnapshot) -> None:
+    if vs not in history.reads[t]:
+        history.reads[t].add(vs)
+        history.refs[vs.t] += 1
 
 
 def _all_versions(history: HistoryGraph) -> list[VariableSnapshot]:

@@ -5,16 +5,19 @@ from the cell that finished at timestamp ``t`` to the ``(name, t)`` snapshots
 it produced; read edges run from the snapshots a cell consumed to the cell.
 From it we derive the active snapshot of every live variable and the ordered
 cell list needed to rebuild any snapshot from a set of available variables.
-Its manifest form keeps only the live cells, the ones such a list can hold.
+It keeps only the live cells, the ones such a list can hold: recording a
+cell drops every cell that no active snapshot needs any more, so its
+manifest form is the graph as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
-from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable
+from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
 
 
 class VariableSnapshot(NamedTuple):
@@ -22,6 +25,11 @@ class VariableSnapshot(NamedTuple):
 
     name: str
     t: int
+
+
+# builds a VariableSnapshot from a (name, t) pair in C, without the
+# Python-level __new__ that NamedTuple generates; both give the same tuple
+_new_snapshot = partial(tuple.__new__, VariableSnapshot)
 
 
 @dataclass
@@ -51,24 +59,34 @@ class CellRecord(CellExecution):
 
 
 class HistoryGraph:
-    """Incrementally built lineage of one session."""
+    """Incrementally built lineage of one session, pruned as it grows.
+
+    A cell is live while it has a reference: one for each of its written
+    snapshots that is active, one for each read of its snapshots by a live
+    cell. Later cells read only active snapshots, so a cell that loses its
+    last reference stays dead, and dropping it releases the producers of
+    what it read. The live cells are then exactly the backward closure of
+    the active snapshots. Running totals over every recorded cell keep the
+    cost of rerunning the whole session."""
 
     def __init__(self) -> None:
-        self.cells: list[CellExecution] = []
-        self._cell_by_t: dict[int, CellExecution] = {}
+        self.cells: dict[int, CellExecution] = {}  # t -> live cell, in t order
         self.reads: dict[int, set[VariableSnapshot]] = {}  # cell t -> snapshots read
         self.writes: dict[int, set[VariableSnapshot]] = {}  # cell t -> snapshots written
         self.latest: dict[str, VariableSnapshot] = {}  # name -> last write; older ones only in writes
         self.deleted: dict[str, int] = {}  # name -> tombstone t
+        self.refs: dict[int, int] = {}  # cell t -> references that keep it live
+        self.last_t: int | None = None  # the last recorded cell's t, live or not
+        self.recorded_cells = 0  # every cell ever recorded
+        # their rerun seconds (CostModel.rerun_seconds), from int 0 as sum() adds them
+        self.recorded_rerun_s = 0
 
     # -- construction -------------------------------------------------------
 
     def record(self, rec: CellRecord) -> CellExecution:
-        """Append one cell execution and its read/write dependencies."""
-        if self.cells and rec.t <= self.cells[-1].t:
-            raise NonMonotonicTimestamp(
-                f"timestamp {rec.t} not after {self.cells[-1].t}"
-            )
+        """Append one cell execution and its read/write dependencies, and
+        drop the cells it leaves dead (itself, when it writes nothing);
+        raises UnknownVariable when it reads a snapshot no live cell wrote."""
         cell = CellExecution(
             t=rec.t,
             code_ref=rec.code_ref,
@@ -77,23 +95,59 @@ class HistoryGraph:
             nondeterministic=rec.nondeterministic,
             failed_at=rec.failed_at,
         )
-        self.cells.append(cell)
-        self._cell_by_t[rec.t] = cell
-        self.reads[rec.t] = {vs for vs in rec.accessed if vs.t < rec.t}
-        written = set()
-        for name in rec.written | rec.created:
-            vs = VariableSnapshot(name, rec.t)
-            self.latest[name] = vs
-            self.deleted.pop(name, None)
-            written.add(vs)
-        self.writes[rec.t] = written
-        for name in rec.deleted:
-            if name not in rec.written and name not in rec.created:
-                self.deleted[name] = rec.t
+        self._add(cell, set(rec.accessed), rec.written | rec.created, rec.deleted)
         return cell
 
-    def cell(self, t: int) -> CellExecution:
-        return self._cell_by_t[t]
+    def _add(self, cell: CellExecution, reads: set[VariableSnapshot],
+             written: set[str], deleted: set[str]) -> None:
+        """The one recording step of ``record`` and ``from_manifest``; takes
+        ownership of ``reads``."""
+        t = cell.t
+        if self.last_t is not None and t <= self.last_t:
+            raise NonMonotonicTimestamp(f"timestamp {t} not after {self.last_t}")
+        refs, latest, tombstones, writes_of = self.refs, self.latest, self.deleted, self.writes
+        for vs in reads:
+            if vs not in writes_of.get(vs.t, ()):
+                unwritten = sorted(f"{vs.name}@{vs.t}" for vs in reads if vs not in writes_of.get(vs.t, ()))
+                raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote")
+        self.last_t = t
+        self.recorded_cells += 1
+        self.recorded_rerun_s += math.inf if cell.never_rerun else cell.runtime_s
+        self.cells[t] = cell
+        self.reads[t] = reads
+        for vs in reads:
+            refs[vs.t] += 1
+        # one reference more than the cell's writes, released below with the
+        # producers of the snapshots it supersedes
+        release = [t]
+        writes = set()
+        for name in written:
+            vs = _new_snapshot((name, t))
+            writes.add(vs)
+            old = latest.get(name)
+            if tombstones.pop(name, None) is None and old is not None:
+                release.append(old.t)
+            latest[name] = vs
+        writes_of[t] = writes
+        refs[t] = len(writes) + 1
+        for name in deleted:
+            if name not in written:
+                if name not in tombstones and name in latest:
+                    release.append(latest[name].t)
+                tombstones[name] = t
+        self._release(release)
+
+    def _release(self, stack: list[int]) -> None:
+        """Drop one reference to each cell in ``stack``. A cell left without
+        any is dropped with its edges, and releases the producers of the
+        snapshots it read."""
+        refs = self.refs
+        while stack:
+            t = stack.pop()
+            refs[t] -= 1
+            if not refs[t]:
+                del refs[t], self.cells[t], self.writes[t]
+                stack.extend(vs.t for vs in self.reads.pop(t))
 
     # -- queries ------------------------------------------------------------
 
@@ -130,57 +184,56 @@ class HistoryGraph:
             fresh = self.reads.get(t, set()) - seen - ground_vses
             seen |= fresh
             stack.extend(fresh)
+        cells = self.cells
         if require_rerunnable:
-            cells = self._cell_by_t
             blocked = [t for t in need if cells[t].never_rerun or cells[t].nondeterministic]
             if blocked:
                 t = max(blocked)
                 raise Unreconstructable(min(vs.name for vs in seen if vs.t == t), blocked_at=t)
-        return [self._cell_by_t[t] for t in sorted(need)]
-
-    def live_cells(self) -> list[CellExecution]:
-        """The cells in the backward closure of the active snapshots, sorted
-        by completion time: the only cells any plan or restore fallback can
-        rerun. Later cells read only active snapshots, so a dead cell stays
-        dead."""
-        return self.rerun_cells_from(set(self.active_snapshots().values()), set())
+        return [cells[t] for t in sorted(need)]
 
     # -- serialization ------------------------------------------------------
 
     def to_manifest(self) -> dict:
-        """The live cells with their edges, and the tombstones of the names
-        they write: enough to rebuild every active snapshot, and the same
-        active set as the whole lineage."""
+        """The cells with their edges, the tombstones of the names they
+        write, and the totals over every recorded cell."""
         cells = []
         written: set[str] = set()
-        for c in self.live_cells():
-            written.update(vs.name for vs in self.writes[c.t])
+        for c in self.cells.values():
+            writes = self.writes[c.t]
+            written.update(vs.name for vs in writes)
             entry = {
                 "t": c.t,
                 "code_ref": c.code_ref,
                 "runtime_s": c.runtime_s,
                 "never_rerun": c.never_rerun,
                 "nondeterministic": c.nondeterministic,
-                "reads": sorted([vs.name, vs.t] for vs in self.reads.get(c.t, ())),
-                "writes": sorted(vs.name for vs in self.writes.get(c.t, ())),
+                "reads": sorted([vs.name, vs.t] for vs in self.reads[c.t]),
+                "writes": sorted(vs.name for vs in writes),
             }
             if c.failed:
                 entry["failed_at"] = c.failed_at
             cells.append(entry)
         deleted = {name: t for name, t in self.deleted.items() if name in written}
-        return {"cells": cells, "deleted": dict(sorted(deleted.items()))}
+        return {
+            "cells": cells,
+            "deleted": dict(sorted(deleted.items())),
+            "recorded_cells": self.recorded_cells,
+            "recorded_rerun_s": self.recorded_rerun_s,
+        }
 
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a cell's t is not an int, its code_ref is not a string, its
-        runtime is not a finite non-negative number, a flag is not a bool,
-        its writes are not a list of names, a read is not a [name, t] pair,
-        it reads a snapshot that no earlier cell wrote, or the position of
-        its failing op, when given, is not a non-negative int; or when a
-        tombstone's t is not an int after the last write of its name."""
+        when a cell's t is not an int after the previous cell's, its code_ref
+        is not a string, its runtime is not a finite non-negative number, a
+        flag is not a bool, its writes are not a list of names, a read is not
+        a [name, t] pair, it reads a snapshot that no live earlier cell wrote,
+        or the position of its failing op, when given, is not a non-negative
+        int; when a tombstone's t is not an int after the last write of its
+        name; or when the count of recorded cells is not an int at least the
+        number listed, or their rerun seconds not a non-negative number."""
         graph = cls()
-        written: set[VariableSnapshot] = set()
         for entry in data["cells"]:
             if type(entry["t"]) is not int:
                 raise FormatError(f"cell t={entry['t']!r} is not an int")
@@ -202,28 +255,28 @@ class HistoryGraph:
             for r in reads:  # a plain loop: no allocation per read
                 if type(r) is not list or len(r) != 2 or type(r[0]) is not str or type(r[1]) is not int:
                     raise FormatError(f"cell {entry['t']} reads {r!r}, which is not a [name, t] pair")
-                accessed.add(VariableSnapshot(*r))
-            unwritten = accessed - written
-            if unwritten:
-                names = ", ".join(sorted(f"{vs.name}@{vs.t}" for vs in unwritten))
-                raise FormatError(f"cell {entry['t']} reads {names}, which no earlier cell wrote")
-            cell = graph.record(
-                CellRecord(
-                    t=entry["t"],
-                    code_ref=entry["code_ref"],
-                    runtime_s=entry["runtime_s"],
-                    accessed=accessed,
-                    written=set(writes),
-                    never_rerun=entry["never_rerun"],
-                    nondeterministic=entry["nondeterministic"],
-                    failed_at=failed_at,
-                )
+                accessed.add(_new_snapshot(r))
+            cell = CellExecution(
+                entry["t"], entry["code_ref"], runtime, entry["never_rerun"],
+                entry["nondeterministic"], failed_at,
             )
-            written |= graph.writes[cell.t]
+            try:
+                graph._add(cell, accessed, set(writes), ())
+            except (NonMonotonicTimestamp, UnknownVariable) as err:
+                raise FormatError(str(err)) from err
         deleted = dict(data["deleted"])
+        release = []
         for name, t in deleted.items():
             last = graph.latest.get(name)
             if last is None or type(t) is not int or t <= last.t:
                 raise FormatError(f"tombstone {name!r} at t={t!r} does not follow a write of the name")
+            release.append(last.t)
         graph.deleted = deleted
+        graph._release(release)
+        recorded, rerun_s = data["recorded_cells"], data["recorded_rerun_s"]
+        if type(recorded) is not int or recorded < graph.recorded_cells:
+            raise FormatError(f"recorded_cells={recorded!r} is not an int at least the {graph.recorded_cells} cells listed")
+        if not (type(rerun_s) in (int, float) and 0 <= rerun_s <= math.inf):
+            raise FormatError(f"recorded_rerun_s={rerun_s!r} is not a non-negative number")
+        graph.recorded_cells, graph.recorded_rerun_s = recorded, rerun_s
         return graph

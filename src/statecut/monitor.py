@@ -262,9 +262,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     created |= {name for name in mutation.unbound if name in heap.namespace}
     modified -= created
 
-    # every recorded write precedes t, so a name's last write is what the cell read
-    latest = session.history.latest
-    accessed_vses = {latest[name] for name in accessed if name in latest}
+    # every recorded write precedes t, so a name's active snapshot is what the
+    # cell read; a name bound outside run_cell after its deletion has none
+    latest, tombstones = session.history.latest, session.history.deleted
+    accessed_vses = {latest[name] for name in accessed if name in latest and name not in tombstones}
 
     record = CellRecord(
         t=t,

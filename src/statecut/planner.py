@@ -2,11 +2,11 @@
 
 Reduces the migrate-vs-recompute decision to a src-sink min cut over the
 session lineage. Each active variable snapshot hangs off the source at its
-migration cost and points at the cell that produced it; each live cell (one
-in the backward closure of the active snapshots, the only cells a plan can
-rerun) feeds the sink at its rerun cost and points at the producers of the
-non-active snapshots it read (an active one is available either as stored or
-as rebuilt by its own arc). Linked variables are tied both ways, so aliased
+migration cost and points at the cell that produced it; each cell the
+lineage keeps (the backward closure of the active snapshots, the only cells
+a plan can rerun) feeds the sink at its rerun cost and points at the
+producers of the non-active snapshots it read (an active one is available
+either as stored or as rebuilt by its own arc). Linked variables are tied both ways, so aliased
 pairs land on the same side of the cut. These ties are infinite, so a
 recomputed variable drags every cell of its rebuild to the source side, and
 there are at most as many as lineage read edges plus one per active
@@ -104,13 +104,12 @@ def build_flow_graph(
     fg = FlowGraph(
         node_labels=labels, arcs={SRC: {}, SINK: {}}, vs_nodes={}, ce_nodes={}, cost=cost
     )
-    live = history.live_cells()
     for name in sorted(active):
         fg.vs_nodes[name] = len(labels)
         labels.append(active[name])
-    for cell in live:
-        fg.ce_nodes[cell.t] = len(labels)
-        labels.append(cell.t)
+    for t in history.cells:
+        fg.ce_nodes[t] = len(labels)
+        labels.append(t)
 
     for name, u in fg.vs_nodes.items():
         capacity = INF if name in forced_recompute else cost.migration_seconds(name)
@@ -118,10 +117,10 @@ def build_flow_graph(
         if name in forced_migrate:
             fg.add_arc(u, SINK, INF)
         fg.add_arc(u, fg.ce_nodes[active[name].t], INF)
-    # a live cell needs the producers of the non-active snapshots it read,
-    # which are live too; no other cell is reachable from the source
+    # a cell needs the producers of the non-active snapshots it read, which
+    # the lineage keeps too
     active_vses = set(active.values())
-    for cell in reversed(live):
+    for cell in reversed(history.cells.values()):
         u = fg.ce_nodes[cell.t]
         for t in sorted({dep.t for dep in history.reads[cell.t] if dep not in active_vses}):
             fg.add_arc(u, fg.ce_nodes[t], INF)
@@ -329,7 +328,9 @@ def baseline_plans(history: HistoryGraph, cost: CostModel) -> dict[str, Replicat
     """The two naive strategies every plan is measured against.
 
     copy_all migrates every active variable (infinite if any is
-    unserializable); rerun_all replays every recorded cell from scratch.
+    unserializable); rerun_all replays every recorded cell from scratch. Its
+    rerun list holds the cells the lineage keeps, which rebuild the same
+    state; its cost is that of every cell the session recorded.
     """
     active = history.active_snapshots()
     copy_all = ReplicationPlan(
@@ -341,8 +342,8 @@ def baseline_plans(history: HistoryGraph, cost: CostModel) -> dict[str, Replicat
     )
     rerun_all = ReplicationPlan(
         migrate=set(),
-        rerun=[c.t for c in history.cells],
-        cost_s=sum(cost.rerun_seconds(c) for c in history.cells),
+        rerun=list(history.cells),
+        cost_s=history.recorded_rerun_s,
         alpha=cost.profile.alpha,
         bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
     )

@@ -41,7 +41,7 @@ from .planner import ReplicationPlan
 from .trace import check_annotations
 
 MAGIC = b"SCCKPT01"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DIGEST_BYTES = 32  # SHA-256
 
 _KIND_CODES = {"scalar": 0, "container": 1, "opaque": 2}
@@ -193,18 +193,24 @@ def _replace_file(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: write a temporary file in
     the same directory, flush it to disk, then rename it over ``path``, so a
     reader finds the old file or the new one, never a part of either. On any
-    error the temporary file is removed and ``path`` is left as it was."""
+    error the temporary file is removed, ``path`` is left as it was, and
+    an OSError that names a file names ``path``."""
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        f = open(tmp, "xb")  # before the inner try: a name taken is not ours to remove
+        try:
+            with f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as err:
+        if err.filename is None:
+            raise
+        raise OSError(err.errno, err.strerror, str(path)) from err
 
 
 def _sections(path: str | Path) -> tuple[bytes, bytes]:
@@ -259,10 +265,10 @@ def _check_consistent(checkpoint: Checkpoint) -> None:
     the table's variables, each of them active, with its root in the payload,
     and the next timestamp is an int after every cell and tombstone."""
     plan, variables, history = checkpoint.plan, checkpoint.variables, checkpoint.history
-    recorded = [c.t for c in history.cells] + list(history.deleted.values())
+    recorded = list(history.cells) + list(history.deleted.values())
     if type(checkpoint.next_t) is not int or any(t >= checkpoint.next_t for t in recorded):
         raise FormatError(f"next_t={checkpoint.next_t!r} is not an int after every recorded timestamp")
-    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - {c.t for c in history.cells}:
+    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - history.cells.keys():
         raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
     if plan.migrate != variables.keys():
         raise FormatError("plan.migrate differs from the stored variables")
@@ -380,7 +386,7 @@ def restore(
     heap = SimHeap()
     payload_map: dict[int, int] = {}
     current: dict[int, int] = {}
-    for cell in history.cells:
+    for cell in history.cells.values():
         if cell.t in rerun:
             if cell.code_ref not in programs:
                 raise MissingCellProgram(

@@ -1,8 +1,11 @@
-"""Hand-built traces shared across test modules, and the two ablations:
-a hash-only monitor and a link-blind planner, built on the oracles."""
+"""Hand-built traces shared across test modules, the two ablations (a
+hash-only monitor and a link-blind planner, built on the oracles), and the
+reference for the lineage's pruning."""
+
+from dataclasses import replace
 
 from statecut.cost import CostProfile
-from statecut.errors import StatecutError
+from statecut.errors import CellExecutionError, StatecutError
 from statecut.heap import HeapOp, SimHeap
 from statecut.history import CellRecord, HistoryGraph
 from statecut.monitor import (
@@ -11,6 +14,7 @@ from statecut.monitor import (
     Session,
     detect_accesses,
     detect_modifications,
+    run_cell,
 )
 from statecut.planner import (
     ReplicationPlan,
@@ -237,7 +241,8 @@ def rescan(heap: SimHeap, history: HistoryGraph, t: int, program: CellProgram,
         t=t,
         code_ref=program.code_ref,
         runtime_s=program.declared_runtime_s,
-        accessed={history.latest[name] for name in accessed if name in history.latest},
+        accessed={history.latest[name] for name in accessed
+                  if name in history.latest and name not in history.deleted},
         written=changes["modified"] - created,
         created=created,
         deleted=changes["deleted"],
@@ -245,6 +250,50 @@ def rescan(heap: SimHeap, history: HistoryGraph, t: int, program: CellProgram,
         nondeterministic=program.nondeterministic,
         failed_at=failed_at,
     )
+
+
+def with_failing_cells(trace: TraceFile, rng, rate: float) -> TraceFile:
+    """``trace`` with a bind of an absent object inserted at a random
+    position in about ``rate`` of its cells: each such cell fails there, and
+    the ops before it keep their effects."""
+    cells = []
+    for program in trace.cells:
+        if rng.random() < rate:
+            ops = list(program.ops)
+            ops.insert(rng.randint(0, len(ops)), HeapOp(op="bind", name="v0", id=10**9))
+            program = replace(program, ops=ops)
+        cells.append(program)
+    return replace(trace, cells=cells)
+
+
+def record_cell(session: Session, program: CellProgram) -> CellRecord:
+    """``run_cell``'s record, also for a cell that fails."""
+    try:
+        return run_cell(session, program)
+    except CellExecutionError as err:
+        return err.record
+
+
+def live_closure(records) -> list[int]:
+    """Reference for the lineage's pruning: the timestamps of the cells in
+    the backward closure of the active snapshots over the whole, unpruned
+    lineage that ``run_cell``'s records describe, in order."""
+    reads, latest, deleted = {}, {}, {}
+    for rec in records:
+        reads[rec.t] = rec.accessed
+        for name in rec.written | rec.created:
+            latest[name] = rec.t
+            deleted.pop(name, None)
+        for name in rec.deleted - rec.written - rec.created:
+            deleted[name] = rec.t
+    need: set[int] = set()
+    stack = [t for name, t in latest.items() if name not in deleted]
+    while stack:
+        t = stack.pop()
+        if t not in need:
+            need.add(t)
+            stack.extend(vs.t for vs in reads[t])
+    return sorted(need)
 
 
 def hash_only_session(trace: TraceFile) -> Session:

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import random
 import subprocess
@@ -8,14 +9,16 @@ from pathlib import Path
 from types import FunctionType, ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statecut
-from statecut.errors import NonMonotonicTimestamp, Unreconstructable
+from statecut.errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.history import CellRecord, HistoryGraph, VariableSnapshot
-from statecut.trace import run_trace
+from statecut.trace import new_session, run_trace
 
-from sessions import worked_example_trace
+from sessions import live_closure, record_cell, with_failing_cells, worked_example_trace
 
 
 def record(t, written=(), accessed=(), deleted=(), runtime=1.0, never_rerun=False):
@@ -54,10 +57,30 @@ class TestRecord:
         assert graph.latest["x"] == vs("x", 1)
 
     def test_empty_cell(self):
+        # a cell that writes nothing is dead at once: only the totals keep it
         graph = HistoryGraph()
         cell = graph.record(record(1))
-        assert graph.reads[1] == set() and graph.writes[1] == set()
+        assert graph.cells == graph.reads == graph.writes == graph.refs == {}
         assert cell.runtime_s == 1.0
+        assert (graph.recorded_cells, graph.recorded_rerun_s) == (1, 1.0)
+
+    def test_read_of_a_dropped_cell_is_rejected(self):
+        graph = HistoryGraph()
+        graph.record(record(1, written={"x"}))
+        graph.record(record(2, written={"x"}))  # supersedes x@1: cell 1 is dropped
+        with pytest.raises(UnknownVariable, match="x@1"):
+            graph.record(record(3, written={"y"}, accessed={vs("x", 1)}))
+        assert list(graph.cells) == [2] and graph.recorded_cells == 2
+        manifest = {
+            "cells": [
+                {"t": t, "code_ref": f"cell_{t}", "runtime_s": 1.0, "never_rerun": False,
+                 "nondeterministic": False, "reads": reads, "writes": writes}
+                for t, reads, writes in ((1, [], ["x"]), (2, [], ["x"]), (3, [["x", 1]], ["y"]))
+            ],
+            "deleted": {}, "recorded_cells": 3, "recorded_rerun_s": 3.0,
+        }
+        with pytest.raises(FormatError, match="x@1, which no live cell wrote"):
+            HistoryGraph.from_manifest(manifest)
 
     def test_non_monotonic_rejected(self):
         graph = HistoryGraph()
@@ -66,14 +89,14 @@ class TestRecord:
             graph.record(record(5, written={"y"}))
 
     def test_invariants_over_random_records(self, rng):
+        # reads are drawn from the active snapshots, the only ones a cell can read
         graph = HistoryGraph()
         names = [f"v{i}" for i in range(10)]
-        known: list[VariableSnapshot] = []
         for t in range(1, 1001):
+            known = sorted(graph.active_snapshots().values())
             accessed = set(rng.sample(known, k=min(len(known), rng.randint(0, 3))))
             written = set(rng.sample(names, k=rng.randint(0, 2)))
             graph.record(record(t, written=written, accessed=accessed))
-            known.extend(vs(n, t) for n in written)
         # bipartite and acyclic under the timestamp order
         for t, reads in graph.reads.items():
             assert all(dep.t < t for dep in reads)
@@ -321,7 +344,9 @@ class TestLiveCells:
         return graph
 
     def test_dead_writes_deletions_and_reads_are_not_live(self):
-        assert [c.t for c in self.graph().live_cells()] == [1, 2, 3]
+        graph = self.graph()
+        assert list(graph.cells) == list(graph.reads) == list(graph.writes) == [1, 2, 3]
+        assert graph.recorded_cells == 6
 
     def test_manifest_keeps_live_cells_and_their_names_tombstones(self):
         graph = self.graph()
@@ -332,6 +357,34 @@ class TestLiveCells:
         clone = HistoryGraph.from_manifest(manifest)
         assert clone.active_snapshots() == graph.active_snapshots()
         assert clone.to_manifest() == manifest
+
+
+class TestPruning:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        delete_rate=st.floats(0.0, 0.3),
+        fail_rate=st.floats(0.0, 0.3),
+        never_rerun_rate=st.floats(0.0, 0.2),
+        nondet_rate=st.floats(0.0, 0.2),
+    )
+    def test_cells_are_the_live_closure_after_every_cell(
+        self, seed, delete_rate, fail_rate, never_rerun_rate, nondet_rate
+    ):
+        rng = random.Random(seed)
+        trace = with_failing_cells(generate_trace(GenParams(
+            cells=40, variables=rng.randint(2, 10), alias_density=0.4, delete_rate=delete_rate,
+            never_rerun_rate=never_rerun_rate, nondet_rate=nondet_rate,
+        ), seed), rng, fail_rate)
+        session = new_session(trace.profile, trace.variable_annotations)
+        graph, records = session.history, []
+        for program in trace.cells:
+            records.append(record_cell(session, program))
+            assert list(graph.cells) == live_closure(records)
+            assert graph.reads.keys() == graph.writes.keys() == graph.refs.keys() == graph.cells.keys()
+        assert graph.recorded_cells == len(records)
+        total = sum(math.inf if r.never_rerun else r.runtime_s for r in records)
+        assert repr(graph.recorded_rerun_s) == repr(total)
 
 
 class TestManifestRoundTrip:
@@ -347,9 +400,8 @@ class TestManifestRoundTrip:
         trace = generate_trace(GenParams(cells=30, variables=5), 7)
         session, _ = run_trace(trace)
         manifest = session.history.to_manifest()
-        live = session.history.live_cells()
-        assert 0 < len(live) < 30
-        assert [c["t"] for c in manifest["cells"]] == [c.t for c in live]
+        assert 0 < len(session.history.cells) < 30
+        assert [c["t"] for c in manifest["cells"]] == list(session.history.cells)
 
     def test_memory_independent_of_object_counts(self):
         from statecut.cli import history_memory_bytes

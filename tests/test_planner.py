@@ -24,7 +24,7 @@ from statecut.planner import (
 )
 from statecut.trace import run_trace
 
-from sessions import alpha_flip_trace, fast_migrate_trace, worked_example_trace
+from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, worked_example_trace
 
 INF = math.inf
 
@@ -50,7 +50,7 @@ class TestFlowGraphConstruction:
         # one sink arc per cell, capacity = its rerun cost
         for t, node in fg.ce_nodes.items():
             assert fg.arcs[node][SINK] == pytest.approx(
-                cost.rerun_seconds(session.history.cell(t))
+                cost.rerun_seconds(session.history.cells[t])
             )
         # linked pair joined both ways with infinite capacity
         a, b = fg.vs_nodes["l1"], fg.vs_nodes["big2d"]
@@ -85,15 +85,16 @@ class TestFlowGraphConstruction:
 
     def test_nodes_only_for_live_cells(self):
         # a cell outside the backward closure of the active snapshots can
-        # never be rerun, so it gets no node and no sink arc
+        # never be rerun; the lineage drops it, so it gets no node and no
+        # sink arc
         for seed in range(10):
             trace = generate_trace(GenParams(cells=40, variables=4, delete_rate=0.1), seed)
             session, cost, linked = planner_inputs(trace)
             fg = build_flow_graph(session.history, cost, linked)
-            live = session.history.live_cells()
-            assert len(live) < len(session.history.cells)
-            assert len(fg.ce_nodes) == len(live)
-            assert list(fg.ce_nodes) == [c.t for c in live]
+            _, records = run_trace(trace)
+            live = live_closure(records)
+            assert len(live) < len(records)
+            assert list(fg.ce_nodes) == live
             assert len(fg.node_labels) == 2 + len(fg.vs_nodes) + len(live)
 
     def test_empty_session(self):
@@ -230,7 +231,7 @@ def closure_network(history, cost, linked, forced_migrate, forced_recompute):
             graph.add_edge(("v", name), "sink")
         for cell in history.rerun_cells_from({vs}, set(active.values()) - {vs}):
             graph.add_edge(("v", name), ("c", cell.t))
-    for cell in history.cells:
+    for cell in history.cells.values():
         rerun = cost.rerun_seconds(cell)
         if rerun < INF:
             graph.add_edge(("c", cell.t), "sink", capacity=rerun)
@@ -331,7 +332,7 @@ class TestDeepNetwork:
 
         session, _ = run_trace(TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells))
         assert depth > sys.getrecursionlimit()
-        assert len(session.history.live_cells()) == depth
+        assert len(session.history.cells) == depth
         rerun_all = 0.5 * depth
         for bandwidth, migrates in ((1.0, False), (1e9, True)):
             plan = plan_session(session, bandwidth=bandwidth)

@@ -34,14 +34,16 @@ from statecut.replicator import (
     verify,
     write_checkpoint,
 )
-from statecut.trace import TraceFile, run_trace, save_trace, trace_from_json, trace_to_json
+from statecut.trace import TraceFile, new_session, run_trace, save_trace, trace_from_json, trace_to_json
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import (
     aliased_pair_trace,
     hash_only_session,
     link_blind_plan,
+    record_cell,
     reference_swap_trace,
+    with_failing_cells,
     worked_example_trace,
 )
 
@@ -108,8 +110,8 @@ class TestCheckpointFormat:
         assert loaded.variables.keys() == plan.migrate
         assert loaded.history.active_snapshots() == session.history.active_snapshots()
         assert loaded.profile == session.profile
-        assert [c.runtime_s for c in loaded.history.cells] == [
-            c.runtime_s for c in session.history.cells
+        assert [c.runtime_s for c in loaded.history.cells.values()] == [
+            c.runtime_s for c in session.history.cells.values()
         ]
         for oid, rec in loaded.objects.items():
             original = session.heap.objects[oid]
@@ -418,7 +420,7 @@ class TestRestore:
         _, plan, path = checkpoint_roundtrip(tmp_path, trace)
         result = restore(read_checkpoint(path), trace.programs())
         for t in plan.rerun:
-            assert result.session.history.cell(t).runtime_s == trace.cells[t - 1].declared_runtime_s
+            assert result.session.history.cells[t].runtime_s == trace.cells[t - 1].declared_runtime_s
 
     def test_linking_an_undeclared_name_s_object_reads_that_name(self, tmp_path):
         # c3 declares only v0 but puts v2's object in a slot: it read v2, so
@@ -752,7 +754,7 @@ class TestFailedCells:
         session, records = run_trace(trace)
         assert records[1].failed
         plan, path = plan_session(session), tmp_path / "f.ckpt"
-        assert plan.rerun == [c.t for c in session.history.cells] and not plan.migrate
+        assert plan.rerun == list(session.history.cells) and not plan.migrate
         write_checkpoint(session, plan, path)
         result = restore(read_checkpoint(path), trace.programs())
         report = verify(session.heap, result.session.heap)
@@ -1201,3 +1203,43 @@ class TestLiveLineage:
         assert remapped.pop("variables") == {
             name: result.id_map[oid] for name, oid in manifest.pop("variables").items()}
         assert remapped == manifest
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), split=st.floats(0.1, 0.9), fail_rate=st.floats(0.0, 0.3))
+    def test_restored_session_continues_as_the_original(self, tmp_path_factory, seed, split, fail_rate):
+        # checkpoint mid-trace, restore, run the remaining cells on both
+        # sessions: the restored lineage is the original's, so both record
+        # the same cells and write the same manifest
+        rng = random.Random(seed)
+        trace = with_failing_cells(generate_trace(GenParams(
+            cells=30, variables=6, alias_density=0.4, unserializable_rate=0.1,
+            never_rerun_rate=0.1, nondet_rate=0.1, delete_rate=0.15,
+        ), seed), rng, fail_rate)
+        cut = int(split * len(trace.cells))
+        original = new_session(trace.profile, trace.variable_annotations)
+        for program in trace.cells[:cut]:
+            record_cell(original, program)
+        try:
+            plan = plan_session(original)
+        except Infeasible:
+            assume(False)
+        path = tmp_path_factory.mktemp("continue") / "c.ckpt"
+        write_checkpoint(original, plan, path)
+        result = restore(read_checkpoint(path), trace.programs())
+        # a plan that reruns a nondeterministic cell may diverge
+        assume(verify(original.heap, result.session.heap).isomorphic)
+        restored = result.session
+        assert restored.history.to_manifest() == original.history.to_manifest()
+
+        # the remaining ops name the original heap's objects: map each to its
+        # restored copy, and every other id past the restored heap's
+        offset = 1 + max(restored.heap.objects, default=0)
+
+        def local(oid):
+            return None if oid is None else result.id_map.get(oid, oid + offset)
+
+        for program in trace.cells[cut:]:
+            ops = [replace(op, id=local(op.id), parent_id=local(op.parent_id), child_id=local(op.child_id))
+                   for op in program.ops]
+            assert record_cell(restored, replace(program, ops=ops)) == record_cell(original, program)
+        assert restored.history.to_manifest() == original.history.to_manifest()

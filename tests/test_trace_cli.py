@@ -200,6 +200,16 @@ class TestCliExitCodes:
         assert main(["run", str(path)]) == 0
         assert "active variables" in capsys.readouterr().out
 
+    def test_run_reports_every_executed_cell(self, tmp_path, capsys):
+        # the lineage drops dead cells; the count and the per-cell lines do not
+        path = tmp_path / "trace.json"
+        save_trace(generate_trace(GenParams(cells=30, delete_rate=0.1), 3), path)
+        assert main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["cells", "executed:", "30"]
+        assert [line.split()[0] for line in lines[3:]] == [f"t={t}" for t in range(1, 31)]
+        assert int(lines[1].split()[4]) < 30  # live cells
+
     def test_plan_writes_json(self, tmp_path, capsys):
         path = self.seeded_trace(tmp_path)
         out = tmp_path / "plan.json"
@@ -312,6 +322,34 @@ class TestCliExitCodes:
             main(args + rest)
         assert exc.value.code == 2
         assert f"error: argument {rest[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["gen", "--cells", "-1"],
+        ["gen", "--cells", "2.5"],
+        ["gen", "--variables", "-4"],
+        ["gen", "--alias-density", "nan"],
+        ["gen", "--unserializable-rate", "2"],
+        ["gen", "--undeserializable-rate", "-0.1"],
+        ["gen", "--never-rerun-rate", "inf"],
+        ["gen", "--nondet-rate", "1.5"],
+        ["bench", "--cells", "-3"],
+    ])
+    def test_bad_count_or_rate_is_a_usage_error(self, tmp_path, capsys, flags):
+        command, *rest = flags
+        args = [command, str(tmp_path / "g.json")] if command == "gen" else [command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + rest)
+        assert exc.value.code == 2
+        assert f"error: argument {rest[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
+
+    def test_unwritable_checkpoint_path_is_named(self, tmp_path, capsys):
+        # the error names the path given, not the temporary file beside it
+        target = tmp_path / "no" / "such" / "x.ckpt"
+        assert main(["checkpoint", str(self.seeded_trace(tmp_path)), str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.rstrip().endswith(repr(str(target)))
 
     def test_bench_reports_metrics(self, capsys):
         assert main(["bench", "--cells", "60", "--json"]) == 0
