@@ -61,8 +61,10 @@ class ReplicationPlan:
     migrate: set[str]
     rerun: list[int]  # cell timestamps, ascending
     cost_s: float
+    # the channel the plan was priced for; a hand-made plan's defaults obey
+    # CostProfile's rules, as a checkpoint's stored plan must
     alpha: float = 1.0
-    bandwidth_bytes_per_s: float = 0.0
+    bandwidth_bytes_per_s: float = 1.0
 
     def to_json(self) -> dict:
         return {

@@ -2,9 +2,11 @@
 
 A checkpoint is one self-contained file: magic and version, a JSON manifest
 (the live lineage, plan, storage profile, variable table, annotations and the
-next timestamp), a binary payload holding every object reachable from a
-migrated variable exactly once, and a SHA-256 digest of every byte before it.
-The file is written to a temporary name and renamed into place.
+next timestamp), a JSON payload holding one record for every object
+reachable from a migrated variable, and a SHA-256 digest of every byte
+before it. The file is written to a temporary name and renamed into place;
+reading it checks every field and ends any fault in one FormatError that
+names the file.
 Restoration walks the original timestamps, interleaving cell reruns with
 variable re-declaration, so every rerun cell reads the inputs it originally
 saw; a migrated variable also produced by a rerun cell is overwritten with
@@ -28,24 +30,20 @@ from typing import Callable
 from .cost import CostProfile, linked_groups
 from .errors import (
     FormatError,
-    InvalidHeapOp,
     MissingCellProgram,
     SerializationError,
     StatecutError,
     Unreconstructable,
 )
-from .heap import HeapObject, NameIndex, SimHeap, reachable_ids
+from .heap import HeapObject, NameIndex, SimHeap, _canon, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
-from .trace import check_annotations
+from .trace import _FIELD_TYPES, check_annotations
 
 MAGIC = b"SCCKPT01"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DIGEST_BYTES = 32  # SHA-256
-
-_KIND_CODES = {"scalar": 0, "container": 1, "opaque": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 @dataclass
@@ -77,65 +75,45 @@ class RestoreResult:
     fallback_recomputed: list[str] = field(default_factory=list)
 
 
-# -- binary codec -------------------------------------------------------------
+# -- payload codec ------------------------------------------------------------
+# One JSON record per object: [id, kind, flags, size_bytes, value, label1,
+# child1, label2, child2, ...], where flags holds serializable (1),
+# deserializable (2) and hashable (4). The section is the records' array
+# without its outer brackets, so an empty payload is 0 bytes.
+
+_is_id, _is_size, _is_kind, _is_label = (_FIELD_TYPES[k] for k in ("object_id", "size", "kind", "str"))
 
 
-def _encode_object(obj: HeapObject) -> bytes:
-    value = json.dumps(obj.value, sort_keys=True, separators=(",", ":")).encode()
-    flags = (obj.serializable << 0) | (obj.deserializable << 1) | (obj.hashable << 2)
-    parts = [
-        struct.pack("<QBBQ", obj.id, _KIND_CODES[obj.kind], flags, obj.size_bytes),
-        struct.pack("<I", len(value)),
-        value,
-        struct.pack("<I", len(obj.slots)),
-    ]
-    for label, child in obj.slots.items():
-        encoded = label.encode()
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<Q", child))
-    return b"".join(parts)
+def _record(obj: HeapObject) -> list:
+    flags = obj.serializable | obj.deserializable << 1 | obj.hashable << 2
+    record = [obj.id, obj.kind, flags, obj.size_bytes, obj.value]
+    for slot in obj.slots.items():
+        record += slot
+    return record
 
 
 def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
+    """The payload's objects by id; raises FormatError (or the InvalidHeapOp
+    of an impossible object) unless every record is well formed, no id
+    appears twice and every slot names a stored object."""
     objects: dict[int, HeapObject] = {}
-    offset = 0
-    try:
-        while offset < len(payload):
-            oid, kind_code, flags, size = struct.unpack_from("<QBBQ", payload, offset)
-            offset += 18
-            (value_len,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            value = json.loads(payload[offset : offset + value_len])
-            offset += value_len
-            (nslots,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            slots: dict[str, int] = {}
-            for _ in range(nslots):
-                (label_len,) = struct.unpack_from("<H", payload, offset)
-                offset += 2
-                label = payload[offset : offset + label_len].decode()
-                offset += label_len
-                (child,) = struct.unpack_from("<Q", payload, offset)
-                offset += 8
-                slots[label] = child
-            if oid in objects:
-                raise FormatError(f"corrupt checkpoint payload: object {oid} stored twice")
-            objects[oid] = HeapObject(
-                id=oid,
-                kind=_KIND_NAMES[kind_code],
-                value=value,
-                slots=slots,
-                size_bytes=size,
-                serializable=bool(flags & 1),
-                deserializable=bool(flags & 2),
-                hashable=bool(flags & 4),
-            )
-    except (struct.error, KeyError, json.JSONDecodeError, UnicodeDecodeError, InvalidHeapOp) as err:
-        raise FormatError(f"corrupt checkpoint payload: {err}") from err
+    for record in json.loads(b"[" + payload + b"]"):
+        if type(record) is not list or len(record) < 5 or len(record) % 2 == 0:
+            raise FormatError(f"payload record {record!r:.60} is not a list [id, kind, flags, size, value, slots...]")
+        oid, kind, flags, size, value, *slots = record
+        labels, children = slots[::2], slots[1::2]
+        if not (_is_id(oid) and _is_kind(kind) and type(flags) is int and 0 <= flags < 8 and _is_size(size)
+                and all(map(_is_label, labels)) and all(map(_is_id, children))):
+            raise FormatError(f"payload record of object {oid!r} has a field of the wrong type or range")
+        if oid in objects or len(set(labels)) < len(labels):
+            raise FormatError(f"payload stores object {oid!r} or one of its slot labels twice")
+        objects[oid] = HeapObject(
+            id=oid, kind=kind, value=value, slots=dict(zip(labels, children)), size_bytes=size,
+            serializable=bool(flags & 1), deserializable=bool(flags & 2), hashable=bool(flags & 4),
+        )
     dangling = {child for obj in objects.values() for child in obj.slots.values()} - objects.keys()
     if dangling:
-        raise FormatError(f"corrupt checkpoint payload: slots name absent objects {sorted(dangling)}")
+        raise FormatError(f"payload slots name absent objects {sorted(dangling)}")
     return objects
 
 
@@ -180,7 +158,8 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         "next_t": session.next_t,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    payload = b"".join(_encode_object(heap.objects[oid]) for oid in sorted(closure))
+    records = [_record(heap.objects[oid]) for oid in sorted(closure)]
+    payload = json.dumps(records, sort_keys=True, separators=(",", ":")).encode()[1:-1]
     body = b"".join((
         MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(manifest_bytes)), manifest_bytes,
         struct.pack("<Q", len(payload)), payload,
@@ -238,25 +217,40 @@ def _sections(path: str | Path) -> tuple[bytes, bytes]:
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse a checkpoint file; raises FormatError when it is malformed, naming
-    the path when the header or the manifest is at fault."""
+    """Parse a checkpoint file; raises FormatError, naming the path, when it
+    is malformed."""
     manifest_bytes, payload = _sections(path)
-    objects = _decode_objects(payload)
     try:
         manifest = json.loads(manifest_bytes)
         checkpoint = Checkpoint(
             history=HistoryGraph.from_manifest(manifest["history"]),
-            plan=ReplicationPlan.from_json(manifest["plan"]),
+            plan=_read_plan(manifest["plan"]),
             profile=CostProfile.from_json(manifest["profile"]),
             variables=dict(manifest["variables"]),
             annotations=check_annotations(manifest["annotations"], "annotations"),
-            objects=objects,
+            objects=_decode_objects(payload),
             next_t=manifest["next_t"],
         )
         _check_consistent(checkpoint)
-    except (StatecutError, LookupError, TypeError, ValueError, AttributeError) as err:
-        raise FormatError(f"{path}: invalid manifest ({type(err).__name__}: {err})") from err
+    except (StatecutError, LookupError, TypeError, ValueError, AttributeError, RecursionError) as err:
+        raise FormatError(f"{path}: invalid checkpoint ({type(err).__name__}: {err})") from err
     return checkpoint
+
+
+def _read_plan(data: dict) -> ReplicationPlan:
+    """The stored plan; raises FormatError unless its cost is finite seconds,
+    its alpha and bandwidth pass CostProfile's checks, it migrates a list of
+    names and it reruns a strictly increasing list of timestamps."""
+    try:
+        CostProfile.from_json({"bandwidth_bytes_per_s": data["bandwidth"], "alpha": data["alpha"]})
+    except FormatError as err:
+        raise FormatError(f"plan: {err}") from err
+    if not _FIELD_TYPES["seconds"](data["cost_s"]) or not _FIELD_TYPES["str_list"](data["migrate"]):
+        raise FormatError(f"plan: cost_s {data['cost_s']!r:.30} is not finite seconds or migrate not a list of names")
+    rerun = data["rerun"]
+    if type(rerun) is not list or {type(t) for t in rerun} - {int} or rerun != sorted(set(rerun)):
+        raise FormatError(f"plan: rerun {rerun!r:.60} is not a strictly increasing list of timestamps")
+    return ReplicationPlan.from_json(data)
 
 
 def _check_consistent(checkpoint: Checkpoint) -> None:
@@ -268,7 +262,7 @@ def _check_consistent(checkpoint: Checkpoint) -> None:
     recorded = list(history.cells) + list(history.deleted.values())
     if type(checkpoint.next_t) is not int or any(t >= checkpoint.next_t for t in recorded):
         raise FormatError(f"next_t={checkpoint.next_t!r} is not an int after every recorded timestamp")
-    if {type(t) for t in plan.rerun} - {int} or set(plan.rerun) - history.cells.keys():
+    if set(plan.rerun) - history.cells.keys():
         raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
     if plan.migrate != variables.keys():
         raise FormatError("plan.migrate differs from the stored variables")
@@ -475,7 +469,8 @@ def _compare_values(
                 diffs[path] = f"opaque size {old.size_bytes} != {new.size_bytes}"
             continue
         if old.kind == "scalar":
-            if old.value != new.value:
+            # equal exactly when the value hash says so: NaN equals NaN, 1 is not 1.0
+            if _canon(old.value) != _canon(new.value):
                 diffs[path] = f"value {old.value!r} != {new.value!r}"
             continue
         old_labels = list(old.slots)

@@ -22,11 +22,10 @@ from statecut.errors import (
     FormatError, Infeasible, SerializationError, StatecutError, Unreconstructable,
 )
 from statecut.gen import GenParams, generate_trace, inject_false_edges
-from statecut.heap import HeapObject, HeapOp, SimHeap
+from statecut.heap import HeapOp, SimHeap
 from statecut.monitor import CellProgram
 from statecut.planner import ReplicationPlan, plan_session
 from statecut.replicator import (
-    _KIND_CODES,
     payload_bytes,
     read_checkpoint,
     recovery_cells,
@@ -68,18 +67,21 @@ def write_manifest(path, manifest) -> None:
          + raw[20 + manifest_len:-replicator.DIGEST_BYTES])
 
 
-def payload_records(path) -> list[bytes]:
-    """A checkpoint's payload, one encoded object per entry, in file order."""
-    objects = read_checkpoint(path).objects
-    return [replicator._encode_object(objects[oid]) for oid in sorted(objects)]
-
-
-def write_payload(path, records: list[bytes]) -> None:
-    """Swap a checkpoint's payload section, keeping a correct header and digest."""
+def payload_records(path) -> list:
+    """A checkpoint's payload records, in file order."""
     raw = path.read_bytes()
-    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
-    payload = b"".join(records)
-    seal(path, raw[:20 + manifest_len] + struct.pack("<Q", len(payload)) + payload)
+    manifest_end = 20 + int.from_bytes(raw[12:20], "little")
+    return json.loads(b"[" + raw[manifest_end + 8:-replicator.DIGEST_BYTES] + b"]")
+
+
+def write_payload(path, records) -> None:
+    """Swap a checkpoint's payload section for ``records`` (a list of records,
+    or the section's raw bytes), keeping a correct header and digest."""
+    if not isinstance(records, bytes):
+        records = json.dumps(records, separators=(",", ":")).encode()[1:-1]
+    raw = path.read_bytes()
+    manifest_end = 20 + int.from_bytes(raw[12:20], "little")
+    seal(path, raw[:manifest_end] + len(records).to_bytes(8, "little") + records)
 
 
 def without_code_ref(manifest: dict) -> dict:
@@ -199,10 +201,11 @@ class TestCheckpointFormat:
                     continue
                 assert verify(session.heap, result.session.heap).isomorphic, (leaf, value)
                 outcomes["restored"] += 1
-        # the reader type-checks each cell's t, runtime and flags and the next
-        # timestamp, so most damaged leaves are rejected; leaves a restore does
-        # not depend on, such as the plan's cost, still restore
-        assert outcomes["rejected"] > 300 and outcomes["restored"] > 50
+        # the reader type- and range-checks each cell's t, runtime and flags,
+        # the plan's and the profile's numbers and the next timestamp, so most
+        # damaged leaves are rejected; an in-range number (a runtime or the
+        # plan's cost of 1.5) or a flag's True still restores (44 of 480)
+        assert outcomes["rejected"] > 300 and outcomes["restored"] > 40
 
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "plan": {**m["plan"], "rerun": m["plan"]["rerun"] + [99]}},
@@ -234,6 +237,15 @@ class TestCheckpointFormat:
         lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "alpha"}},
         lambda m: {**m, "plan": {k: v for k, v in m["plan"].items() if k != "bandwidth"}},
         lambda m: {**m, "profile": {**m["profile"], "alpha": math.inf}},  # JSON Infinity
+        lambda m: with_leaf(m, ("plan", "cost_s"), "x"),
+        lambda m: with_leaf(m, ("plan", "cost_s"), math.nan),
+        lambda m: with_leaf(m, ("plan", "cost_s"), -1),
+        lambda m: with_leaf(m, ("plan", "alpha"), "x"),
+        lambda m: with_leaf(m, ("plan", "bandwidth"), [1]),
+        lambda m: with_leaf(m, ("plan", "bandwidth"), 0),
+        lambda m: with_leaf(m, ("plan", "migrate"), dict.fromkeys(m["plan"]["migrate"], 1)),
+        lambda m: with_leaf(m, ("plan", "rerun"), m["plan"]["rerun"][::-1]),
+        lambda m: with_leaf(m, ("plan", "rerun"), m["plan"]["rerun"][:1] + m["plan"]["rerun"]),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
             "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
@@ -242,7 +254,9 @@ class TestCheckpointFormat:
             "next-t-not-after-last-cell", "next-t-not-after-tombstone", "stale-tombstone",
             "write-not-a-string", "read-t-not-an-int", "annotation-unknown",
             "annotation-not-a-string", "plan-without-alpha", "plan-without-bandwidth",
-            "profile-alpha-infinite"])
+            "profile-alpha-infinite", "plan-cost-string", "plan-cost-nan", "plan-cost-negative",
+            "plan-alpha-string", "plan-bandwidth-list", "plan-bandwidth-zero",
+            "plan-migrate-object", "plan-rerun-unsorted", "plan-rerun-duplicate"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -254,16 +268,34 @@ class TestCheckpointFormat:
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
 
-    # the worked example's payload holds objects 4 (container, slots 0 -> 5
-    # and 1 -> 6), 5, 6, 7 and 8 (container, slot 0 -> 4), in that order;
-    # a record starts with id (u64), kind (u8) and flags (u8)
+    # the worked example's payload holds objects 4 (container, slots "0" -> 5
+    # and "1" -> 6), 5, 6, 7 and 8 (container, slot "0" -> 4), in that order;
+    # a record is [id, kind, flags, size_bytes, value, label1, child1, ...]
     @pytest.mark.parametrize("edit", [
-        lambda rs: [rs[0][:9] + bytes([0b010]) + rs[0][10:], *rs[1:]],
-        lambda rs: [rs[0][:8] + bytes([_KIND_CODES["scalar"]]) + rs[0][9:], *rs[1:]],
-        lambda rs: [*rs[:-1], rs[-1][:-8] + struct.pack("<Q", 99)],
-        lambda rs: [*rs, replicator._encode_object(HeapObject(id=5, kind="scalar", value=30))],
+        lambda rs: [[4, "container", 0b010, *rs[0][3:]], *rs[1:]],
+        lambda rs: [[4, "scalar", *rs[0][2:]], *rs[1:]],
+        lambda rs: [*rs[:-1], [*rs[-1][:-1], 99]],
+        lambda rs: [*rs, [5, "scalar", 7, 0, 30]],
+        lambda rs: b"[4,",
+        lambda rs: b"[5," + b"[" * 100_000 + b"]" * 100_000 + b"]",
+        lambda rs: [rs[0], {"id": 5}, *rs[2:]],
+        lambda rs: [rs[0], [*rs[1], "extra"], *rs[2:]],
+        lambda rs: [rs[0], [5, "scalar", 7], *rs[2:]],
+        lambda rs: [rs[0], [True, *rs[1][1:]], *rs[2:]],
+        lambda rs: [rs[0], [2**64, *rs[1][1:]], *rs[2:]],
+        lambda rs: [rs[0], [5, "bogus", *rs[1][2:]], *rs[2:]],
+        lambda rs: [rs[0], [5, "scalar", 7, -1, 3], *rs[2:]],
+        lambda rs: [[*rs[0][:5], 0, 5, "1", 6], *rs[1:]],
+        lambda rs: [[*rs[0][:5], "0", 5, "0", 6], *rs[1:]],
+        lambda rs: [[*rs[0][:5], "0", 5.0, "1", 6], *rs[1:]],
+        lambda rs: [rs[0], [5, "scalar", 8, 0, 3], *rs[2:]],
+        lambda rs: [rs[0], [5, "scalar", -1, 0, 3], *rs[2:]],
+        lambda rs: [rs[0], [5, "scalar", True, 0, 3], *rs[2:]],
     ], ids=["deserializable-not-serializable", "container-as-scalar", "dangling-slot",
-            "duplicate-id"])
+            "duplicate-id", "not-json", "nested-too-deep", "record-not-a-list",
+            "even-length-record", "short-record", "bool-id", "id-past-u64", "unknown-kind",
+            "negative-size", "label-not-a-string", "label-twice", "float-child",
+            "flags-past-7", "flags-negative", "flags-bool"])
     def test_malformed_payload_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -271,8 +303,9 @@ class TestCheckpointFormat:
         write_payload(path, records)
         assert read_checkpoint(path).objects.keys() == {4, 5, 6, 7, 8}
         write_payload(path, edit(records))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
+        assert str(path) in str(exc.value)
         trace_path = tmp_path / "trace.json"
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
@@ -295,6 +328,10 @@ class TestCheckpointFormat:
     def test_version_2_file_is_a_format_error(self, tmp_path):
         # version 2 stored the whole lineage and no next timestamp
         self.check_old_version_is_a_format_error(tmp_path, 2)
+
+    def test_version_4_file_is_a_format_error(self, tmp_path):
+        # version 4 stored binary payload records
+        self.check_old_version_is_a_format_error(tmp_path, 4)
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         session, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
@@ -329,6 +366,30 @@ class TestCheckpointFormat:
             read_checkpoint(path)
         save_trace(trace, trace_path)
         assert main(["restore", str(path), "--trace", str(trace_path)]) == 4
+
+    def test_payload_round_trips_every_json_value_kind(self, tmp_path):
+        values = ["h\u00e9llo \u2713 \u65e5\u672c", {"b": 1, "a": [1, {"z": None, "y": True}]},
+                  [[1, [2, [3]]], []], -0.0, 1e308, 2**64 + 5, -(2**70), None, True, False, math.nan]
+        ops = [HeapOp(op="create", id=len(values) + 1, kind="container", size_bytes=8)]
+        for i, value in enumerate(values, 1):
+            ops += [HeapOp(op="create", id=i, kind="scalar", value=value, size_bytes=8),
+                    HeapOp(op="bind", name=f"v{i}", id=i),
+                    HeapOp(op="set_slot", parent_id=len(values) + 1, slot=f"\u043a\u043b\u044e\u0447{i}", child_id=i)]
+        ops.append(HeapOp(op="bind", name="all", id=len(values) + 1))
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0),
+                          cells=[CellProgram(code_ref="c1", ops=ops)])
+        session, _ = run_trace(trace)
+        store_all = ReplicationPlan(migrate=set(session.heap.namespace), rerun=[], cost_s=0.0)
+        path, again = tmp_path / "values.ckpt", tmp_path / "again.ckpt"
+        write_checkpoint(session, store_all, path)
+        write_checkpoint(session, store_all, again)
+        assert path.read_bytes() == again.read_bytes()
+        checkpoint = read_checkpoint(path)
+        assert {checkpoint.objects[i].value == values[i - 1] for i in range(1, 11)} == {True}
+        assert math.isnan(checkpoint.objects[11].value)
+        assert math.copysign(1, checkpoint.objects[4].value) == -1
+        result = restore(checkpoint, trace.programs())
+        assert verify(session.heap, result.session.heap).isomorphic
 
     def test_empty_migrate_set_has_empty_payload(self, tmp_path):
         session, _ = run_trace(worked_example_trace())
@@ -877,6 +938,22 @@ class TestVerify:
             result = restore(read_checkpoint(path), trace.programs())
             assert verify(session.heap, result.session.heap).isomorphic
             assert main(["verify", str(trace_path), str(path)]) == 0
+
+    @pytest.mark.parametrize("bandwidth", ["1e9", "1e-3"])  # store the NaN, then rerun its cell
+    def test_nan_value_verifies(self, tmp_path, bandwidth, capsys):
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=[
+            CellProgram(code_ref="c1", declared_runtime_s=1.0, ops=[
+                HeapOp(op="create", id=1, kind="scalar", value=math.nan, size_bytes=8),
+                HeapOp(op="bind", name="x", id=1),
+            ]),
+        ])
+        trace_path, path = tmp_path / "trace.json", tmp_path / "nan.ckpt"
+        save_trace(trace, trace_path)
+        assert main(["checkpoint", str(trace_path), str(path), "--bandwidth", bandwidth]) == 0
+        assert read_checkpoint(path).plan.migrate == ({"x"} if bandwidth == "1e9" else set())
+        capsys.readouterr()
+        assert main(["verify", str(trace_path), str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value_diffs"] == {}
 
     def test_namespace_mismatch_listed(self):
         a, b = SimHeap(), SimHeap()
