@@ -14,12 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FormatError, UnknownVariable
+from .errors import UnknownVariable
 # build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
 from .heap import NameIndex, SimHeap, build_id_graph
 from .history import CellExecution, HistoryGraph
+from .schema import check_fields, rules
 
 INF = math.inf
+
+_PROFILE = rules({"bandwidth_bytes_per_s": "bandwidth"},
+                 {"store_bandwidth_bytes_per_s": "bandwidth", "latency_s": "seconds", "alpha": "seconds"})
 
 
 @dataclass(frozen=True)
@@ -61,21 +65,8 @@ class CostProfile:
     @classmethod
     def from_json(cls, data) -> CostProfile:
         """Parse a stored profile; raises FormatError when it is malformed."""
-        if not isinstance(data, dict) or "bandwidth_bytes_per_s" not in data:
-            raise FormatError("profile must define bandwidth_bytes_per_s")
-        for key in ("bandwidth_bytes_per_s", "latency_s", "alpha", "store_bandwidth_bytes_per_s"):
-            if key in data and type(data[key]) not in (int, float):
-                raise FormatError(f"invalid profile: {key} must be a number")
-        store = data.get("store_bandwidth_bytes_per_s")
-        try:
-            return cls(
-                bandwidth_bytes_per_s=float(data["bandwidth_bytes_per_s"]),
-                latency_s=float(data.get("latency_s", 0.0)),
-                alpha=float(data.get("alpha", 1.0)),
-                store_bandwidth_bytes_per_s=None if store is None else float(store),
-            )
-        except (TypeError, ValueError) as err:
-            raise FormatError(f"invalid profile: {err}") from err
+        check_fields(data, _PROFILE, "profile")
+        return cls(**{name: float(value) for name, value in data.items()})
 
 
 @dataclass

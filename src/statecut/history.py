@@ -7,7 +7,9 @@ From it we derive the active snapshot of every live variable and the ordered
 cell list needed to rebuild any snapshot from a set of available variables.
 It keeps only the live cells, the ones such a list can hold: recording a
 cell drops every cell that no active snapshot needs any more, so its
-manifest form is the graph as it is.
+manifest form is the graph as it is. Reading that form checks each field
+against the rules of ``schema`` and replays the cells through the same
+recording step, which keeps the rules that relate cells to each other.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
+from .schema import check_fields, rules
 
 
 class VariableSnapshot(NamedTuple):
@@ -30,6 +33,12 @@ class VariableSnapshot(NamedTuple):
 # builds a VariableSnapshot from a (name, t) pair in C, without the
 # Python-level __new__ that NamedTuple generates; both give the same tuple
 _new_snapshot = partial(tuple.__new__, VariableSnapshot)
+
+_HISTORY = rules({"cells": "cells", "deleted": "t_map", "recorded_cells": "count",
+                  "recorded_rerun_s": "seconds_or_inf"})
+_CELL = rules({"t": "int", "code_ref": "ref", "runtime_s": "seconds", "never_rerun": "bool",
+               "nondeterministic": "bool", "reads": "reads", "writes": "str_list"},
+              {"failed_at": "count"})
 
 
 @dataclass
@@ -225,58 +234,28 @@ class HistoryGraph:
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a cell's t is not an int after the previous cell's, its code_ref
-        is not a string, its runtime is not a finite non-negative number, a
-        flag is not a bool, its writes are not a list of names, a read is not
-        a [name, t] pair, it reads a snapshot that no live earlier cell wrote,
-        or the position of its failing op, when given, is not a non-negative
-        int; when a tombstone's t is not an int after the last write of its
-        name; or when the count of recorded cells is not an int at least the
-        number listed, or their rerun seconds not a non-negative number."""
+        when a field breaks its rule, a cell's t does not follow the previous
+        cell's or it reads a snapshot no live earlier cell wrote, a tombstone
+        does not follow its name's last write, or fewer cells are recorded than listed."""
+        check_fields(data, _HISTORY, "history")
         graph = cls()
-        for entry in data["cells"]:
-            if type(entry["t"]) is not int:
-                raise FormatError(f"cell t={entry['t']!r} is not an int")
-            if type(entry["code_ref"]) is not str:
-                raise FormatError(f"cell {entry['t']} has a code_ref that is not a string")
-            runtime = entry["runtime_s"]
-            if not (type(runtime) in (int, float) and 0 <= runtime < math.inf):
-                raise FormatError(f"cell {entry['t']} has runtime_s={runtime!r}")
-            for flag in ("never_rerun", "nondeterministic"):
-                if type(entry[flag]) is not bool:
-                    raise FormatError(f"cell {entry['t']} has {flag}={entry[flag]!r}")
-            failed_at = entry.get("failed_at")
-            if "failed_at" in entry and not (type(failed_at) is int and failed_at >= 0):
-                raise FormatError(f"cell {entry['t']} has failed_at={failed_at!r}")
-            reads, writes = entry["reads"], entry["writes"]
-            if type(writes) is not list or any(type(name) is not str for name in writes):
-                raise FormatError(f"cell {entry['t']} has writes={writes!r}")
-            accessed = set()
-            for r in reads:  # a plain loop: no allocation per read
-                if type(r) is not list or len(r) != 2 or type(r[0]) is not str or type(r[1]) is not int:
-                    raise FormatError(f"cell {entry['t']} reads {r!r}, which is not a [name, t] pair")
-                accessed.add(_new_snapshot(r))
-            cell = CellExecution(
-                entry["t"], entry["code_ref"], runtime, entry["never_rerun"],
-                entry["nondeterministic"], failed_at,
-            )
+        for i, entry in enumerate(data["cells"]):
+            check_fields(entry, _CELL, f"history.cells[{i}]")
+            cell = CellExecution(entry["t"], entry["code_ref"], entry["runtime_s"], entry["never_rerun"],
+                                 entry["nondeterministic"], entry.get("failed_at"))
             try:
-                graph._add(cell, accessed, set(writes), ())
+                graph._add(cell, set(map(_new_snapshot, entry["reads"])), set(entry["writes"]), ())
             except (NonMonotonicTimestamp, UnknownVariable) as err:
                 raise FormatError(str(err)) from err
-        deleted = dict(data["deleted"])
         release = []
-        for name, t in deleted.items():
+        for name, t in data["deleted"].items():
             last = graph.latest.get(name)
-            if last is None or type(t) is not int or t <= last.t:
+            if last is None or t <= last.t:
                 raise FormatError(f"tombstone {name!r} at t={t!r} does not follow a write of the name")
             release.append(last.t)
-        graph.deleted = deleted
+        graph.deleted = data["deleted"]
         graph._release(release)
-        recorded, rerun_s = data["recorded_cells"], data["recorded_rerun_s"]
-        if type(recorded) is not int or recorded < graph.recorded_cells:
-            raise FormatError(f"recorded_cells={recorded!r} is not an int at least the {graph.recorded_cells} cells listed")
-        if not (type(rerun_s) in (int, float) and 0 <= rerun_s <= math.inf):
-            raise FormatError(f"recorded_rerun_s={rerun_s!r} is not a non-negative number")
-        graph.recorded_cells, graph.recorded_rerun_s = recorded, rerun_s
+        if data["recorded_cells"] < graph.recorded_cells:
+            raise FormatError(f"recorded_cells={data['recorded_cells']} is less than the {graph.recorded_cells} cells listed")
+        graph.recorded_cells, graph.recorded_rerun_s = data["recorded_cells"], data["recorded_rerun_s"]
         return graph

@@ -28,8 +28,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .cost import CostModel
-from .errors import Infeasible, TooLarge
+from .errors import FormatError, Infeasible, TooLarge
 from .history import HistoryGraph
+from .schema import check_fields, rules
 
 INF = math.inf
 
@@ -54,6 +55,10 @@ class FlowGraph:
         self.arcs[v].setdefault(u, 0.0)
 
 
+_PLAN = rules({"migrate": "str_list", "rerun": "int_list", "cost_s": "seconds", "alpha": "seconds",
+               "bandwidth": "bandwidth"})
+
+
 @dataclass
 class ReplicationPlan:
     """Output partition: variables to migrate, cells to rerun, and its cost."""
@@ -62,7 +67,7 @@ class ReplicationPlan:
     rerun: list[int]  # cell timestamps, ascending
     cost_s: float
     # the channel the plan was priced for; a hand-made plan's defaults obey
-    # CostProfile's rules, as a checkpoint's stored plan must
+    # the rules of _PLAN, as a checkpoint's stored plan must
     alpha: float = 1.0
     bandwidth_bytes_per_s: float = 1.0
 
@@ -77,6 +82,11 @@ class ReplicationPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> ReplicationPlan:
+        """Parse a stored plan; raises FormatError when a field breaks its
+        rule or the plan does not rerun a strictly increasing list of cells."""
+        check_fields(data, _PLAN, "plan")
+        if data["rerun"] != sorted(set(data["rerun"])):
+            raise FormatError(f"the plan reruns {data['rerun']!r:.60}, which is not strictly increasing")
         return cls(
             migrate=set(data["migrate"]),
             rerun=list(data["rerun"]),

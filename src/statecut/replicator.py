@@ -5,8 +5,10 @@ A checkpoint is one self-contained file: magic and version, a JSON manifest
 next timestamp), a JSON payload holding one record for every object
 reachable from a migrated variable, and a SHA-256 digest of every byte
 before it. The file is written to a temporary name and renamed into place;
-reading it checks every field and ends any fault in one FormatError that
-names the file.
+reading it checks every field against the rules of ``schema`` (published as
+docs/checkpoint.schema.json), then the rules that relate fields, and ends
+any fault in one FormatError that names the file. A restore whose lineage
+disagrees with the trace is a FormatError too.
 Restoration walks the original timestamps, interleaving cell reruns with
 variable re-declaration, so every rerun cell reads the inputs it originally
 saw; a migrated variable also produced by a rerun cell is overwritten with
@@ -39,11 +41,15 @@ from .heap import HeapObject, NameIndex, SimHeap, _canon, reachable_ids
 from .history import HistoryGraph
 from .monitor import CellProgram, Session
 from .planner import ReplicationPlan
-from .trace import _FIELD_TYPES, check_annotations
+from .schema import FIELD_TYPES, check_fields, rules
 
 MAGIC = b"SCCKPT01"
 FORMAT_VERSION = 5
 DIGEST_BYTES = 32  # SHA-256
+
+
+_MANIFEST = rules({"history": "object", "plan": "object", "profile": "object", "variables": "id_map",
+                   "annotations": "annotations", "next_t": "int"})
 
 
 @dataclass
@@ -81,7 +87,8 @@ class RestoreResult:
 # deserializable (2) and hashable (4). The section is the records' array
 # without its outer brackets, so an empty payload is 0 bytes.
 
-_is_id, _is_size, _is_kind, _is_label = (_FIELD_TYPES[k] for k in ("object_id", "size", "kind", "str"))
+_RECORD = rules({"id": "object_id", "kind": "kind", "flags": "flags", "size_bytes": "size", "value": "any"})
+_is_id, _is_label = FIELD_TYPES["object_id"], FIELD_TYPES["str"]
 
 
 def _record(obj: HeapObject) -> list:
@@ -97,14 +104,19 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
     of an impossible object) unless every record is well formed, no id
     appears twice and every slot names a stored object."""
     objects: dict[int, HeapObject] = {}
-    for record in json.loads(b"[" + payload + b"]"):
+    for i, record in enumerate(json.loads(b"[" + payload + b"]")):
+        where = f"payload[{i}]"
         if type(record) is not list or len(record) < 5 or len(record) % 2 == 0:
-            raise FormatError(f"payload record {record!r:.60} is not a list [id, kind, flags, size, value, slots...]")
+            raise FormatError(f"{where}: not a list [id, kind, flags, size_bytes, value, label1, child1, ...]")
+        # the fixed fields are positional: each is checked in place against
+        # its rule, without building an object per record
+        for (name, kind, valid, _), value in zip(_RECORD, record):
+            if not valid(value):
+                raise FormatError(f"{where}.{name}: invalid {kind} {value!r:.60}")
         oid, kind, flags, size, value, *slots = record
         labels, children = slots[::2], slots[1::2]
-        if not (_is_id(oid) and _is_kind(kind) and type(flags) is int and 0 <= flags < 8 and _is_size(size)
-                and all(map(_is_label, labels)) and all(map(_is_id, children))):
-            raise FormatError(f"payload record of object {oid!r} has a field of the wrong type or range")
+        if not (all(map(_is_label, labels)) and all(map(_is_id, children))):
+            raise FormatError(f"{where}: a slot label is not a string or a child not an object id")
         if oid in objects or len(set(labels)) < len(labels):
             raise FormatError(f"payload stores object {oid!r} or one of its slot labels twice")
         objects[oid] = HeapObject(
@@ -222,12 +234,13 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     manifest_bytes, payload = _sections(path)
     try:
         manifest = json.loads(manifest_bytes)
+        check_fields(manifest, _MANIFEST, "")
         checkpoint = Checkpoint(
             history=HistoryGraph.from_manifest(manifest["history"]),
-            plan=_read_plan(manifest["plan"]),
+            plan=ReplicationPlan.from_json(manifest["plan"]),
             profile=CostProfile.from_json(manifest["profile"]),
-            variables=dict(manifest["variables"]),
-            annotations=check_annotations(manifest["annotations"], "annotations"),
+            variables=manifest["variables"],
+            annotations=manifest["annotations"],
             objects=_decode_objects(payload),
             next_t=manifest["next_t"],
         )
@@ -237,36 +250,20 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     return checkpoint
 
 
-def _read_plan(data: dict) -> ReplicationPlan:
-    """The stored plan; raises FormatError unless its cost is finite seconds,
-    its alpha and bandwidth pass CostProfile's checks, it migrates a list of
-    names and it reruns a strictly increasing list of timestamps."""
-    try:
-        CostProfile.from_json({"bandwidth_bytes_per_s": data["bandwidth"], "alpha": data["alpha"]})
-    except FormatError as err:
-        raise FormatError(f"plan: {err}") from err
-    if not _FIELD_TYPES["seconds"](data["cost_s"]) or not _FIELD_TYPES["str_list"](data["migrate"]):
-        raise FormatError(f"plan: cost_s {data['cost_s']!r:.30} is not finite seconds or migrate not a list of names")
-    rerun = data["rerun"]
-    if type(rerun) is not list or {type(t) for t in rerun} - {int} or rerun != sorted(set(rerun)):
-        raise FormatError(f"plan: rerun {rerun!r:.60} is not a strictly increasing list of timestamps")
-    return ReplicationPlan.from_json(data)
-
-
 def _check_consistent(checkpoint: Checkpoint) -> None:
     """Raise FormatError unless the plan, the variable table, the lineage and
     the payload agree: the plan reruns only recorded cells and stores exactly
     the table's variables, each of them active, with its root in the payload,
-    and the next timestamp is an int after every cell and tombstone."""
+    and the next timestamp is after every cell and tombstone."""
     plan, variables, history = checkpoint.plan, checkpoint.variables, checkpoint.history
     recorded = list(history.cells) + list(history.deleted.values())
-    if type(checkpoint.next_t) is not int or any(t >= checkpoint.next_t for t in recorded):
-        raise FormatError(f"next_t={checkpoint.next_t!r} is not an int after every recorded timestamp")
+    if any(t >= checkpoint.next_t for t in recorded):
+        raise FormatError(f"next_t={checkpoint.next_t!r} is not after every recorded timestamp")
     if set(plan.rerun) - history.cells.keys():
         raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
     if plan.migrate != variables.keys():
         raise FormatError("plan.migrate differs from the stored variables")
-    if {type(oid) for oid in variables.values()} - {int} or set(variables.values()) - checkpoint.objects.keys():
+    if set(variables.values()) - checkpoint.objects.keys():
         raise FormatError("a stored variable's root is not in the payload")
     inactive = variables.keys() - history.active_snapshots().keys()
     if inactive:
@@ -391,15 +388,22 @@ def restore(
             # a cell that failed replays the ops that ran before its failing
             # op; deletions carry no lineage edges, so an unbound name may
             # never have been rebuilt here, and its absence satisfies the unbind
-            heap.apply(
-                (op for op in ops[: cell.failed_at] if op.op != "unbind" or op.name in heap.namespace),
-                current,
-            )
+            try:
+                heap.apply(
+                    (op for op in ops[: cell.failed_at] if op.op != "unbind" or op.name in heap.namespace),
+                    current,
+                )
+            except StatecutError as err:
+                # the ops ran before: the lineage and the trace disagree
+                raise FormatError(f"cell {cell.t} ({cell.code_ref!r}) fails on replay: {err}") from err
         for name in declare_at.get(cell.t, ()):
             _declare_variable(heap, checkpoint, name, payload_map, current)
 
     for name in set(heap.namespace) - set(active):
         heap.unbind(name)
+    unbuilt = active.keys() - heap.namespace.keys()
+    if unbuilt:
+        raise FormatError(f"no stored copy or replayed cell binds the live variables {sorted(unbuilt)}")
     heap.collect_garbage()
 
     session = Session(

@@ -1,0 +1,103 @@
+"""Field rules of every JSON document statecut reads.
+
+``FIELD_TYPES`` gives the rule of each kind of field. Each reader lists the
+fields of an object with their kinds (``rules``) and checks the object with
+``check_fields``. docs/trace.schema.json and docs/checkpoint.schema.json
+state the same rules (tests/test_trace_cli.py checks that they agree).
+Rules that relate fields to each other stay with the readers.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from .errors import FormatError
+from .heap import KINDS
+
+_U64 = 2**64
+# below the largest float, so that every number converts: JSON admits
+# integers of any length, and Python's float() of one past it overflows
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_uint64(v) -> bool:
+    return type(v) is int and 0 <= v < _U64
+
+
+def _is_seconds(v) -> bool:
+    return (type(v) is float or type(v) is int) and 0 <= v < _FLOAT_MAX
+
+
+def _is_reads(v) -> bool:
+    if type(v) is not list:
+        return False
+    for r in v:  # a plain loop: no call per read
+        if type(r) is not list or len(r) != 2 or type(r[0]) is not str or type(r[1]) is not int:
+            return False
+    return True
+
+
+def _is_map(valid):
+    """The rule of an object mapping names to values that pass ``valid``."""
+    return lambda v: type(v) is dict and all(map(valid, v.values()))
+
+
+FIELD_TYPES = {
+    "object_id": _is_uint64,
+    "size": _is_uint64,
+    "kind": lambda v: type(v) is str and v in KINDS,
+    "flags": lambda v: type(v) is int and 0 <= v < 8,
+    "int": lambda v: type(v) is int,
+    "count": lambda v: type(v) is int and v >= 0,
+    "str": lambda v: type(v) is str,
+    "ref": lambda v: type(v) is str and v != "",
+    "bool": lambda v: type(v) is bool,
+    "any": lambda v: True,
+    "str_list": lambda v: type(v) is list and all(type(item) is str for item in v),
+    "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
+    "seconds": _is_seconds,
+    # a total over cells, infinite when one of them is never rerun
+    "seconds_or_inf": lambda v: v == math.inf or _is_seconds(v),
+    "bandwidth": lambda v: (type(v) is float or type(v) is int) and 0 < v < _FLOAT_MAX,
+    "reads": _is_reads,
+    "id_map": _is_map(_is_uint64),
+    "t_map": _is_map(lambda t: type(t) is int),
+    "annotations": _is_map(("always_copy", "always_recompute").__contains__),
+    # the entries of these are checked by their own readers
+    "object": lambda v: type(v) is dict,
+    "cells": lambda v: type(v) is list,
+    "ops": lambda v: type(v) is list,
+}
+
+
+def rules(required: dict[str, str], optional: dict[str, str] | None = None) -> tuple:
+    """The fields of one kind of object as the flat tuple ``check_fields``
+    walks: (name, kind, rule, required) for each, required ones first."""
+    fields = [(name, kind, True) for name, kind in required.items()]
+    fields += [(name, kind, False) for name, kind in (optional or {}).items()]
+    return tuple((name, kind, FIELD_TYPES[kind], req) for name, kind, req in fields)
+
+
+def check_fields(data, fields: tuple, where: str) -> None:
+    """Raise FormatError unless ``data`` is an object with every required
+    field of ``fields``, no other, and in each a value its kind admits. The
+    message begins with the path of the field at fault below ``where`` (""
+    for a document), e.g. ``history.cells[3].runtime_s: invalid seconds -1``."""
+    if type(data) is not dict:
+        raise FormatError(f"{where or 'document'}: not an object ({data!r:.60})")
+    found = 0
+    for name, kind, valid, required in fields:
+        if name in data:
+            if not valid(data[name]):
+                raise FormatError(f"{_path(where, name)}: invalid {kind} {data[name]!r:.60}")
+            found += 1
+        elif required:
+            raise FormatError(f"{_path(where, name)}: missing")
+    if found != len(data):
+        unknown = sorted(data.keys() - {field[0] for field in fields})
+        raise FormatError(f"{_path(where, unknown[0])}: unknown field")
+
+
+def _path(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name

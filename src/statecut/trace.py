@@ -9,82 +9,34 @@ docs/trace.schema.json.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cost import CostProfile
 from .errors import CellExecutionError, FormatError
-from .heap import KINDS, HeapOp, SimHeap
+from .heap import HeapOp, SimHeap
 from .history import HistoryGraph
 from .monitor import CellProgram, Session, run_cell
+from .schema import check_fields, rules
 
 TRACE_VERSION = 1
 
-_U64 = 2**64
-
-
-def _is_uint64(v) -> bool:
-    return type(v) is int and 0 <= v < _U64
-
-
-def _is_str_list(v) -> bool:
-    return type(v) is list and all(type(item) is str for item in v)
-
-
-def _is_seconds(v) -> bool:
-    return type(v) in (int, float) and 0 <= v < math.inf
-
-
-# Field types of trace entries; docs/trace.schema.json states the same types
-# (tests/test_trace_cli.py checks that the two agree).
-_FIELD_TYPES = {
-    "object_id": _is_uint64,
-    "size": _is_uint64,
-    "kind": lambda v: type(v) is str and v in KINDS,
-    "str": lambda v: type(v) is str,
-    "ref": lambda v: type(v) is str and v != "",
-    "bool": lambda v: type(v) is bool,
-    "any": lambda v: True,
-    "str_list": _is_str_list,
-    "seconds": _is_seconds,
-    "ops": lambda v: type(v) is list,
+_TRACE = rules({"version": "int", "profile": "object", "cells": "cells"},
+               {"variable_annotations": "annotations"})
+_OPS = {
+    "create": rules({"op": "str", "id": "object_id", "kind": "kind"},
+                    {"value": "any", "size_bytes": "size", "serializable": "bool",
+                     "deserializable": "bool", "hashable": "bool"}),
+    "bind": rules({"op": "str", "name": "str", "id": "object_id"}),
+    "unbind": rules({"op": "str", "name": "str"}),
+    "set_slot": rules({"op": "str", "parent_id": "object_id", "slot": "str", "child_id": "object_id"}),
+    "clear_slot": rules({"op": "str", "parent_id": "object_id", "slot": "str"}),
+    "set_value": rules({"op": "str", "id": "object_id"}, {"value": "any"}),
 }
-
-_OP_FIELDS = {
-    "create": {"id": "object_id", "kind": "kind", "value": "any", "size_bytes": "size",
-               "serializable": "bool", "deserializable": "bool", "hashable": "bool"},
-    "bind": {"name": "str", "id": "object_id"},
-    "unbind": {"name": "str"},
-    "set_slot": {"parent_id": "object_id", "slot": "str", "child_id": "object_id"},
-    "clear_slot": {"parent_id": "object_id", "slot": "str"},
-    "set_value": {"id": "object_id", "value": "any"},
-}
-_OP_OPTIONAL = {"value", "size_bytes", "serializable", "deserializable", "hashable"}
-_OP_CHECKS = {
-    op: [(name, _FIELD_TYPES[kind], name not in _OP_OPTIONAL) for name, kind in fields.items()]
-    for op, fields in _OP_FIELDS.items()
-}
-
-_CELL_FIELDS = {
-    "code_ref": "ref", "direct_reads": "str_list", "declared_runtime_s": "seconds",
-    "never_rerun": "bool", "nondeterministic": "bool", "ops": "ops", "alt_ops": "ops",
-}
-_CELL_REQUIRED = {"code_ref", "ops"}
-
-ANNOTATIONS = ("always_copy", "always_recompute")
-
-
-def check_annotations(annotations, where: str) -> dict[str, str]:
-    """A copy of ``annotations``; raises FormatError unless it maps names
-    to values in ``ANNOTATIONS``. Traces and checkpoints share this rule."""
-    if not isinstance(annotations, dict):
-        raise FormatError(f"{where} must be an object")
-    for name, value in annotations.items():
-        if type(name) is not str or value not in ANNOTATIONS:
-            raise FormatError(f"{where}[{name!r}]: unknown annotation {value!r}")
-    return dict(annotations)
+_CELL = rules({"code_ref": "ref", "ops": "ops"},
+              {"direct_reads": "str_list", "declared_runtime_s": "seconds", "never_rerun": "bool",
+               "nondeterministic": "bool", "alt_ops": "ops"})
 
 
 @dataclass
@@ -101,33 +53,17 @@ class TraceFile:
 
 
 def _op_to_json(op: HeapOp) -> dict:
-    data: dict = {"op": op.op}
-    for name in _OP_FIELDS[op.op]:
-        data[name] = getattr(op, name)
-    return data
+    return {name: getattr(op, name) for name, *_ in _OPS[op.op]}
 
 
 def _op_from_json(data: dict, where: str) -> HeapOp:
-    if not isinstance(data, dict) or "op" not in data:
-        raise FormatError(f"{where}: op entry must be an object with an 'op' field")
-    kind = data["op"]
-    checks = _OP_CHECKS.get(kind) if type(kind) is str else None
-    if checks is None:
-        raise FormatError(f"{where}: unknown op {kind!r}")
-    fields = {}
-    for name, valid, required in checks:
-        if name in data:
-            value = data[name]
-            if not valid(value):
-                raise FormatError(f"{where}: op {kind!r} has invalid {name} {value!r}")
-            fields[name] = value
-        elif required:
-            missing = sorted(n for n, _, req in checks if req and n not in data)
-            raise FormatError(f"{where}: op {kind!r} missing fields {missing}")
-    if "name" in fields:
+    if type(data) is not dict or type(data.get("op")) is not str or data["op"] not in _OPS:
+        raise FormatError(f"{where}: not an object with a known op ({data!r:.60})")
+    check_fields(data, _OPS[data["op"]], where)
+    if "name" in data:
         # one string per variable name, as in a generated trace
-        fields["name"] = sys.intern(fields["name"])
-    return HeapOp(op=kind, **fields)
+        return HeapOp(**{**data, "name": sys.intern(data["name"])})
+    return HeapOp(**data)
 
 
 def _cell_to_json(cell: CellProgram) -> dict:
@@ -144,25 +80,17 @@ def _cell_to_json(cell: CellProgram) -> dict:
     return data
 
 
-def _cell_from_json(data: dict, index: int) -> CellProgram:
-    where = f"cells[{index}]"
-    if not isinstance(data, dict):
-        raise FormatError(f"{where}: must be an object")
-    for key in sorted(_CELL_REQUIRED):
-        if key not in data:
-            raise FormatError(f"{where}: missing {key!r}")
-    for key, kind in _CELL_FIELDS.items():
-        if key in data and not _FIELD_TYPES[kind](data[key]):
-            raise FormatError(f"{where}: invalid {key} {data[key]!r}")
+def _cell_from_json(data: dict, where: str) -> CellProgram:
+    check_fields(data, _CELL, where)
     alt = data.get("alt_ops")
     return CellProgram(
         code_ref=data["code_ref"],
         direct_reads=set(map(sys.intern, data.get("direct_reads", ()))),
-        ops=[_op_from_json(op, where) for op in data["ops"]],
+        ops=[_op_from_json(op, f"{where}.ops[{j}]") for j, op in enumerate(data["ops"])],
         declared_runtime_s=float(data.get("declared_runtime_s", 1.0)),
         never_rerun=data.get("never_rerun", False),
         nondeterministic=data.get("nondeterministic", False),
-        alt_ops=None if alt is None else [_op_from_json(op, where) for op in alt],
+        alt_ops=None if alt is None else [_op_from_json(op, f"{where}.alt_ops[{j}]") for j, op in enumerate(alt)],
     )
 
 
@@ -197,21 +125,16 @@ def trace_to_json(trace: TraceFile) -> dict:
 
 
 def trace_from_json(data: dict) -> TraceFile:
-    if not isinstance(data, dict):
-        raise FormatError("trace must be a JSON object")
-    if type(data.get("version")) is not int or data["version"] != TRACE_VERSION:
-        raise FormatError(f"unsupported trace version {data.get('version')!r}")
-    profile = CostProfile.from_json(data.get("profile"))
-    annotations = check_annotations(data.get("variable_annotations", {}), "variable_annotations")
-    cells_data = data.get("cells")
-    if not isinstance(cells_data, list):
-        raise FormatError("cells must be a list")
-    cells = [_cell_from_json(cell, i) for i, cell in enumerate(cells_data)]
+    check_fields(data, _TRACE, "")
+    if data["version"] != TRACE_VERSION:
+        raise FormatError(f"unsupported trace version {data['version']!r}")
+    profile = CostProfile.from_json(data["profile"])
+    cells = [_cell_from_json(cell, f"cells[{i}]") for i, cell in enumerate(data["cells"])]
     refs = [c.code_ref for c in cells]
     if len(set(refs)) != len(refs):
         raise FormatError("cell code_refs must be unique")
     _check_creates(cells)
-    return TraceFile(profile=profile, cells=cells, variable_annotations=annotations)
+    return TraceFile(profile=profile, cells=cells, variable_annotations=dict(data.get("variable_annotations", {})))
 
 
 def load_trace(path: str | Path) -> TraceFile:

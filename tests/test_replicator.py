@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,17 @@ from sessions import (
     with_failing_cells,
     worked_example_trace,
 )
+
+
+CHECKPOINT_SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "checkpoint.schema.json").read_text())
+# the message of a field that breaks its type rule: its path, then "invalid"
+TYPE_RULE_ERROR = re.compile(r"\(FormatError: ([\w.\[\]]+): invalid ")
+
+
+def field_path(leaf: tuple) -> str:
+    """A leaf's path as the reader names it, e.g. history.cells[3].runtime_s."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in leaf).lstrip(".")
 
 
 def read_manifest(path) -> dict:
@@ -207,6 +220,46 @@ class TestCheckpointFormat:
         # plan's cost of 1.5) or a flag's True still restores (44 of 480)
         assert outcomes["rejected"] > 300 and outcomes["restored"] > 40
 
+    @pytest.mark.parametrize("make, bandwidth", [
+        (worked_example_trace, None),
+        # four live cells: a tombstone (v2) and two failed cells that the plan reruns
+        (lambda: with_failing_cells(generate_trace(GenParams(cells=8, variables=5, delete_rate=0.3), 108),
+                                    random.Random(108), 0.3), 100.0),
+    ], ids=["worked-example", "tombstone-and-failed-cells"])
+    def test_wrong_typed_manifest_leaf_is_a_type_error_iff_schema_invalid(self, tmp_path, make, bandwidth):
+        # each manifest leaf replaced by each wrong value: a FormatError that
+        # names the leaf's field as breaking its type rule exactly when the
+        # published schema rejects the manifest; otherwise a restore that
+        # verifies, or a FormatError of a rule that relates fields
+        validator = jsonschema.Draft7Validator(CHECKPOINT_SCHEMA)
+        record_validator = jsonschema.Draft7Validator(
+            {**CHECKPOINT_SCHEMA["definitions"]["record"], "definitions": CHECKPOINT_SCHEMA["definitions"]})
+        trace = make()
+        session, _, path = checkpoint_roundtrip(tmp_path, trace, bandwidth=bandwidth)
+        manifest = read_manifest(path)
+        assert validator.is_valid(manifest)
+        assert all(map(record_validator.is_valid, payload_records(path)))
+        history = manifest["history"]
+        assert bandwidth is None or history["deleted"] and any("failed_at" in c for c in history["cells"])
+        outcomes = Counter()
+        for leaf in leaf_paths(manifest):
+            field = field_path(leaf)
+            for value in WRONG_VALUES:
+                doc = with_leaf(manifest, leaf, value)
+                write_manifest(path, doc)
+                try:
+                    result = restore(read_checkpoint(path), trace.programs())
+                except FormatError as err:
+                    match = TYPE_RULE_ERROR.search(str(err))
+                    named = match is not None and re.match(re.escape(match[1]) + r"($|[.\[])", field)
+                    assert bool(named) == (not validator.is_valid(doc)), (field, value, str(err))
+                    outcomes["type" if named else "semantic"] += 1
+                    continue
+                assert validator.is_valid(doc), (field, value)
+                assert verify(session.heap, result.session.heap).isomorphic, (field, value)
+                outcomes["restored"] += 1
+        assert outcomes["type"] and outcomes["semantic"] and outcomes["restored"], outcomes
+
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "plan": {**m["plan"], "rerun": m["plan"]["rerun"] + [99]}},
         lambda m: {**m, "plan": {**m["plan"], "migrate": m["plan"]["migrate"][1:]}},
@@ -246,6 +299,10 @@ class TestCheckpointFormat:
         lambda m: with_leaf(m, ("plan", "migrate"), dict.fromkeys(m["plan"]["migrate"], 1)),
         lambda m: with_leaf(m, ("plan", "rerun"), m["plan"]["rerun"][::-1]),
         lambda m: with_leaf(m, ("plan", "rerun"), m["plan"]["rerun"][:1] + m["plan"]["rerun"]),
+        lambda m: with_leaf(m, ("history", "cells", 0, "comment"), "x"),
+        lambda m: {**m, "variables": [[name, oid] for name, oid in m["variables"].items()]},
+        lambda m: with_leaf(m, ("history", "deleted"), [["y", 5]]),
+        lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), 10**400),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
             "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
@@ -256,7 +313,9 @@ class TestCheckpointFormat:
             "annotation-not-a-string", "plan-without-alpha", "plan-without-bandwidth",
             "profile-alpha-infinite", "plan-cost-string", "plan-cost-nan", "plan-cost-negative",
             "plan-alpha-string", "plan-bandwidth-list", "plan-bandwidth-zero",
-            "plan-migrate-object", "plan-rerun-unsorted", "plan-rerun-duplicate"])
+            "plan-migrate-object", "plan-rerun-unsorted", "plan-rerun-duplicate",
+            "cell-unknown-key", "variables-list-of-pairs", "deleted-list-of-pairs",
+            "runtime-past-float"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)

@@ -7,17 +7,17 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from statecut import cost, history, planner, replicator
 from statecut.cli import build_parser, main
 from statecut.errors import FormatError, StatecutError
 from statecut.gen import GenParams, generate_trace
 from statecut.planner import plan_session
 from statecut.replicator import read_checkpoint, restore, write_checkpoint
+from statecut.schema import FIELD_TYPES
 from statecut.trace import (
-    _CELL_FIELDS,
-    _CELL_REQUIRED,
-    _FIELD_TYPES,
-    _OP_FIELDS,
-    _OP_OPTIONAL,
+    _CELL,
+    _OPS,
+    _TRACE,
     load_trace,
     run_trace,
     save_trace,
@@ -28,21 +28,55 @@ from statecut.trace import (
 from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import aliased_pair_trace, link_blind_plan, worked_example_trace
 
-SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "trace.schema.json").read_text())
+DOCS = Path(__file__).parent.parent / "docs"
+SCHEMA = json.loads((DOCS / "trace.schema.json").read_text())
+CHECKPOINT_SCHEMA = json.loads((DOCS / "checkpoint.schema.json").read_text())
 
-# how the published schema states each field type of the loader's table
+# how the published schemas state each field type of the readers' table
 SCHEMA_OF_TYPE = {
     "object_id": {"$ref": "#/definitions/object_id"},
     "size": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
     "kind": {"enum": ["scalar", "container", "opaque"]},
+    "flags": {"type": "integer", "minimum": 0, "maximum": 7},
+    "int": {"type": "integer"},
+    "count": {"type": "integer", "minimum": 0},
     "str": {"type": "string"},
     "ref": {"type": "string", "minLength": 1},
     "bool": {"type": "boolean"},
     "any": {},
     "str_list": {"type": "array", "items": {"type": "string"}},
+    "int_list": {"type": "array", "items": {"type": "integer"}},
     "seconds": {"type": "number", "minimum": 0},
+    "seconds_or_inf": {"type": "number", "minimum": 0},
+    "bandwidth": {"type": "number", "exclusiveMinimum": 0},
+    "reads": {"type": "array", "items": {"type": "array", "items": [{"type": "string"}, {"type": "integer"}],
+                                         "minItems": 2, "additionalItems": False}},
+    "id_map": {"type": "object", "additionalProperties": {"$ref": "#/definitions/object_id"}},
+    "t_map": {"type": "object", "additionalProperties": {"type": "integer"}},
+    "annotations": {"type": "object", "additionalProperties": {"enum": ["always_copy", "always_recompute"]}},
+    # a "$ref" to a definition of an object, which its own table states
+    "object": {"type": "object"},
+    "cells": {"type": "array", "items": {"$ref": "#/definitions/cell"}},
     "ops": {"type": "array", "items": {"$ref": "#/definitions/op"}},
 }
+
+
+def assert_table_states(schema, definition, fields, ignore=()):
+    """The definition states exactly the fields of the rule tuple ``fields``,
+    apart from those in ``ignore``: the same required ones, no others, and
+    each with its kind's schema."""
+    assert set(definition["required"]) == {name for name, _, _, required in fields if required}
+    assert definition["additionalProperties"] is False
+    properties = {k: v for k, v in definition["properties"].items() if k not in ignore}
+    assert properties.keys() == {name for name, *_ in fields} - set(ignore)
+    for name, kind, _, _ in fields:
+        if name in ignore:
+            continue
+        if kind == "object":
+            target = properties[name]["$ref"].removeprefix("#/definitions/")
+            assert schema["definitions"][target]["type"] == "object", name
+        else:
+            assert properties[name] == SCHEMA_OF_TYPE[kind], name
 
 
 class TestTraceFormat:
@@ -88,6 +122,18 @@ class TestTraceFormat:
         # "already live"), and by a cell's alt_ops beyond its own ops' creates
         lambda d: d["cells"][2]["ops"].insert(0, dict(d["cells"][0]["ops"][0])),
         lambda d: d["cells"][2].update(alt_ops=[dict(d["cells"][0]["ops"][0])]),
+        # unknown keys, as the schema's additionalProperties: false says; a
+        # misspelt optional field would otherwise take its default silently
+        lambda d: d["cells"][0].update(declared_runtime=d["cells"][0].pop("declared_runtime_s")),
+        lambda d: d["profile"].update(latency=0.5),
+        lambda d: next(op for op in d["cells"][0]["ops"] if op["op"] == "create").update(sizebytes=8),
+        lambda d: d.update(comment="x"),
+        # an object's values as a list, which no reader takes for the object
+        lambda d: d.update(profile=list(d["profile"].values())),
+        lambda d: d["cells"].__setitem__(0, list(d["cells"][0].values())),
+        # a JSON integer past the largest float: float() of it overflows
+        lambda d: d["cells"][0].update(declared_runtime_s=10**400),
+        lambda d: d["profile"].update(latency_s=10**400),
     ])
     def test_malformed_documents_rejected(self, mutate):
         data = trace_to_json(generate_trace(GenParams(cells=3), 1))
@@ -96,31 +142,46 @@ class TestTraceFormat:
             trace_from_json(data)
 
     def test_field_table_agrees_with_schema(self):
-        assert SCHEMA_OF_TYPE.keys() == _FIELD_TYPES.keys()
+        assert SCHEMA_OF_TYPE.keys() == FIELD_TYPES.keys()
+        for schema in (SCHEMA, CHECKPOINT_SCHEMA):
+            jsonschema.Draft7Validator.check_schema(schema)
         ops = {entry["properties"]["op"]["const"]: entry
                for entry in SCHEMA["definitions"]["op"]["oneOf"]}
-        assert ops.keys() == _OP_FIELDS.keys()
-        for op, fields in _OP_FIELDS.items():
-            assert set(ops[op]["required"]) == {"op"} | (fields.keys() - _OP_OPTIONAL), op
-            properties = {k: v for k, v in ops[op]["properties"].items() if k != "op"}
-            assert properties == {name: SCHEMA_OF_TYPE[kind] for name, kind in fields.items()}, op
-        cell = SCHEMA["definitions"]["cell"]
-        assert set(cell["required"]) == _CELL_REQUIRED
-        assert cell["properties"] == {name: SCHEMA_OF_TYPE[kind] for name, kind in _CELL_FIELDS.items()}
+        assert ops.keys() == _OPS.keys()
+        for op, fields in _OPS.items():
+            assert_table_states(SCHEMA, ops[op], fields, ignore={"op"})
+        definitions = SCHEMA["definitions"]
+        # the version's value is the loader's rule: it supports version 1 only
+        assert_table_states(SCHEMA, SCHEMA, _TRACE, ignore={"version"})
+        assert_table_states(SCHEMA, definitions["cell"], _CELL)
+        assert_table_states(SCHEMA, definitions["profile"], cost._PROFILE)
+        definitions = CHECKPOINT_SCHEMA["definitions"]
+        assert_table_states(CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA, replicator._MANIFEST)
+        assert_table_states(CHECKPOINT_SCHEMA, definitions["history"], history._HISTORY)
+        assert_table_states(CHECKPOINT_SCHEMA, definitions["cell"], history._CELL)
+        assert_table_states(CHECKPOINT_SCHEMA, definitions["plan"], planner._PLAN)
+        assert_table_states(CHECKPOINT_SCHEMA, definitions["profile"], cost._PROFILE)
+        record = definitions["record"]
+        assert record["items"] == [SCHEMA_OF_TYPE[kind] for _, kind, _, _ in replicator._RECORD]
+        assert record["minItems"] == len(replicator._RECORD)
 
     def test_type_checks_accept_what_the_schema_types_accept(self):
-        # "ops" is left out: the op parser checks its items one by one. JSON
-        # Schema's "integer" also admits 1.0, which is not a probe here: the
-        # loader takes only ints for ids and sizes, as the writer produces.
-        probes = ["x", "", -1, 0, 7, 2**64 - 1, 2**64, None, [], {}, 1.5, True, False,
-                  "scalar", ["a"], [1]]
-        for kind, check in _FIELD_TYPES.items():
-            if kind == "ops":
+        # "cells" and "ops" are left out: their readers check the items one
+        # by one. JSON Schema's "integer" also admits 1.0, which is not a
+        # probe here: the readers take only ints for ids, sizes and
+        # timestamps, as the writers produce.
+        probes = ["x", "", -1, 0, 7, 8, 2**64 - 1, 2**64, None, [], {}, 1.5, True, False,
+                  "scalar", ["a"], [1], [["a", 1]], [["a", 1], ["b", -2]], [["a"]], [["a", 1, 2]],
+                  [[1, "a"]], [["a", 1.5]], [["a", True]], {"a": 1}, {"a": -1}, {"a": 2**64},
+                  {"a": 1.5}, {"a": "always_copy"}, {"a": "always_recompute", "b": "bogus"}]
+        for kind, check in FIELD_TYPES.items():
+            if kind in ("cells", "ops"):
                 continue
-            validator = jsonschema.Draft7Validator(
-                {**SCHEMA_OF_TYPE[kind], "definitions": SCHEMA["definitions"]})
-            for value in probes:
-                assert check(value) == validator.is_valid(value), (kind, value)
+            for schema in (SCHEMA, CHECKPOINT_SCHEMA):
+                validator = jsonschema.Draft7Validator(
+                    {**SCHEMA_OF_TYPE[kind], "definitions": schema["definitions"]})
+                for value in probes:
+                    assert check(value) == validator.is_valid(value), (kind, value)
 
     def test_wrong_typed_leaf_loads_iff_schema_valid(self, tmp_path):
         # a trace with one damaged leaf either fails to load with FormatError,
