@@ -21,6 +21,7 @@ from .gen import GenParams, generate_trace
 from .history import HistoryGraph
 from .planner import baseline_plans, plan_session, session_cost_model
 from .replicator import read_checkpoint, restore, verify, write_checkpoint
+from .schema import FIELD_TYPES
 from .trace import load_trace, run_trace, save_trace
 
 EXIT_OK = 0
@@ -29,23 +30,25 @@ EXIT_VERIFY_FAILED = 3
 EXIT_FORMAT = 4
 
 
-def _channel_number(text: str, positive: bool) -> float:
+def _channel_number(text: str, kind: str) -> float:
+    """``text`` as a value of a profile field of ``kind``: the trace's and
+    the checkpoint's rule for it (``schema.FIELD_TYPES``)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if math.isfinite(value) and (value > 0 if positive else value >= 0):
+    if FIELD_TYPES[kind](value):
         return value
-    bound = "positive" if positive else "non-negative"
+    bound = "positive" if kind == "bandwidth" else "non-negative"
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite {bound} number")
 
 
 def _non_negative(text: str) -> float:
-    return _channel_number(text, positive=False)
+    return _channel_number(text, "seconds")
 
 
 def _positive(text: str) -> float:
-    return _channel_number(text, positive=True)
+    return _channel_number(text, "bandwidth")
 
 
 def _rate(text: str) -> float:

@@ -3,7 +3,9 @@
 A trace is a JSON document carrying the storage profile, per-variable
 annotations, and an ordered list of cell programs whose heap ops replay
 deterministically against an empty heap. The schema is published at
-docs/trace.schema.json.
+docs/trace.schema.json. ``save_trace`` writes compact JSON with sorted keys
+on one line, as the checkpoint writer does; ``load_trace`` reads any JSON
+layout, so an indented trace loads too.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def _op_from_json(data: dict, where: str) -> HeapOp:
     return HeapOp(**data)
 
 
+def _ops_from_json(items: list, where: str) -> list[HeapOp]:
+    """The ops of the list at ``where``. An op's own path is built only for
+    a malformed op: its check runs again with the path, to raise."""
+    ops = []
+    for data in items:
+        try:
+            ops.append(_op_from_json(data, ""))
+        except FormatError:
+            _op_from_json(data, f"{where}[{len(ops)}]")
+            raise
+    return ops
+
+
 def _cell_to_json(cell: CellProgram) -> dict:
     data = {
         "code_ref": cell.code_ref,
@@ -86,11 +101,11 @@ def _cell_from_json(data: dict, where: str) -> CellProgram:
     return CellProgram(
         code_ref=data["code_ref"],
         direct_reads=set(map(sys.intern, data.get("direct_reads", ()))),
-        ops=[_op_from_json(op, f"{where}.ops[{j}]") for j, op in enumerate(data["ops"])],
+        ops=_ops_from_json(data["ops"], f"{where}.ops"),
         declared_runtime_s=float(data.get("declared_runtime_s", 1.0)),
         never_rerun=data.get("never_rerun", False),
         nondeterministic=data.get("nondeterministic", False),
-        alt_ops=None if alt is None else [_op_from_json(op, f"{where}.alt_ops[{j}]") for j, op in enumerate(alt)],
+        alt_ops=None if alt is None else _ops_from_json(alt, f"{where}.alt_ops"),
     )
 
 
@@ -146,7 +161,7 @@ def load_trace(path: str | Path) -> TraceFile:
 
 
 def save_trace(trace: TraceFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(trace_to_json(trace), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def new_session(profile: CostProfile, annotations: dict[str, str] | None = None) -> Session:

@@ -1375,7 +1375,7 @@ class TestLiveLineage:
             return None if oid is None else result.id_map.get(oid, oid + offset)
 
         for program in trace.cells[cut:]:
-            ops = [replace(op, id=local(op.id), parent_id=local(op.parent_id), child_id=local(op.child_id))
+            ops = [op._replace(id=local(op.id), parent_id=local(op.parent_id), child_id=local(op.child_id))
                    for op in program.ops]
             assert record_cell(restored, replace(program, ops=ops)) == record_cell(original, program)
         assert restored.history.to_manifest() == original.history.to_manifest()

@@ -11,6 +11,7 @@ from statecut import cost, history, planner, replicator
 from statecut.cli import build_parser, main
 from statecut.errors import FormatError, StatecutError
 from statecut.gen import GenParams, generate_trace
+from statecut.heap import HeapOp
 from statecut.planner import plan_session
 from statecut.replicator import read_checkpoint, restore, write_checkpoint
 from statecut.schema import FIELD_TYPES
@@ -213,6 +214,35 @@ class TestTraceFormat:
         with pytest.raises(FormatError):
             load_trace(path)
 
+    def test_saved_as_one_compact_sorted_line(self, tmp_path):
+        trace = generate_trace(GenParams(cells=6, nondet_rate=0.3), 5)
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(trace_to_json(trace), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_saves_are_byte_identical(self, tmp_path):
+        trace = generate_trace(GenParams(cells=6, nondet_rate=0.3), 5)
+        save_trace(trace, tmp_path / "a.json")
+        save_trace(load_trace(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_indented_trace_loads(self, tmp_path):
+        trace = generate_trace(GenParams(cells=6, nondet_rate=0.3), 5)
+        save_trace(trace, tmp_path / "compact.json")
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n")
+        assert load_trace(indented) == load_trace(tmp_path / "compact.json") == trace
+
+    def test_ops_are_immutable_and_hash_by_value(self):
+        op = HeapOp(op="set_slot", parent_id=1, slot="s0", child_id=2)
+        with pytest.raises(AttributeError):
+            op.slot = "s1"
+        twin = HeapOp(op="set_slot", parent_id=1, slot="s0", child_id=2)
+        assert op == twin and hash(op) == hash(twin)
+        assert op != op._replace(slot="s1")
+
 
 class TestGenerator:
     def test_same_seed_same_trace(self):
@@ -369,6 +399,7 @@ class TestCliExitCodes:
         ["plan", "--bandwidth", "0"],
         ["plan", "--bandwidth", "nan"],
         ["checkpoint", "--bandwidth", "inf"],
+        ["plan", "--bandwidth", "1.7976931348623157e308"],  # the largest float: not below it
         ["sweep", "--bandwidths", "0,1e6"],
         ["sweep", "--bandwidths", "1e6,-1e3"],
         ["sweep", "--bandwidths", "1e6", "--alpha", "nan"],
