@@ -31,18 +31,10 @@ from .heap import (
     SimHeap,
     build_id_graph,
     id_graph_changed,
-    id_graphs_overlap,
     value_hash,
 )
 from .history import CellExecution, CellRecord, HistoryGraph, VariableSnapshot
-from .monitor import (
-    CellProgram,
-    PreSnapshot,
-    Session,
-    detect_accesses,
-    detect_modifications,
-    run_cell,
-)
+from .monitor import CellProgram, Session, run_cell
 from .planner import (
     FlowGraph,
     ReplicationPlan,

@@ -18,12 +18,13 @@ from .errors import UnknownVariable
 # build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
 from .heap import NameIndex, SimHeap, build_id_graph
 from .history import CellExecution, HistoryGraph
-from .schema import check_fields, rules
+from .schema import FIELD_TYPES, check_fields, rules
 
 INF = math.inf
 
 _PROFILE = rules({"bandwidth_bytes_per_s": "bandwidth"},
                  {"store_bandwidth_bytes_per_s": "bandwidth", "latency_s": "seconds", "alpha": "seconds"})
+_is_bandwidth, _is_seconds = FIELD_TYPES["bandwidth"], FIELD_TYPES["seconds"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,11 @@ class CostProfile:
     store_bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        # "not a < x < b" rather than "x <= a or x >= b", so that NaN fails too
+        # the ranges the readers check (schema.FIELD_TYPES); NaN fails them
         store = self.store_bandwidth_bytes_per_s
-        if not 0 < self.bandwidth_bytes_per_s < INF or (store is not None and not 0 < store < INF):
+        if not _is_bandwidth(self.bandwidth_bytes_per_s) or (store is not None and not _is_bandwidth(store)):
             raise ValueError("bandwidths must be positive and finite")
-        if not (0 <= self.latency_s < INF and 0 <= self.alpha < INF):
+        if not (_is_seconds(self.latency_s) and _is_seconds(self.alpha)):
             raise ValueError("latency and alpha must be finite and non-negative")
 
     @property

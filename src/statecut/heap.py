@@ -181,9 +181,14 @@ class SimHeap:
         self.version = 0
 
     def allocate_id(self) -> ObjectId:
-        """Return a fresh object id (never reused within this heap)."""
+        """Return a fresh object id: the least id above the last one this
+        method returned that no live object holds. A restore first loads the
+        stored objects under their own ids, so the objects its rerun cells
+        create fill the ids between them."""
         oid = self._next_id
-        self._next_id += 1
+        while oid in self.objects:
+            oid += 1
+        self._next_id = oid + 1
         return oid
 
     def get(self, oid: ObjectId) -> HeapObject:
@@ -202,7 +207,6 @@ class SimHeap:
         if obj.id in self.objects:
             raise InvalidHeapOp(f"object id {obj.id} already live")
         self.objects[obj.id] = obj
-        self._next_id = max(self._next_id, obj.id + 1)
         self.version += 1
         return obj
 

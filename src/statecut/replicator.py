@@ -9,13 +9,17 @@ reading it checks every field against the rules of ``schema`` (published as
 docs/checkpoint.schema.json), then the rules that relate fields, and ends
 any fault in one FormatError that names the file. A restore whose lineage
 disagrees with the trace is a FormatError too.
-Restoration walks the original timestamps, interleaving cell reruns with
-variable re-declaration, so every rerun cell reads the inputs it originally
-saw; a migrated variable also produced by a rerun cell is overwritten with
-its stored copy to keep aliases pointing at the payload objects. Stored
-variables that fail to deserialize are found before the walk and recovered
-by moving their whole linked group back to recomputation, so the walk runs
-once, on the amended plan.
+Restoration loads the stored objects under their own ids, then walks the
+original timestamps, interleaving cell reruns with variable re-declaration,
+so every rerun cell reads the inputs it originally saw. Only the objects a
+rerun cell creates take fresh ids; declaring a variable binds its name and
+maps its stored objects to themselves, so a migrated variable also produced
+by a rerun cell is overwritten with its stored copy and aliases keep
+pointing at the payload objects. A restore with no fallback that ``verify``
+accepts checkpoints, under the same plan, to the file it was restored from.
+Stored variables that fail to deserialize are found before the walk and
+recovered by moving their whole linked group back to recomputation, so the
+walk runs once, on the amended plan.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ class RestoreResult:
     """Restored session plus the identity bookkeeping verification needs."""
 
     session: Session
-    id_map: dict[int, int]  # original object id -> restored object id
+    # original object id -> restored object id: a stored object keeps its id,
+    # an object a rerun cell creates gets a fresh one
+    id_map: dict[int, int]
     fallback_recomputed: list[str] = field(default_factory=list)
 
 
@@ -169,9 +175,9 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         "annotations": dict(sorted(session.annotations.items())),
         "next_t": session.next_t,
     }
-    manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    manifest_bytes = _canon(manifest)
     records = [_record(heap.objects[oid]) for oid in sorted(closure)]
-    payload = json.dumps(records, sort_keys=True, separators=(",", ":")).encode()[1:-1]
+    payload = _canon(records)[1:-1]
     body = b"".join((
         MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(manifest_bytes)), manifest_bytes,
         struct.pack("<Q", len(payload)), payload,
@@ -296,39 +302,6 @@ def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], 
     return moved, [c.t for c in extra]
 
 
-def _declare_variable(
-    heap: SimHeap,
-    checkpoint: Checkpoint,
-    name: str,
-    payload_map: dict[int, int],
-    current: dict[int, int],
-) -> None:
-    """Materialize a stored variable's subgraph (once per object) and bind it."""
-    closure = reachable_ids(checkpoint.objects, checkpoint.variables[name])
-    fresh = sorted(oid for oid in closure if oid not in payload_map)
-    for oid in fresh:
-        rec = checkpoint.objects[oid]
-        payload_map[oid] = heap.add_object(
-            HeapObject(
-                id=heap.allocate_id(),
-                kind=rec.kind,
-                value=rec.value,
-                size_bytes=rec.size_bytes,
-                serializable=rec.serializable,
-                deserializable=rec.deserializable,
-                hashable=rec.hashable,
-            )
-        ).id
-    for oid in fresh:
-        rec = checkpoint.objects[oid]
-        heap.objects[payload_map[oid]].slots = {
-            label: payload_map[child] for label, child in rec.slots.items()
-        }
-    heap.bind(name, payload_map[checkpoint.variables[name]])
-    for oid in closure:
-        current[oid] = payload_map[oid]
-
-
 def restore(
     checkpoint: Checkpoint,
     programs: dict[str, CellProgram],
@@ -337,25 +310,28 @@ def restore(
 ) -> RestoreResult:
     """Rebuild the checkpointed session state on a fresh heap.
 
-    First loads each stored variable in declaration order (the timestamp of
+    First tries each stored variable in declaration order (the timestamp of
     its active snapshot, then name): a variable fails to load when its
     payload holds an undeserializable object or the injected fault fires for
     it, and each failure moves its whole linked group to the rerun side
-    unless an earlier failure already moved it. Then walks the original
-    timestamps once: cells on the amended rerun list replay their recorded
-    ops (nondeterministic cells replay their alternate ops), and each
-    variable still stored is declared right after the timestamp of its
+    unless an earlier failure already moved it. Then loads the objects the
+    variables still stored reach, under their own ids, and walks the
+    original timestamps once: cells on the amended rerun list replay their
+    recorded ops (nondeterministic cells replay their alternate ops), and
+    each variable still stored is declared right after the timestamp of its
     active snapshot.
     """
     history = checkpoint.history
     active = history.active_snapshots()
+    objects = checkpoint.objects
+    closures: dict[str, set[int]] = {}
     fallbacks: list[str] = []
     moved: set[str] = set()
     for name in sorted(checkpoint.variables, key=lambda n: (active[n].t, n)):
         if name in moved:
             continue
-        closure = reachable_ids(checkpoint.objects, checkpoint.variables[name])
-        if any(not checkpoint.objects[oid].deserializable for oid in closure) or (
+        closure = closures[name] = reachable_ids(objects, checkpoint.variables[name])
+        if any(not objects[oid].deserializable for oid in closure) or (
             deserialization_fault is not None and deserialization_fault(name)
         ):
             fallbacks.append(name)
@@ -372,11 +348,20 @@ def restore(
         rerun.update(extra)
 
     declare_at: dict[int, list[str]] = {}
-    for name in sorted(set(checkpoint.variables) - moved):
+    stored: set[int] = set()
+    for name in sorted(closures.keys() - moved):
         declare_at.setdefault(active[name].t, []).append(name)
+        stored |= closures[name]
+    # every object a stored variable reaches, under its own id; ops reach
+    # one only once its variable's declaration enters it in ``current``.
+    # Each is a copy, as one checkpoint may be restored twice, built with
+    # positional arguments, which cost half what keywords do.
     heap = SimHeap()
-    payload_map: dict[int, int] = {}
-    current: dict[int, int] = {}
+    for oid, obj in objects.items():
+        if oid in stored:
+            heap.add_object(HeapObject(oid, obj.kind, obj.value, dict(obj.slots), obj.size_bytes,
+                                       obj.serializable, obj.deserializable, obj.hashable))
+    current: dict[int, int] = {}  # recorded id -> this heap's id
     for cell in history.cells.values():
         if cell.t in rerun:
             if cell.code_ref not in programs:
@@ -397,7 +382,9 @@ def restore(
                 # the ops ran before: the lineage and the trace disagree
                 raise FormatError(f"cell {cell.t} ({cell.code_ref!r}) fails on replay: {err}") from err
         for name in declare_at.get(cell.t, ()):
-            _declare_variable(heap, checkpoint, name, payload_map, current)
+            heap.bind(name, checkpoint.variables[name])
+            closure = closures[name]
+            current.update(zip(closure, closure))
 
     for name in set(heap.namespace) - set(active):
         heap.unbind(name)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cost import CostProfile
 from .errors import CellExecutionError, FormatError
-from .heap import HeapOp, SimHeap
+from .heap import HeapOp, SimHeap, _canon
 from .history import HistoryGraph
 from .monitor import CellProgram, Session, run_cell
 from .schema import check_fields, rules
@@ -161,7 +161,7 @@ def load_trace(path: str | Path) -> TraceFile:
 
 
 def save_trace(trace: TraceFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_json(trace), sort_keys=True, separators=(",", ":")) + "\n")
+    Path(path).write_bytes(_canon(trace_to_json(trace)) + b"\n")
 
 
 def new_session(profile: CostProfile, annotations: dict[str, str] | None = None) -> Session:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -53,6 +54,30 @@ def model(bandwidth=1.0, latency=0.0, alpha=1.0, store_bandwidth=None) -> CostMo
         bandwidth_bytes_per_s=bandwidth, latency_s=latency, alpha=alpha,
         store_bandwidth_bytes_per_s=store_bandwidth,
     ))
+
+
+class TestProfileRanges:
+    # a profile takes exactly what the trace and checkpoint readers take
+    BANDWIDTHS = ("bandwidth_bytes_per_s", "store_bandwidth_bytes_per_s")
+    SECONDS = ("latency_s", "alpha")
+
+    @pytest.mark.parametrize("name", BANDWIDTHS + SECONDS)
+    def test_out_of_range_values_are_refused(self, name):
+        refused = [math.nan, INF, -INF, -1.0, -5e-324, sys.float_info.max, True, False, "1"]
+        if name in self.BANDWIDTHS:
+            refused += [0, 0.0]
+        for value in refused:
+            with pytest.raises(ValueError):
+                replace(CostProfile(bandwidth_bytes_per_s=1.0), **{name: value})
+
+    @pytest.mark.parametrize("name", BANDWIDTHS + SECONDS)
+    def test_in_range_values_are_taken(self, name):
+        taken = [1, 2.5, 5e-324, math.nextafter(sys.float_info.max, 0)]
+        if name in self.SECONDS:
+            taken += [0, 0.0]
+        for value in taken:
+            profile = replace(CostProfile(bandwidth_bytes_per_s=1.0), **{name: value})
+            assert getattr(profile, name) == value
 
 
 class TestEstimates:
