@@ -5,7 +5,8 @@ serialization hazards, annotations, and cell runtimes. Generated cells are
 disciplined: every object an op touches is reachable from the cell's declared
 reads or was created by the cell itself, so replaying the trace reproduces
 the session exactly. Also hosts the false-dependency injector used to stress
-the reconstruction superset guarantee.
+the reconstruction superset guarantee; it adds its edges to a lineage's
+manifest and reads the lineage back, as a checkpoint reader would.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import count
 
 from .cost import CostProfile
 from .heap import HeapOp, SimHeap
-from .history import HistoryGraph, VariableSnapshot
+from .history import HistoryGraph
 from .monitor import CellProgram
 from .trace import TraceFile
 
@@ -234,61 +235,49 @@ def inject_false_edges(
     rng: random.Random,
     reads: int = 3,
     writes: int = 2,
-) -> None:
-    """Add false-positive dependencies to a lineage graph in place.
+) -> HistoryGraph:
+    """A copy of a lineage graph with false-positive dependencies added.
 
     Injected read edges claim a cell consumed a snapshot it never touched:
     the last kept version of a name before the cell, as a monitor that
     over-reports would. Injected writes add a spurious snapshot paired with
     a read of the prior version, the way an over-cautious modified-on-access
-    call would. The graph stays well-formed, its references counted, and
-    reconstruction must stay correct, only potentially costlier.
+    call would. The edges go into the graph's manifest, which is read back,
+    so the lineage's own recording step counts their references; ``history``
+    is left as it was. Reconstruction must stay correct, only potentially
+    costlier.
     """
-    if not history.cells:
-        return
-    cells = list(history.cells.values())
-    all_vs = _all_versions(history)
+    manifest = history.to_manifest()
+    cells, deleted = manifest["cells"], manifest["deleted"]
+    if not cells:
+        return HistoryGraph.from_manifest(manifest)
+    all_vs = _all_versions(cells)
     for _ in range(reads):
         cell = rng.choice(cells)
-        last = {vs.name: vs for vs in all_vs if vs.t < cell.t}
+        last = {name: [name, t] for name, t in all_vs if t < cell["t"]}
         if last:
-            _add_read(history, cell.t, rng.choice(list(last.values())))
+            cell["reads"].append(rng.choice(list(last.values())))
     for _ in range(writes):
         cell = rng.choice(cells)
-        versions: dict[str, list[VariableSnapshot]] = {}
-        for vs in _all_versions(history):
-            versions.setdefault(vs.name, []).append(vs)
+        t = cell["t"]
+        versions: dict[str, list[int]] = {}
+        for name, written_at in _all_versions(cells):
+            versions.setdefault(name, []).append(written_at)
         names = [
             name
             for name, written in versions.items()
-            if written[0].t < cell.t
-            and all(vs.t != cell.t for vs in written)
-            and (name not in history.deleted or cell.t < history.deleted[name])
+            if written[0] < t and t not in written and (name not in deleted or t < deleted[name])
         ]
         if not names:
             continue
         name = rng.choice(names)
-        prev = max(vs for vs in versions[name] if vs.t < cell.t)
-        fake = VariableSnapshot(name, cell.t)
-        history.writes[cell.t].add(fake)
-        _add_read(history, cell.t, prev)
-        if fake.t > history.latest[name].t:
-            history.latest[name] = fake
-            if name not in history.deleted:
-                # the active snapshot moves from prev to fake; prev's producer
-                # keeps the reference of the read just added
-                history.refs[cell.t] += 1
-                history.refs[prev.t] -= 1
+        cell["writes"].append(name)
+        cell["reads"].append([name, max(w for w in versions[name] if w < t)])
+    return HistoryGraph.from_manifest(manifest)
 
 
-def _add_read(history: HistoryGraph, t: int, vs: VariableSnapshot) -> None:
-    if vs not in history.reads[t]:
-        history.reads[t].add(vs)
-        history.refs[vs.t] += 1
-
-
-def _all_versions(history: HistoryGraph) -> list[VariableSnapshot]:
-    """Every written snapshot, injected ones included, sorted by name, then t.
-    The injector draws from this order rather than from set order, so its
-    choices do not depend on the hash seed."""
-    return sorted(vs for written in history.writes.values() for vs in written)
+def _all_versions(cells: list[dict]) -> list[tuple[str, int]]:
+    """Every (name, t) the manifest cells write, injected ones included,
+    sorted by name, then t. The injector draws from this order rather than
+    from set order, so its choices do not depend on the hash seed."""
+    return sorted((name, cell["t"]) for cell in cells for name in cell["writes"])

@@ -7,7 +7,10 @@ From it we derive the active snapshot of every live variable and the ordered
 cell list needed to rebuild any snapshot from a set of available variables.
 It keeps only the live cells, the ones such a list can hold: recording a
 cell drops every cell that no active snapshot needs any more, so its
-manifest form is the graph as it is. Reading that form checks each field
+manifest form is the graph as it is. The graph also keeps the session's
+clock, the timestamp its next cell gets, and is the only writer of its own
+state: a lineage built any other way, such as one with injected edges, is
+written as a manifest and read back. Reading that form checks each field
 against the rules of ``schema`` and replays the cells through the same
 recording step, which keeps the rules that relate cells to each other.
 """
@@ -34,7 +37,7 @@ class VariableSnapshot(NamedTuple):
 # Python-level __new__ that NamedTuple generates; both give the same tuple
 _new_snapshot = partial(tuple.__new__, VariableSnapshot)
 
-_HISTORY = rules({"cells": "cells", "deleted": "t_map", "recorded_cells": "count",
+_HISTORY = rules({"cells": "cells", "deleted": "t_map", "next_t": "int", "recorded_cells": "count",
                   "recorded_rerun_s": "seconds_or_inf"})
 _CELL = rules({"t": "int", "code_ref": "ref", "runtime_s": "seconds", "never_rerun": "bool",
                "nondeterministic": "bool", "reads": "reads", "writes": "str_list"},
@@ -76,7 +79,8 @@ class HistoryGraph:
     last reference stays dead, and dropping it releases the producers of
     what it read. The live cells are then exactly the backward closure of
     the active snapshots. Running totals over every recorded cell keep the
-    cost of rerunning the whole session."""
+    cost of rerunning the whole session, and ``next_t``, the session's
+    clock, the timestamp its next cell gets."""
 
     def __init__(self) -> None:
         self.cells: dict[int, CellExecution] = {}  # t -> live cell, in t order
@@ -85,7 +89,7 @@ class HistoryGraph:
         self.latest: dict[str, VariableSnapshot] = {}  # name -> last write; older ones only in writes
         self.deleted: dict[str, int] = {}  # name -> tombstone t
         self.refs: dict[int, int] = {}  # cell t -> references that keep it live
-        self.last_t: int | None = None  # the last recorded cell's t, live or not
+        self.next_t = 1  # the timestamp the next cell gets: after every recorded one
         self.recorded_cells = 0  # every cell ever recorded
         # their rerun seconds (CostModel.rerun_seconds), from int 0 as sum() adds them
         self.recorded_rerun_s = 0
@@ -112,14 +116,14 @@ class HistoryGraph:
         """The one recording step of ``record`` and ``from_manifest``; takes
         ownership of ``reads``."""
         t = cell.t
-        if self.last_t is not None and t <= self.last_t:
-            raise NonMonotonicTimestamp(f"timestamp {t} not after {self.last_t}")
+        if t < self.next_t:
+            raise NonMonotonicTimestamp(f"timestamp {t} is before the next timestamp {self.next_t}")
         refs, latest, tombstones, writes_of = self.refs, self.latest, self.deleted, self.writes
         for vs in reads:
             if vs not in writes_of.get(vs.t, ()):
                 unwritten = sorted(f"{vs.name}@{vs.t}" for vs in reads if vs not in writes_of.get(vs.t, ()))
                 raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote")
-        self.last_t = t
+        self.next_t = t + 1
         self.recorded_cells += 1
         self.recorded_rerun_s += math.inf if cell.never_rerun else cell.runtime_s
         self.cells[t] = cell
@@ -205,7 +209,7 @@ class HistoryGraph:
 
     def to_manifest(self) -> dict:
         """The cells with their edges, the tombstones of the names they
-        write, and the totals over every recorded cell."""
+        write, the next timestamp and the totals over every recorded cell."""
         cells = []
         written: set[str] = set()
         for c in self.cells.values():
@@ -227,6 +231,7 @@ class HistoryGraph:
         return {
             "cells": cells,
             "deleted": dict(sorted(deleted.items())),
+            "next_t": self.next_t,
             "recorded_cells": self.recorded_cells,
             "recorded_rerun_s": self.recorded_rerun_s,
         }
@@ -234,9 +239,10 @@ class HistoryGraph:
     @classmethod
     def from_manifest(cls, data: dict) -> HistoryGraph:
         """Rebuild a lineage from ``to_manifest`` output; raises FormatError
-        when a field breaks its rule, a cell's t does not follow the previous
-        cell's or it reads a snapshot no live earlier cell wrote, a tombstone
-        does not follow its name's last write, or fewer cells are recorded than listed."""
+        when a field breaks its rule, a cell's t is not positive and after the
+        previous cell's or it reads a snapshot no live earlier cell wrote, a
+        tombstone does not follow its name's last write, the next timestamp is
+        not after every cell and tombstone, or fewer cells are recorded than listed."""
         check_fields(data, _HISTORY, "history")
         graph = cls()
         for i, entry in enumerate(data["cells"]):
@@ -253,7 +259,10 @@ class HistoryGraph:
             if last is None or t <= last.t:
                 raise FormatError(f"tombstone {name!r} at t={t!r} does not follow a write of the name")
             release.append(last.t)
-        graph.deleted = data["deleted"]
+        next_t = data["next_t"]
+        if next_t < graph.next_t or any(t >= next_t for t in data["deleted"].values()):
+            raise FormatError(f"next_t={next_t!r} is not after every recorded timestamp")
+        graph.deleted, graph.next_t = data["deleted"], next_t
         graph._release(release)
         if data["recorded_cells"] < graph.recorded_cells:
             raise FormatError(f"recorded_cells={data['recorded_cells']} is less than the {graph.recorded_cells} cells listed")

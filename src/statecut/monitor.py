@@ -61,14 +61,13 @@ class CellProgram:
 
 @dataclass
 class Session:
-    """One live simulated session: heap, lineage, storage profile and
-    annotations."""
+    """One live simulated session: heap, lineage (which keeps the session's
+    clock), storage profile and annotations."""
 
     heap: SimHeap
     history: HistoryGraph
     profile: CostProfile
     annotations: dict[str, str] = field(default_factory=dict)  # name -> always_copy|always_recompute
-    next_t: int = 1
     index: NameIndex | None = field(default=None, repr=False, compare=False)
 
 
@@ -178,7 +177,7 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     """Execute one cell under monitoring and fold the outcome into the session.
 
     Applies the ops, detects accesses and modifications, appends to the
-    history graph (runtime included) and sweeps what no name reaches any
+    history graph at its next timestamp (runtime included) and sweeps what no name reaches any
     more. The results equal the full rescan's (``PreSnapshot``,
     ``detect_accesses``, ``detect_modifications``, then ``collect_garbage``),
     but only names the cell affected, those the index lists on an object it
@@ -188,8 +187,7 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     as CellExecutionError.
     """
     heap = session.heap
-    t = session.next_t
-    session.next_t += 1
+    t = session.history.next_t
 
     index = session.index
     orphans: set[ObjectId] = set()

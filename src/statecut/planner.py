@@ -36,6 +36,8 @@ INF = math.inf
 
 SRC = 0
 SINK = 1
+# brute_force_plan enumerates the subsets of at most this many active variables
+BRUTE_FORCE_MAX_VARS = 16
 
 
 @dataclass
@@ -55,7 +57,8 @@ class FlowGraph:
         self.arcs[v].setdefault(u, 0.0)
 
 
-_PLAN = rules({"migrate": "str_list", "rerun": "int_list", "cost_s": "seconds", "alpha": "seconds",
+# cost_s is a sum of finite costs, which may overflow to infinity
+_PLAN = rules({"migrate": "str_list", "rerun": "int_list", "cost_s": "seconds_or_inf", "alpha": "seconds",
                "bandwidth": "bandwidth"})
 
 
@@ -288,10 +291,10 @@ def brute_force_plan(
     linked: set[tuple[str, str]] | None = None,
     forced_migrate: set[str] | None = None,
     forced_recompute: set[str] | None = None,
-    max_vars: int = 16,
 ) -> ReplicationPlan:
     """Exhaustive oracle: evaluate the cost equations over every admissible
-    subset of active variables and return a minimizer.
+    subset of active variables and return a minimizer; raises TooLarge past
+    ``BRUTE_FORCE_MAX_VARS`` of them.
 
     Ties break toward the smaller migrate set, then lexicographic order.
     """
@@ -300,8 +303,8 @@ def brute_force_plan(
     forced_recompute = set(forced_recompute or ())
     active = history.active_snapshots()
     names = sorted(active)
-    if len(names) > max_vars:
-        raise TooLarge(f"{len(names)} active variables exceeds bound {max_vars}")
+    if len(names) > BRUTE_FORCE_MAX_VARS:
+        raise TooLarge(f"{len(names)} active variables exceeds bound {BRUTE_FORCE_MAX_VARS}")
 
     best: tuple[float, int, tuple[str, ...]] | None = None
     best_set: frozenset[str] | None = None

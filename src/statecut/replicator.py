@@ -1,13 +1,13 @@
 """Checkpoint writer, session restorer, and replication verifier.
 
 A checkpoint is one self-contained file: magic and version, a JSON manifest
-(the live lineage, plan, storage profile, variable table, annotations and the
-next timestamp), a JSON payload holding one record for every object
-reachable from a migrated variable, and a SHA-256 digest of every byte
-before it. The file is written to a temporary name and renamed into place;
-reading it checks every field against the rules of ``schema`` (published as
-docs/checkpoint.schema.json), then the rules that relate fields, and ends
-any fault in one FormatError that names the file. A restore whose lineage
+(the live lineage with the session's next timestamp, plan, storage profile,
+variable table and annotations), a JSON payload holding one record for
+every object reachable from a migrated variable, and a SHA-256 digest of
+every byte before it. The file is written to a temporary name and renamed
+into place; reading it checks every field against the rules of ``schema``
+(published as docs/checkpoint.schema.json), then the rules that relate
+fields, and ends any fault in one FormatError that names the file. A restore whose lineage
 disagrees with the trace is a FormatError too.
 Restoration loads the stored objects under their own ids, then walks the
 original timestamps, interleaving cell reruns with variable re-declaration,
@@ -48,12 +48,12 @@ from .planner import ReplicationPlan
 from .schema import FIELD_TYPES, check_fields, rules
 
 MAGIC = b"SCCKPT01"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 DIGEST_BYTES = 32  # SHA-256
 
 
 _MANIFEST = rules({"history": "object", "plan": "object", "profile": "object", "variables": "id_map",
-                   "annotations": "annotations", "next_t": "int"})
+                   "annotations": "annotations"})
 
 
 @dataclass
@@ -66,7 +66,6 @@ class Checkpoint:
     variables: dict[str, int]  # migrated name -> root object id (original ids)
     annotations: dict[str, str]
     objects: dict[int, HeapObject]  # payload records keyed by original id
-    next_t: int  # the timestamp the session's next cell gets
 
     @cached_property
     def payload_groups(self) -> dict[str, set[str]]:
@@ -165,7 +164,6 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         variables=variables,
         annotations=dict(session.annotations),
         objects={oid: heap.objects[oid] for oid in closure},
-        next_t=session.next_t,
     )
     manifest = {
         "history": session.history.to_manifest(),
@@ -173,7 +171,6 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         "profile": session.profile.to_json(),
         "variables": dict(sorted(variables.items())),
         "annotations": dict(sorted(session.annotations.items())),
-        "next_t": session.next_t,
     }
     manifest_bytes = _canon(manifest)
     records = [_record(heap.objects[oid]) for oid in sorted(closure)]
@@ -248,7 +245,6 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             variables=manifest["variables"],
             annotations=manifest["annotations"],
             objects=_decode_objects(payload),
-            next_t=manifest["next_t"],
         )
         _check_consistent(checkpoint)
     except (StatecutError, LookupError, TypeError, ValueError, AttributeError, RecursionError) as err:
@@ -259,12 +255,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 def _check_consistent(checkpoint: Checkpoint) -> None:
     """Raise FormatError unless the plan, the variable table, the lineage and
     the payload agree: the plan reruns only recorded cells and stores exactly
-    the table's variables, each of them active, with its root in the payload,
-    and the next timestamp is after every cell and tombstone."""
+    the table's variables, each of them active, with its root in the payload."""
     plan, variables, history = checkpoint.plan, checkpoint.variables, checkpoint.history
-    recorded = list(history.cells) + list(history.deleted.values())
-    if any(t >= checkpoint.next_t for t in recorded):
-        raise FormatError(f"next_t={checkpoint.next_t!r} is not after every recorded timestamp")
     if set(plan.rerun) - history.cells.keys():
         raise FormatError(f"plan reruns cells the lineage does not record: {plan.rerun}")
     if plan.migrate != variables.keys():
@@ -319,7 +311,8 @@ def restore(
     original timestamps once: cells on the amended rerun list replay their
     recorded ops (nondeterministic cells replay their alternate ops), and
     each variable still stored is declared right after the timestamp of its
-    active snapshot.
+    active snapshot. The restored session takes the checkpoint's lineage,
+    whose clock gives its next cell the timestamp the original's would get.
     """
     history = checkpoint.history
     active = history.active_snapshots()
@@ -398,7 +391,6 @@ def restore(
         history=history,
         profile=checkpoint.profile,
         annotations=dict(checkpoint.annotations),
-        next_t=checkpoint.next_t,
     )
     live = set(heap.objects)
     id_map = {old: new for old, new in current.items() if new in live}
@@ -436,20 +428,20 @@ def _compare_values(
     old_id: int,
     new_id: int,
     path: str,
-    seen: set[tuple[int, int]],
     relation: dict[int, set[int]],
     diffs: dict[str, str],
 ) -> None:
     """Walk two object graphs in step, depth first and slots in order, from
-    one pair of roots. The stack keeps deep graphs off the call stack; each
-    pair is compared once, under the first path that reaches it."""
+    one pair of roots, adding each pair to ``relation``. The stack keeps deep
+    graphs off the call stack; each pair is compared once, under the first
+    path that reaches it."""
     stack = [(old_id, new_id, path)]
     while stack:
         old_id, new_id, path = stack.pop()
-        relation.setdefault(old_id, set()).add(new_id)
-        if (old_id, new_id) in seen:
+        news = relation.setdefault(old_id, set())
+        if new_id in news:
             continue
-        seen.add((old_id, new_id))
+        news.add(new_id)
         old = original.objects[old_id]
         new = restored.objects[new_id]
         if old.kind != new.kind:
@@ -494,12 +486,11 @@ def verify(original: SimHeap, restored: SimHeap) -> VerificationReport:
         report.value_equivalent = False
 
     relation: dict[int, set[int]] = {}
-    seen: set[tuple[int, int]] = set()
     for name in sorted(set(original.namespace) & set(restored.namespace)):
         _compare_values(
             original, restored,
             original.namespace[name], restored.namespace[name],
-            name, seen, relation, report.value_diffs,
+            name, relation, report.value_diffs,
         )
     if report.value_diffs:
         report.value_equivalent = False

@@ -153,9 +153,11 @@ def trace_from_json(data: dict) -> TraceFile:
 
 
 def load_trace(path: str | Path) -> TraceFile:
+    """Read and check a trace file; raises FormatError, naming the path, when
+    it is not JSON or nests too deep for the decoder."""
     try:
         data = json.loads(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise FormatError(f"{path}: not valid JSON ({err})") from err
     return trace_from_json(data)
 

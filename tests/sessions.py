@@ -303,9 +303,8 @@ def hash_only_session(trace: TraceFile) -> Session:
     session = new_session(trace.profile, trace.variable_annotations)
     for program in trace.cells:
         session.history.record(rescan(
-            session.heap, session.history, session.next_t, program, use_id_graphs=False,
+            session.heap, session.history, session.history.next_t, program, use_id_graphs=False,
         ))
-        session.next_t += 1
     return session
 
 

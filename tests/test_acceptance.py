@@ -240,7 +240,7 @@ def test_criterion_8_false_positive_robustness(tmp_path):
         ), 80_000 + instance)
         session, _ = run_trace(trace)
         pristine = deepcopy(session.history)
-        inject_false_edges(session.history, random.Random(instance), reads=4, writes=2)
+        session.history = inject_false_edges(session.history, random.Random(instance), reads=4, writes=2)
 
         for name, active_vs in pristine.active_snapshots().items():
             base = {c.t for c in pristine.rerun_cells_from({active_vs}, set())}

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from copy import deepcopy
 from pathlib import Path
 from types import FunctionType, ModuleType
 
@@ -77,7 +76,7 @@ class TestRecord:
                  "nondeterministic": False, "reads": reads, "writes": writes}
                 for t, reads, writes in ((1, [], ["x"]), (2, [], ["x"]), (3, [["x", 1]], ["y"]))
             ],
-            "deleted": {}, "recorded_cells": 3, "recorded_rerun_s": 3.0,
+            "deleted": {}, "next_t": 4, "recorded_cells": 3, "recorded_rerun_s": 3.0,
         }
         with pytest.raises(FormatError, match="x@1, which no live cell wrote"):
             HistoryGraph.from_manifest(manifest)
@@ -305,8 +304,7 @@ class TestSupersetUnderInjection:
             trace = generate_trace(GenParams(cells=10, variables=6), seed + 500)
             session, _ = run_trace(trace)
             graph = session.history
-            injected = deepcopy(graph)
-            inject_false_edges(injected, random.Random(seed), reads=4, writes=2)
+            injected = inject_false_edges(graph, random.Random(seed), reads=4, writes=2)
             for name, active_vs in graph.active_snapshots().items():
                 base = {c.t for c in graph.rerun_cells_from({active_vs}, set())}
                 new_active = injected.active_snapshots()[name]
@@ -322,7 +320,7 @@ class TestSupersetUnderInjection:
             "from statecut.trace import run_trace\n"
             "session, _ = run_trace(generate_trace(GenParams(cells=10, variables=6), 503))\n"
             "graph = session.history\n"
-            "inject_false_edges(graph, random.Random(3), reads=4, writes=2)\n"
+            "graph = inject_false_edges(graph, random.Random(3), reads=4, writes=2)\n"
             "for t in sorted(graph.reads):\n"
             "    print(t, sorted(graph.reads[t]), sorted(graph.writes[t]))\n"
             "print(sorted(graph.active_snapshots().values()))\n"
@@ -387,12 +385,58 @@ class TestPruning:
         assert repr(graph.recorded_rerun_s) == repr(total)
 
 
+def lineage_state(graph):
+    """Everything a lineage keeps that its manifest carries: the tombstones
+    of names no live cell writes are dropped with those cells."""
+    written = {vs.name for writes in graph.writes.values() for vs in writes}
+    return (
+        graph.cells, graph.reads, graph.writes, graph.active_snapshots(),
+        {name: t for name, t in graph.deleted.items() if name in written}, graph.refs,
+        graph.recorded_cells, repr(graph.recorded_rerun_s), graph.next_t,
+    )
+
+
 class TestManifestRoundTrip:
     def test_round_trip(self, worked_history):
         data = worked_history.to_manifest()
         clone = HistoryGraph.from_manifest(data)
         assert clone.to_manifest() == data
         assert clone.active_snapshots() == worked_history.active_snapshots()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), delete_rate=st.floats(0.0, 0.3), fail_rate=st.floats(0.0, 0.3))
+    def test_read_back_keeps_the_whole_lineage(self, seed, delete_rate, fail_rate):
+        # a deletion after the last live cell, or a dead last cell, moves the
+        # clock past every cell the manifest lists
+        rng = random.Random(seed)
+        trace = with_failing_cells(generate_trace(GenParams(
+            cells=30, variables=rng.randint(2, 8), delete_rate=delete_rate,
+            never_rerun_rate=0.05), seed), rng, fail_rate)
+        graph = run_trace(trace)[0].history
+        assert lineage_state(HistoryGraph.from_manifest(graph.to_manifest())) == lineage_state(graph)
+
+    def test_read_back_lineage_refuses_a_used_timestamp(self):
+        # the cell at t=3 deletes x and writes nothing, so the manifest lists
+        # cells 1 (kept by w) and 2 only
+        graph = HistoryGraph()
+        graph.record(record(1, written={"x", "w"}))
+        graph.record(record(2, written={"y"}))
+        graph.record(record(3, deleted={"x"}))
+        clone = HistoryGraph.from_manifest(graph.to_manifest())
+        assert list(clone.cells) == [1, 2] and clone.next_t == 4
+        with pytest.raises(NonMonotonicTimestamp):
+            clone.record(record(3, written={"x"}))
+        assert clone.deleted == {"x": 3}
+        clone.record(record(4, written={"x"}))
+        assert clone.active_snapshots()["x"] == vs("x", 4)
+
+    def test_cell_timestamps_start_at_one(self):
+        manifest = HistoryGraph().to_manifest()
+        assert manifest["next_t"] == 1
+        cell = {"t": 0, "code_ref": "c", "runtime_s": 1.0, "never_rerun": False,
+                "nondeterministic": False, "reads": [], "writes": ["x"]}
+        with pytest.raises(FormatError, match="timestamp 0"):
+            HistoryGraph.from_manifest({**manifest, "cells": [cell], "recorded_cells": 1})
 
     def test_size_scales_with_cells_not_objects(self):
         # lineage metadata is independent of how many objects variables hold:

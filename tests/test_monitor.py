@@ -323,7 +323,7 @@ def rescan_cell(session, program) -> tuple:
     """The full rescan of one cell, on a copy of the session's heap: the
     record run_cell must make for it, and the objects left after a full sweep."""
     heap = copy.deepcopy(session.heap)
-    return rescan(heap, session.history, session.next_t, program), set(heap.objects)
+    return rescan(heap, session.history, session.history.next_t, program), set(heap.objects)
 
 
 def monitored(session, program) -> tuple:

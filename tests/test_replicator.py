@@ -277,9 +277,9 @@ class TestCheckpointFormat:
         lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), True),
         lambda m: with_leaf(m, ("history", "cells", 0, "never_rerun"), 0),
         lambda m: with_leaf(m, ("history", "cells", 0, "nondeterministic"), "yes"),
-        lambda m: {**m, "next_t": "6"},
-        lambda m: {**m, "next_t": True},
-        lambda m: {**m, "next_t": 5},
+        lambda m: with_leaf(m, ("history", "next_t"), "6"),
+        lambda m: with_leaf(m, ("history", "next_t"), True),
+        lambda m: with_leaf(m, ("history", "next_t"), 5),
         lambda m: with_leaf(m, ("history", "deleted"), {"x": 6}),
         lambda m: with_leaf(m, ("history", "deleted"), {**m["history"]["deleted"], "x": 1}),
         lambda m: with_leaf(m, ("history", "cells", 0, "writes"),
@@ -391,6 +391,11 @@ class TestCheckpointFormat:
     def test_version_4_file_is_a_format_error(self, tmp_path):
         # version 4 stored binary payload records
         self.check_old_version_is_a_format_error(tmp_path, 4)
+
+    def test_version_5_file_is_a_format_error(self, tmp_path):
+        # version 5 kept the next timestamp outside the lineage and refused
+        # an infinite plan cost
+        self.check_old_version_is_a_format_error(tmp_path, 5)
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         session, _, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
@@ -1127,7 +1132,7 @@ class TestEndToEnd:
                 cells=9, variables=5, alias_density=0.4,
             ), seed + 4000)
             session, _ = run_trace(trace)
-            inject_false_edges(session.history, random.Random(seed), reads=4, writes=2)
+            session.history = inject_false_edges(session.history, random.Random(seed), reads=4, writes=2)
             cost = session_cost_model(session)
             linked = lp(session.heap, session.history.active_snapshots())
             plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
@@ -1340,7 +1345,7 @@ class TestLiveLineage:
         # a plan that reruns a nondeterministic cell may diverge; a fallback
         # through one raises Unreconstructable
         assert nondet or verify(session.heap, result.session.heap).isomorphic
-        assert result.session.next_t == session.next_t
+        assert result.session.history.next_t == session.history.next_t
         again = plan_session(result.session)
         assert (again.migrate, again.rerun, repr(again.cost_s)) == (
             plan.migrate, plan.rerun, repr(plan.cost_s))

@@ -214,6 +214,18 @@ class TestTraceFormat:
         with pytest.raises(FormatError):
             load_trace(path)
 
+    def test_too_deep_a_value_is_a_format_error(self, tmp_path):
+        # the decoder gives up on it with a RecursionError
+        data = trace_to_json(generate_trace(GenParams(cells=2), 1))
+        op = next(op for op in data["cells"][0]["ops"] if op["op"] == "create")
+        depth = 100_000
+        text = json.dumps({**data, "cells": [{**data["cells"][0], "ops": [{**op, "value": "deep"}]}]})
+        path = tmp_path / "deep.json"
+        path.write_text(text.replace('"deep"', "[" * depth + "]" * depth))
+        with pytest.raises(FormatError, match=str(path)):
+            load_trace(path)
+        assert main(["run", str(path)]) == 4
+
     def test_saved_as_one_compact_sorted_line(self, tmp_path):
         trace = generate_trace(GenParams(cells=6, nondet_rate=0.3), 5)
         path = tmp_path / "t.json"
@@ -362,6 +374,27 @@ class TestCliExitCodes:
                         {"bandwidth_bytes_per_s": 1.0, "alpha": 1e400}):
             path.write_text(json.dumps({**data, "profile": profile}))
             assert main(["plan", str(path)]) == 4
+
+    def test_checkpoint_of_an_infinite_plan_cost_verifies(self, tmp_path, capsys):
+        # both cells must be rerun, and their runtimes sum past the largest float
+        from statecut.cost import CostProfile
+        from statecut.monitor import CellProgram
+        from statecut.trace import TraceFile
+
+        trace = TraceFile(
+            profile=CostProfile(bandwidth_bytes_per_s=1000.0),
+            cells=[CellProgram(code_ref=name, declared_runtime_s=1e308, ops=[
+                HeapOp(op="create", id=oid, kind="opaque", size_bytes=8,
+                       serializable=False, deserializable=False),
+                HeapOp(op="bind", name=name, id=oid),
+            ]) for oid, name in ((1, "a"), (2, "b"))],
+        )
+        path, ckpt = tmp_path / "huge.json", tmp_path / "huge.ckpt"
+        save_trace(trace, path)
+        assert main(["checkpoint", str(path), str(ckpt)]) == 0
+        assert json.loads(capsys.readouterr().out)["plan"]["cost_s"] == math.inf
+        assert main(["verify", str(path), str(ckpt)]) == 0
+        assert json.loads(capsys.readouterr().out)["isomorphic"]
 
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1
