@@ -5,8 +5,9 @@ channel (bandwidth, latency); recompute estimates from the cell runtimes
 the lineage records. The alpha coefficient discounts checkpoint-write time
 relative to restore time: alpha=1 prices end-to-end migration, small alpha
 prices the user-perceived restart after a suspension. Unserializable
-variables price at infinity so plans route around them; never-rerun cells
-likewise price rerun at infinity.
+variables price at infinity so plans route around them; a cell that is not
+``rerunnable`` (never-rerun or nondeterministic, so a rerun would not
+reproduce its values) likewise prices rerun at infinity.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class CostModel:
         return self.profile.alpha * self.store_seconds(name) + self.load_seconds(name)
 
     def rerun_seconds(self, cell: CellExecution) -> float:
-        return INF if cell.never_rerun else cell.runtime_s
+        return cell.runtime_s if cell.rerunnable else INF
 
     # -- plan-level costs -----------------------------------------------------
 

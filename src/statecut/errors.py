@@ -29,7 +29,7 @@ class NonMonotonicTimestamp(StatecutError):
 
 
 class Unreconstructable(StatecutError):
-    """A variable cannot be recomputed: a never-rerun cell blocks every path."""
+    """A variable cannot be recomputed: a cell that is not rerunnable blocks every path."""
 
     def __init__(self, name: str, blocked_at: int | None = None):
         self.name = name

@@ -1,7 +1,8 @@
 """Random session generator.
 
 Produces deterministic, replayable traces with tunable alias density,
-serialization hazards, annotations, and cell runtimes. Generated cells are
+serialization hazards, never-rerun and nondeterministic cells, and cell
+runtimes; they carry no annotations. Generated cells are
 disciplined: every object an op touches is reachable from the cell's declared
 reads or was created by the cell itself, so replaying the trace reproduces
 the session exactly. Also hosts the false-dependency injector used to stress
@@ -49,8 +50,9 @@ class _TraceBuilder:
         self.heap = SimHeap()
         self.ids = count(1)
         self.pool = [f"v{i}" for i in range(params.variables)]
-        self.frozen: set[str] = set()  # nondeterministic outputs; never mutated
-        self.annotations: dict[str, str] = {}
+        # nondeterministic outputs: later cells read them, but no cell
+        # rebinds, unbinds or directly mutates the name
+        self.frozen: set[str] = set()
 
     def bound(self, mutable_only: bool = False) -> list[str]:
         names = sorted(self.heap.namespace)
@@ -87,7 +89,6 @@ class _TraceBuilder:
         if not names:
             return
         name = rng.choice(names)
-        self.annotations.pop(name, None)
         shape = rng.choices(["scalar", "container", "opaque"], weights=[3, 4, 3])[0]
         if shape == "scalar":
             root = self._create_scalar(ops)
@@ -145,14 +146,10 @@ class _TraceBuilder:
                 ops.append(HeapOp(op="set_slot", parent_id=parent, slot=f"s{len(slots)}", child_id=child))
 
     def _act_delete(self, ops: list[HeapOp]) -> None:
-        # annotated nondeterministic outputs stay bound: dropping the name
-        # would orphan the always-copy protection of values still aliased
-        # elsewhere
+        # a nondeterministic output stays bound to the end of the session
         names = self.bound(mutable_only=True)
         if names:
-            name = self.rng.choice(names)
-            ops.append(HeapOp(op="unbind", name=name))
-            self.annotations.pop(name, None)
+            ops.append(HeapOp(op="unbind", name=self.rng.choice(names)))
 
     def _nondet_cell(self, index: int) -> CellProgram | None:
         rng = self.rng
@@ -162,18 +159,13 @@ class _TraceBuilder:
         name = rng.choice(names)
         oid = next(self.ids)
         size = rng.randint(8, 64)
-        value = rng.randint(0, 10**9)
-        alt_value = value + rng.randint(1, 10**6)
-        make = lambda v: [
-            HeapOp(op="create", id=oid, kind="scalar", value=v, size_bytes=size),
-            HeapOp(op="bind", name=name, id=oid),
-        ]
-        self.annotations[name] = "always_copy"
         self.frozen.add(name)
         return CellProgram(
             code_ref=f"cell_{index}",
-            ops=make(value),
-            alt_ops=make(alt_value),
+            ops=[
+                HeapOp(op="create", id=oid, kind="scalar", value=rng.randint(0, 10**9), size_bytes=size),
+                HeapOp(op="bind", name=name, id=oid),
+            ],
             declared_runtime_s=round(rng.uniform(0.1, 10.0), 3),
             nondeterministic=True,
         )
@@ -216,7 +208,6 @@ def generate_trace(params: GenParams, seed: int) -> TraceFile:
     rng = random.Random(seed)
     builder = _TraceBuilder(params, rng)
     cells = [builder.build_cell(i) for i in range(1, params.cells + 1)]
-    bound = set(builder.heap.namespace)
     return TraceFile(
         profile=CostProfile(
             bandwidth_bytes_per_s=params.bandwidth_bytes_per_s,
@@ -224,9 +215,6 @@ def generate_trace(params: GenParams, seed: int) -> TraceFile:
             alpha=params.alpha,
         ),
         cells=cells,
-        variable_annotations={
-            n: a for n, a in builder.annotations.items() if n in bound
-        },
     )
 
 

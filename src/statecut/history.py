@@ -59,6 +59,12 @@ class CellExecution:
     def failed(self) -> bool:
         return self.failed_at is not None
 
+    @property
+    def rerunnable(self) -> bool:
+        """Whether a rerun reproduces the recorded values: not for a cell
+        annotated never-rerun, nor for a nondeterministic one."""
+        return not (self.never_rerun or self.nondeterministic)
+
 
 @dataclass
 class CellRecord(CellExecution):
@@ -125,7 +131,7 @@ class HistoryGraph:
                 raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote")
         self.next_t = t + 1
         self.recorded_cells += 1
-        self.recorded_rerun_s += math.inf if cell.never_rerun else cell.runtime_s
+        self.recorded_rerun_s += cell.runtime_s if cell.rerunnable else math.inf
         self.cells[t] = cell
         self.reads[t] = reads
         for vs in reads:
@@ -162,6 +168,16 @@ class HistoryGraph:
                 del refs[t], self.cells[t], self.writes[t]
                 stack.extend(vs.t for vs in self.reads.pop(t))
 
+    def copy(self) -> HistoryGraph:
+        """A lineage that records apart from this one. It shares the cells
+        and their edge sets, which recording never changes once stored."""
+        graph = HistoryGraph()
+        graph.cells, graph.reads, graph.writes = dict(self.cells), dict(self.reads), dict(self.writes)
+        graph.latest, graph.deleted, graph.refs = dict(self.latest), dict(self.deleted), dict(self.refs)
+        graph.next_t, graph.recorded_cells = self.next_t, self.recorded_cells
+        graph.recorded_rerun_s = self.recorded_rerun_s
+        return graph
+
     # -- queries ------------------------------------------------------------
 
     def active_snapshots(self) -> dict[str, VariableSnapshot]:
@@ -179,8 +195,8 @@ class HistoryGraph:
         in ``ground_vses`` (available as-is); returns the producing cells that
         rebuild every target, each once, sorted by completion time.
 
-        With ``require_rerunnable``, a never-rerun or nondeterministic cell
-        in the closure raises Unreconstructable for the latest such cell,
+        With ``require_rerunnable``, a cell in the closure that is not
+        ``rerunnable`` raises Unreconstructable for the latest such cell,
         naming the least snapshot name of it the walk reached: a rerun could
         not reproduce the recorded values. Every other cell on a path from a
         target to it is later, so none of them blocks: it blocks first."""
@@ -199,7 +215,7 @@ class HistoryGraph:
             stack.extend(fresh)
         cells = self.cells
         if require_rerunnable:
-            blocked = [t for t in need if cells[t].never_rerun or cells[t].nondeterministic]
+            blocked = [t for t in need if not cells[t].rerunnable]
             if blocked:
                 t = max(blocked)
                 raise Unreconstructable(min(vs.name for vs in seen if vs.t == t), blocked_at=t)

@@ -46,8 +46,8 @@ from .history import CellRecord, HistoryGraph
 class CellProgram:
     """One replayable cell: declared reads, heap ops, and annotations.
 
-    ``alt_ops`` models nondeterminism: replays of a nondeterministic cell use
-    the alternate op list, producing different values than the original run.
+    A ``nondeterministic`` cell would compute other values if run again, so,
+    like a ``never_rerun`` one, no plan or restore fallback reruns it.
     """
 
     code_ref: str
@@ -56,7 +56,6 @@ class CellProgram:
     declared_runtime_s: float = 1.0
     never_rerun: bool = False
     nondeterministic: bool = False
-    alt_ops: list[HeapOp] | None = None
 
 
 @dataclass

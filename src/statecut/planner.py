@@ -195,7 +195,7 @@ def _levels(
 def _infeasible_variables(fg: FlowGraph) -> list[str]:
     """Active names on an all-infinite source-sink path: their linked group can
     neither migrate (infinite source arc) nor be recomputed (infinite path on
-    to the sink, through a never-rerun cell or a forced migration)."""
+    to the sink, through a cell that is not rerunnable or a forced migration)."""
     out, to, cap = _arc_arrays(fg.arcs, len(fg.node_labels))
     infinite = [c if c == INF else 0.0 for c in cap]
     ahead = _levels(out, to, infinite, SRC)

@@ -309,10 +309,10 @@ def restore(
     unless an earlier failure already moved it. Then loads the objects the
     variables still stored reach, under their own ids, and walks the
     original timestamps once: cells on the amended rerun list replay their
-    recorded ops (nondeterministic cells replay their alternate ops), and
-    each variable still stored is declared right after the timestamp of its
-    active snapshot. The restored session takes the checkpoint's lineage,
-    whose clock gives its next cell the timestamp the original's would get.
+    recorded ops, and each variable still stored is declared right after
+    the timestamp of its active snapshot. The restored session records on
+    its own copy of the checkpoint's lineage, whose clock gives its next
+    cell the timestamp the original's would get.
     """
     history = checkpoint.history
     active = history.active_snapshots()
@@ -361,16 +361,12 @@ def restore(
                 raise MissingCellProgram(
                     f"trace archive lacks cell {cell.code_ref!r} needed for rerun"
                 )
-            program = programs[cell.code_ref]
-            ops = program.alt_ops if (program.nondeterministic and program.alt_ops is not None) else program.ops
+            ops = programs[cell.code_ref].ops[: cell.failed_at]
             # a cell that failed replays the ops that ran before its failing
             # op; deletions carry no lineage edges, so an unbound name may
             # never have been rebuilt here, and its absence satisfies the unbind
             try:
-                heap.apply(
-                    (op for op in ops[: cell.failed_at] if op.op != "unbind" or op.name in heap.namespace),
-                    current,
-                )
+                heap.apply((op for op in ops if op.op != "unbind" or op.name in heap.namespace), current)
             except StatecutError as err:
                 # the ops ran before: the lineage and the trace disagree
                 raise FormatError(f"cell {cell.t} ({cell.code_ref!r}) fails on replay: {err}") from err
@@ -388,7 +384,7 @@ def restore(
 
     session = Session(
         heap=heap,
-        history=history,
+        history=history.copy(),
         profile=checkpoint.profile,
         annotations=dict(checkpoint.annotations),
     )
@@ -447,11 +443,10 @@ def _compare_values(
         if old.kind != new.kind:
             diffs[path] = f"kind {old.kind} != {new.kind}"
             continue
-        if old.kind == "opaque":
-            if old.size_bytes != new.size_bytes:
-                diffs[path] = f"opaque size {old.size_bytes} != {new.size_bytes}"
+        if old.kind == "opaque" and old.size_bytes != new.size_bytes:
+            diffs[path] = f"opaque size {old.size_bytes} != {new.size_bytes}"
             continue
-        if old.kind == "scalar":
+        if old.kind != "container":
             # equal exactly when the value hash says so: NaN equals NaN, 1 is not 1.0
             if _canon(old.value) != _canon(new.value):
                 diffs[path] = f"value {old.value!r} != {new.value!r}"

@@ -57,7 +57,7 @@ FIELD_TYPES = {
     "str_list": lambda v: type(v) is list and all(type(item) is str for item in v),
     "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
     "seconds": _is_seconds,
-    # a total over cells, infinite when one of them is never rerun
+    # a total over cells, infinite when one of them is not rerunnable
     "seconds_or_inf": lambda v: v == math.inf or _is_seconds(v),
     "bandwidth": lambda v: (type(v) is float or type(v) is int) and 0 < v < _FLOAT_MAX,
     "reads": _is_reads,

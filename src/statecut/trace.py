@@ -38,7 +38,7 @@ _OPS = {
 }
 _CELL = rules({"code_ref": "ref", "ops": "ops"},
               {"direct_reads": "str_list", "declared_runtime_s": "seconds", "never_rerun": "bool",
-               "nondeterministic": "bool", "alt_ops": "ops"})
+               "nondeterministic": "bool"})
 
 
 @dataclass
@@ -82,7 +82,7 @@ def _ops_from_json(items: list, where: str) -> list[HeapOp]:
 
 
 def _cell_to_json(cell: CellProgram) -> dict:
-    data = {
+    return {
         "code_ref": cell.code_ref,
         "direct_reads": sorted(cell.direct_reads),
         "declared_runtime_s": cell.declared_runtime_s,
@@ -90,14 +90,10 @@ def _cell_to_json(cell: CellProgram) -> dict:
         "nondeterministic": cell.nondeterministic,
         "ops": [_op_to_json(op) for op in cell.ops],
     }
-    if cell.alt_ops is not None:
-        data["alt_ops"] = [_op_to_json(op) for op in cell.alt_ops]
-    return data
 
 
 def _cell_from_json(data: dict, where: str) -> CellProgram:
     check_fields(data, _CELL, where)
-    alt = data.get("alt_ops")
     return CellProgram(
         code_ref=data["code_ref"],
         direct_reads=set(map(sys.intern, data.get("direct_reads", ()))),
@@ -105,16 +101,14 @@ def _cell_from_json(data: dict, where: str) -> CellProgram:
         declared_runtime_s=float(data.get("declared_runtime_s", 1.0)),
         never_rerun=data.get("never_rerun", False),
         nondeterministic=data.get("nondeterministic", False),
-        alt_ops=None if alt is None else _ops_from_json(alt, f"{where}.alt_ops"),
     )
 
 
 def _check_creates(cells: list[CellProgram]) -> None:
     """Raise FormatError unless each object id names one object across the
-    trace: no two creates of the cells' ``ops`` share an id, and a cell's
-    ``alt_ops`` create each id once, and only ids that its own ``ops`` or
-    no ``ops`` create. A restore maps each recorded id to the object its
-    replay made; an id created again would redirect later cells' ops."""
+    trace: no two creates of the cells' ``ops`` share an id. A restore maps
+    each recorded id to the object its replay made; an id created again
+    would redirect later cells' ops."""
     created: set[int] = set()
     for i, cell in enumerate(cells):
         for op in cell.ops:
@@ -122,12 +116,6 @@ def _check_creates(cells: list[CellProgram]) -> None:
                 if op.id in created:
                     raise FormatError(f"cells[{i}]: object id {op.id} is created twice")
                 created.add(op.id)
-    for i, cell in enumerate(cells):
-        if cell.alt_ops is not None:
-            own = {op.id for op in cell.ops if op.op == "create"}
-            alt = [op.id for op in cell.alt_ops if op.op == "create"]
-            if len(set(alt)) < len(alt) or created.intersection(alt) - own:
-                raise FormatError(f"cells[{i}]: alt_ops create an id twice or another cell's id")
 
 
 def trace_to_json(trace: TraceFile) -> dict:

@@ -381,7 +381,8 @@ class TestPruning:
             assert list(graph.cells) == live_closure(records)
             assert graph.reads.keys() == graph.writes.keys() == graph.refs.keys() == graph.cells.keys()
         assert graph.recorded_cells == len(records)
-        total = sum(math.inf if r.never_rerun else r.runtime_s for r in records)
+        # a never-rerun or nondeterministic cell cannot be rerun to its values
+        total = sum(math.inf if r.never_rerun or r.nondeterministic else r.runtime_s for r in records)
         assert repr(graph.recorded_rerun_s) == repr(total)
 
 

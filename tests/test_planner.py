@@ -6,7 +6,7 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from statecut.cost import linked_groups, linked_pairs
+from statecut.cost import CostProfile, linked_groups, linked_pairs
 from statecut.errors import Infeasible, TooLarge
 from statecut.gen import GenParams, generate_trace
 from statecut.heap import HeapOp
@@ -22,7 +22,7 @@ from statecut.planner import (
     plan_session,
     session_cost_model,
 )
-from statecut.trace import run_trace
+from statecut.trace import TraceFile, run_trace
 
 from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, worked_example_trace
 
@@ -400,6 +400,21 @@ class TestForcedSides:
         session, _ = run_trace(trace)
         plan = plan_session(session, objective="migrate")
         assert plan.migrate == {"df"}
+
+
+class TestUnreproducibleCells:
+    def test_nondeterministic_output_migrates_however_large(self):
+        # 2000 s to store and load the 10^9 bytes against a 60 s rerun, but a
+        # rerun would not reproduce the value
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e6), cells=[
+            CellProgram(code_ref="sample", declared_runtime_s=60.0, nondeterministic=True, ops=[
+                HeapOp(op="create", id=1, kind="scalar", value=7, size_bytes=10**9),
+                HeapOp(op="bind", name="draw", id=1),
+            ]),
+        ])
+        session, _ = run_trace(trace)
+        plan = plan_session(session)
+        assert (plan.migrate, plan.rerun, plan.cost_s) == ({"draw"}, [], 2000.0)
 
 
 class TestInfeasibility:

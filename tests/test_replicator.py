@@ -499,6 +499,15 @@ class TestCheckpointFormat:
             write_checkpoint(session, bogus, tmp_path / "bad.ckpt")
 
 
+def fresh_cell(session) -> CellProgram:
+    """A cell that binds ``fresh`` to a new scalar in ``session``'s heap."""
+    oid = 1 + max(session.heap.objects, default=0)
+    return CellProgram(code_ref="fresh", ops=[
+        HeapOp(op="create", id=oid, kind="scalar", value=1, size_bytes=8),
+        HeapOp(op="bind", name="fresh", id=oid),
+    ])
+
+
 class TestRestore:
     def test_worked_example_round_trip(self, tmp_path):
         trace = worked_example_trace()
@@ -572,6 +581,25 @@ class TestRestore:
         result = restore(read_checkpoint(path), trace.programs())
         assert verify(session.heap, result.session.heap).isomorphic
 
+    def test_two_restores_of_one_checkpoint_record_apart(self, tmp_path):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        checkpoint = read_checkpoint(path)
+        first, second = (restore(checkpoint, trace.programs()).session for _ in range(2))
+        before = second.history.next_t, second.history.active_snapshots()
+        record_cell(first, fresh_cell(first))
+        assert "fresh" in first.history.active_snapshots()
+        assert (second.history.next_t, second.history.active_snapshots()) == before
+
+    def test_restoring_the_written_checkpoint_leaves_the_session_s_lineage(self, tmp_path):
+        trace = worked_example_trace()
+        session, _ = run_trace(trace)
+        checkpoint = write_checkpoint(session, plan_session(session), tmp_path / "c.ckpt")
+        before = session.history.to_manifest()
+        restored = restore(checkpoint, trace.programs()).session
+        record_cell(restored, fresh_cell(restored))
+        assert session.history.to_manifest() == before
+
     def test_missing_cell_program_reported(self, tmp_path):
         from statecut.errors import MissingCellProgram
 
@@ -584,14 +612,15 @@ class TestRestore:
 
 
 class TestNondeterminism:
-    def trace_with_nondet(self, annotate: bool) -> TraceFile:
-        make = lambda value: [
-            HeapOp(op="create", id=1, kind="scalar", value=value, size_bytes=8),
-            HeapOp(op="bind", name="seeded", id=1),
-        ]
+    def trace_with_nondet(self, annotate: bool, bandwidth: float = 1e9) -> TraceFile:
         cells = [
-            CellProgram(code_ref="roll", ops=make(41), alt_ops=make(977),
-                        nondeterministic=True, declared_runtime_s=0.1),
+            CellProgram(
+                code_ref="roll", nondeterministic=True, declared_runtime_s=0.1,
+                ops=[
+                    HeapOp(op="create", id=1, kind="scalar", value=41, size_bytes=8),
+                    HeapOp(op="bind", name="seeded", id=1),
+                ],
+            ),
             CellProgram(
                 code_ref="derive", direct_reads={"seeded"},
                 ops=[
@@ -603,19 +632,18 @@ class TestNondeterminism:
         ]
         annotations = {"seeded": "always_copy"} if annotate else {}
         return TraceFile(
-            profile=CostProfile(bandwidth_bytes_per_s=1e9),
+            profile=CostProfile(bandwidth_bytes_per_s=bandwidth),
             cells=cells, variable_annotations=annotations,
         )
 
-    def test_unannotated_nondet_rerun_diverges(self, tmp_path):
-        trace = self.trace_with_nondet(annotate=False)
-        session, _ = run_trace(trace)
-        plan = ReplicationPlan(migrate=set(), rerun=[1, 2], cost_s=0.0)
-        path = tmp_path / "nd.ckpt"
-        write_checkpoint(session, plan, path)
+    def test_unannotated_nondet_output_migrates(self, tmp_path):
+        # storing the roll's 8 bytes takes 16 s at 1 B/s, rerunning it 0.1 s,
+        # but a rerun would roll again: its output is stored
+        trace = self.trace_with_nondet(annotate=False, bandwidth=1.0)
+        session, plan, path = checkpoint_roundtrip(tmp_path, trace)
+        assert (plan.migrate, plan.rerun) == ({"seeded"}, [2])
         result = restore(read_checkpoint(path), trace.programs())
-        report = verify(session.heap, result.session.heap)
-        assert not report.value_equivalent  # the alternate roll leaked in
+        assert verify(session.heap, result.session.heap).isomorphic
 
     def test_always_copy_defeats_the_hazard(self, tmp_path):
         trace = self.trace_with_nondet(annotate=True)
@@ -628,6 +656,28 @@ class TestNondeterminism:
         report = verify(session.heap, result.session.heap)
         assert report.value_equivalent and report.isomorphic
         assert result.session.heap.objects[result.session.heap.namespace["seeded"]].value == 41
+
+    def test_no_plan_reruns_a_cell_a_rerun_cannot_reproduce(self, tmp_path):
+        params = GenParams(cells=20, variables=5, alias_density=0.3, nondet_rate=0.2,
+                           bandwidth_bytes_per_s=1e2)
+        path = tmp_path / "c.ckpt"
+        restored = unreproducible_live = 0
+        for seed in range(200):
+            trace = generate_trace(params, seed)
+            trace.variable_annotations.clear()  # no always_copy to fall back on
+            session, _ = run_trace(trace)
+            try:
+                plan = plan_session(session)
+            except Infeasible:
+                continue
+            cells = session.history.cells
+            unreproducible_live += any(c.never_rerun or c.nondeterministic for c in cells.values())
+            assert not [t for t in plan.rerun if cells[t].never_rerun or cells[t].nondeterministic], seed
+            write_checkpoint(session, plan, path)
+            result = restore(read_checkpoint(path), trace.programs())
+            assert verify(session.heap, result.session.heap).isomorphic, seed
+            restored += 1
+        assert restored > 190 and unreproducible_live > 100, (restored, unreproducible_live)
 
 
 def undeserializable_trace(chain_rerunnable: bool = True) -> TraceFile:
@@ -1034,6 +1084,16 @@ class TestVerify:
         assert not report.value_equivalent
         assert report.namespace_mismatch["only_original"] == ["x"]
 
+    def test_opaque_values_are_compared(self):
+        # as the value hash does: a size check alone passes a wrong value
+        a, b = SimHeap(), SimHeap()
+        for heap, value in ((a, 41), (b, 977)):
+            heap.apply([HeapOp(op="create", id=1, kind="opaque", value=value, size_bytes=8),
+                        HeapOp(op="bind", name="model", id=1)])
+        report = verify(a, b)
+        assert not report.value_equivalent
+        assert report.value_diffs == {"model": "value 41 != 977"}
+
     def test_value_difference_reported_with_path(self):
         a, b = SimHeap(), SimHeap()
         for heap, value in ((a, 1), (b, 2)):
@@ -1342,9 +1402,9 @@ class TestLiveLineage:
         assert outcome == restore_outcome(whole, programs, faulty, session.heap)[0]
         if result is None:
             return
-        # a plan that reruns a nondeterministic cell may diverge; a fallback
-        # through one raises Unreconstructable
-        assert nondet or verify(session.heap, result.session.heap).isomorphic
+        # no plan reruns a nondeterministic cell; a fallback through one
+        # raises Unreconstructable
+        assert verify(session.heap, result.session.heap).isomorphic
         assert result.session.history.next_t == session.history.next_t
         again = plan_session(result.session)
         assert (again.migrate, again.rerun, repr(again.cost_s)) == (
@@ -1384,8 +1444,7 @@ class TestLiveLineage:
         path = tmp_path_factory.mktemp("continue") / "c.ckpt"
         write_checkpoint(original, plan, path)
         result = restore(read_checkpoint(path), trace.programs())
-        # a plan that reruns a nondeterministic cell may diverge
-        assume(verify(original.heap, result.session.heap).isomorphic)
+        assert verify(original.heap, result.session.heap).isomorphic
         restored = result.session
         assert restored.history.to_manifest() == original.history.to_manifest()
 

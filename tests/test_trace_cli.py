@@ -120,8 +120,10 @@ class TestTraceFormat:
         # a checkpoint of the session would hold the runtime, which must be finite
         lambda d: d["cells"][0].update(declared_runtime_s=math.inf),
         # an id created again by a later cell (the original run fails with
-        # "already live"), and by a cell's alt_ops beyond its own ops' creates
+        # "already live")
         lambda d: d["cells"][2]["ops"].insert(0, dict(d["cells"][0]["ops"][0])),
+        # alt_ops, the ops older traces gave a nondeterministic cell's rerun,
+        # is now an unknown field: no plan reruns such a cell
         lambda d: d["cells"][2].update(alt_ops=[dict(d["cells"][0]["ops"][0])]),
         # unknown keys, as the schema's additionalProperties: false says; a
         # misspelt optional field would otherwise take its default silently
@@ -225,6 +227,14 @@ class TestTraceFormat:
         with pytest.raises(FormatError, match=str(path)):
             load_trace(path)
         assert main(["run", str(path)]) == 4
+
+    def test_alternate_ops_exit_4_naming_the_field(self, tmp_path, capsys):
+        data = trace_to_json(generate_trace(GenParams(cells=3), 1))
+        data["cells"][2]["alt_ops"] = data["cells"][2]["ops"]
+        path = tmp_path / "alt.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 4
+        assert "cells[2].alt_ops: unknown field" in capsys.readouterr().err
 
     def test_saved_as_one_compact_sorted_line(self, tmp_path):
         trace = generate_trace(GenParams(cells=6, nondet_rate=0.3), 5)
