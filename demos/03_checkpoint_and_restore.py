@@ -6,6 +6,11 @@ checkpoint stores each shared object once, so the alias survives the round
 trip; the undeserializable figure is recovered mid-restore by rerunning just
 its producing cell. Verification checks both value equivalence and reference
 isomorphism against the original heap.
+
+Every object keeps its recorded id across the restore, the recomputed figure
+included, so the restored session runs one more cell that names the figure
+by that id and migrates a second time; the second restore verifies against
+the original session continued with the same cell.
 """
 
 import tempfile
@@ -19,6 +24,7 @@ from statecut import (
     plan_session,
     read_checkpoint,
     restore,
+    run_cell,
     run_trace,
     verify,
     write_checkpoint,
@@ -70,7 +76,33 @@ if result.fallback_recomputed:
 rows_root = restored.namespace["rows"]
 table_slot = restored.objects[restored.namespace["table"]].slots["0"]
 print(f"\nalias preserved: table[0] is rows -> {table_slot == rows_root}")
+print(f"recomputed figure kept its recorded id 5 -> {restored.namespace['figure'] == 5}")
 
 report = verify(session.heap, restored)
+print(f"value-equivalent: {report.value_equivalent}")
+print(f"isomorphic:       {report.isomorphic}")
+
+# the second hop: a cell files the figure (object 5) and the rows (object 1)
+# in a report, naming them by the ids the trace recorded; both sessions run
+# it, then the restored one migrates again
+caption = CellProgram(code_ref="caption", direct_reads={"figure", "rows"}, ops=[
+    HeapOp(op="create", id=6, kind="container", size_bytes=48),
+    HeapOp(op="set_slot", parent_id=6, slot="figure", child_id=5),
+    HeapOp(op="set_slot", parent_id=6, slot="rows", child_id=1),
+    HeapOp(op="bind", name="report", id=6),
+], declared_runtime_s=0.2)
+run_cell(session, caption)
+run_cell(result.session, caption)
+plan = plan_session(result.session)
+print(f"\nsecond hop: migrate {sorted(plan.migrate)}, rerun cells {plan.rerun}")
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "again.ckpt"
+    write_checkpoint(result.session, plan, path)
+    second = restore(read_checkpoint(path), {**trace.programs(), "caption": caption})
+
+if second.fallback_recomputed:
+    print("fallback recomputation kicked in for:", second.fallback_recomputed)
+report = verify(session.heap, second.session.heap)
 print(f"value-equivalent: {report.value_equivalent}")
 print(f"isomorphic:       {report.isomorphic}")

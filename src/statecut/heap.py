@@ -162,7 +162,7 @@ class NameIndex:
 
 
 def _mapped(ids: dict[ObjectId, ObjectId], oid: ObjectId) -> ObjectId:
-    """The heap's own id for another heap's ``oid``: its entry in ``ids``."""
+    """The heap's id for the recorded ``oid``: its entry in ``ids``."""
     try:
         return ids[oid]
     except KeyError:
@@ -175,20 +175,17 @@ class SimHeap:
     def __init__(self) -> None:
         self.objects: dict[ObjectId, HeapObject] = {}
         self.namespace: dict[str, ObjectId] = {}
-        self._next_id: ObjectId = 1
+        self._next_id: ObjectId = -1
         # bumped by every method that changes the heap, so a reader that
         # keeps derived state can tell whether the heap moved under it
         self.version = 0
 
     def allocate_id(self) -> ObjectId:
-        """Return a fresh object id: the least id above the last one this
-        method returned that no live object holds. A restore first loads the
-        stored objects under their own ids, so the objects its rerun cells
-        create fill the ids between them."""
+        """Return an id no recording made: the next one below zero, as no
+        trace or checkpoint id is negative. A restore gives one to a rerun
+        copy of an object whose stored copy holds its recorded id."""
         oid = self._next_id
-        while oid in self.objects:
-            oid += 1
-        self._next_id = oid + 1
+        self._next_id = oid - 1
         return oid
 
     def get(self, oid: ObjectId) -> HeapObject:
@@ -230,10 +227,11 @@ class SimHeap:
         partial MutationRecord as ``.partial`` and the failing op's position
         as ``.op_index`` (the ops before it took effect, it did not).
 
-        With ``ids``, the ops name another heap's objects: each create takes
-        a fresh id and records it in ``ids``, and every other object id is
-        looked up there (UnknownObject if absent). The record holds this
-        heap's ids."""
+        With ``ids``, the ops name objects by the ids of the run that
+        recorded them: each create keeps its recorded id unless a live object
+        holds it, and then takes ``allocate_id()``; it records the id it took
+        in ``ids``, and every other object id is looked up there
+        (UnknownObject if absent). The record holds this heap's ids."""
         record = MutationRecord()
         self.version += 1
         for index, op in enumerate(ops):
@@ -249,15 +247,16 @@ class SimHeap:
         # each field is read once: a tuple field costs a descriptor call
         action = op.op
         if action == "create":
-            oid = op.id
+            recorded = oid = op.id
+            if ids is not None:
+                if oid in self.objects:  # a trace creates each id once: the stored copy holds it
+                    oid = self.allocate_id()
+                ids[recorded] = oid
             # positional, in HeapObject's field order: called with keywords,
             # a class gets them as a dict, which doubles the cost
-            obj = HeapObject(oid if ids is None else self.allocate_id(), op.kind, op.value, {},
-                             op.size_bytes, op.serializable, op.deserializable, op.hashable)
-            self.add_object(obj)
-            if ids is not None:
-                ids[oid] = obj.id
-            record.created.add(obj.id)
+            self.add_object(HeapObject(oid, op.kind, op.value, {},
+                                       op.size_bytes, op.serializable, op.deserializable, op.hashable))
+            record.created.add(oid)
         elif action == "bind":
             name, oid = op.name, op.id
             root = oid if ids is None else _mapped(ids, oid)

@@ -11,12 +11,13 @@ fields, and ends any fault in one FormatError that names the file. A restore who
 disagrees with the trace is a FormatError too.
 Restoration loads the stored objects under their own ids, then walks the
 original timestamps, interleaving cell reruns with variable re-declaration,
-so every rerun cell reads the inputs it originally saw. Only the objects a
-rerun cell creates take fresh ids; declaring a variable binds its name and
-maps its stored objects to themselves, so a migrated variable also produced
-by a rerun cell is overwritten with its stored copy and aliases keep
-pointing at the payload objects. A restore with no fallback that ``verify``
-accepts checkpoints, under the same plan, to the file it was restored from.
+so every rerun cell reads the inputs it originally saw. Every object keeps
+its recorded id, except a rerun copy of a stored object, which takes one
+below zero; declaring a variable points the walk's ops at its stored
+objects, so a migrated variable also produced by a rerun cell is overwritten
+with its stored copy and aliases keep pointing at the payload objects. A
+restore that ``verify`` accepts checkpoints, under the same plan, to the
+file it was restored from.
 Stored variables that fail to deserialize are found before the walk and
 recovered by moving their whole linked group back to recomputation, so the
 walk runs once, on the amended plan.
@@ -77,12 +78,10 @@ class Checkpoint:
 
 @dataclass
 class RestoreResult:
-    """Restored session plus the identity bookkeeping verification needs."""
+    """The restored session, which runs the trace's programs as recorded,
+    and the stored variables recomputed after failing to load."""
 
     session: Session
-    # original object id -> restored object id: a stored object keeps its id,
-    # an object a rerun cell creates gets a fresh one
-    id_map: dict[int, int]
     fallback_recomputed: list[str] = field(default_factory=list)
 
 
@@ -143,7 +142,8 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
     The payload holds the union of the migrated variables' reachable sets,
     each object exactly once, sorted by id; aliases among migrated variables
     therefore survive a round trip. Raises SerializationError if an
-    unserializable object slipped into the migrate closure.
+    unserializable object, or one under a negative id no recording made,
+    slipped into the migrate closure.
     """
     heap = session.heap
     closure: set[int] = set()
@@ -153,9 +153,9 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         closure |= heap.reachable(name)
     for oid in closure:
         if not heap.objects[oid].serializable:
-            raise SerializationError(
-                f"object {oid} in the migrate closure is not serializable"
-            )
+            raise SerializationError(f"object {oid} in the migrate closure is not serializable")
+        if oid < 0:  # a rerun copy, left live by a restore that verify rejects
+            raise SerializationError(f"object {oid} in the migrate closure has an id no recording made")
 
     checkpoint = Checkpoint(
         history=session.history,
@@ -309,10 +309,11 @@ def restore(
     unless an earlier failure already moved it. Then loads the objects the
     variables still stored reach, under their own ids, and walks the
     original timestamps once: cells on the amended rerun list replay their
-    recorded ops, and each variable still stored is declared right after
-    the timestamp of its active snapshot. The restored session records on
-    its own copy of the checkpoint's lineage, whose clock gives its next
-    cell the timestamp the original's would get.
+    recorded ops under their recorded ids (``SimHeap.apply``), and each
+    variable still stored is declared right after the timestamp of its
+    active snapshot. The restored session records on its own copy of the
+    checkpoint's lineage, whose clock gives its next cell the timestamp the
+    original's would get.
     """
     history = checkpoint.history
     active = history.active_snapshots()
@@ -354,7 +355,7 @@ def restore(
         if oid in stored:
             heap.add_object(HeapObject(oid, obj.kind, obj.value, dict(obj.slots), obj.size_bytes,
                                        obj.serializable, obj.deserializable, obj.hashable))
-    current: dict[int, int] = {}  # recorded id -> this heap's id
+    current: dict[int, int] = {}  # recorded id -> the object ops reach by it
     for cell in history.cells.values():
         if cell.t in rerun:
             if cell.code_ref not in programs:
@@ -388,9 +389,7 @@ def restore(
         profile=checkpoint.profile,
         annotations=dict(checkpoint.annotations),
     )
-    live = set(heap.objects)
-    id_map = {old: new for old, new in current.items() if new in live}
-    return RestoreResult(session=session, id_map=id_map, fallback_recomputed=fallbacks)
+    return RestoreResult(session=session, fallback_recomputed=fallbacks)
 
 
 # -- verification --------------------------------------------------------------

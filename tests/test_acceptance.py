@@ -319,8 +319,8 @@ def test_criterion_9_checkpoint_size(tmp_path):
 
 
 def test_criterion_10_format_round_trip(tmp_path):
-    """checkpoint -> restore -> re-checkpoint is stable modulo the id map,
-    and identical heaps produce bit-identical files."""
+    """checkpoint -> restore -> re-checkpoint gives the same bytes, and
+    identical heaps produce bit-identical files."""
     trace = worked_example_trace()
     session, _ = run_trace(trace)
     plan = plan_session(session)
@@ -331,15 +331,7 @@ def test_criterion_10_format_round_trip(tmp_path):
 
     second = tmp_path / "second.ckpt"
     write_checkpoint(result.session, plan, second)
-    reread = read_checkpoint(second)
-    assert reread.plan.to_json() == checkpoint.plan.to_json()
-    assert reread.history.to_manifest() == checkpoint.history.to_manifest()
-    for name, old_root in checkpoint.variables.items():
-        assert reread.variables[name] == result.id_map[old_root]
-    for old_id, rec in checkpoint.objects.items():
-        twin = reread.objects[result.id_map[old_id]]
-        assert (twin.kind, twin.value, twin.size_bytes) == (rec.kind, rec.value, rec.size_bytes)
-        assert [(label, result.id_map[child]) for label, child in rec.slots.items()] == list(twin.slots.items())
+    assert second.read_bytes() == first.read_bytes()
 
     # two identical sessions give byte-identical checkpoints
     twin_session, _ = run_trace(trace)
@@ -347,5 +339,5 @@ def test_criterion_10_format_round_trip(tmp_path):
     twin_path = tmp_path / "twin.ckpt"
     write_checkpoint(twin_session, twin_plan, twin_path)
     assert twin_path.read_bytes() == first.read_bytes()
-    report(10, "re-checkpoint manifests matched modulo the id remapping; "
+    report(10, "the re-checkpoint was byte-identical; "
                "identical heaps produced bit-identical files")

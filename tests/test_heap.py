@@ -294,31 +294,39 @@ class TestApplyOps:
 
     def test_ops_of_another_heap_go_through_the_id_map(self):
         heap = SimHeap()
-        make_object(heap, 1, "container")  # fresh ids start at 2
+        make_object(heap, 1, "container")
+        make_object(heap, 5, "scalar")  # a stored copy holding a recorded id
         ids = {70: 1}
         record = heap.apply([
+            HeapOp(op="create", id=3, kind="scalar", value=2, size_bytes=8),
             HeapOp(op="create", id=5, kind="scalar", value=3, size_bytes=8),
+            HeapOp(op="create", id=6, kind="scalar", value=4, size_bytes=8),
             HeapOp(op="set_slot", parent_id=70, slot="s", child_id=5),
             HeapOp(op="bind", name="x", id=70),
         ], ids)
-        assert ids == {70: 1, 5: 2}
-        assert record.created == {2} and record.touched == {1}
-        assert heap.objects[1].slots == {"s": 2} and heap.namespace == {"x": 1}
+        # a create keeps its recorded id while it is free, and takes the
+        # next id below zero when a live object holds it
+        assert ids == {70: 1, 3: 3, 5: -1, 6: 6}
+        assert record.created == {3, -1, 6} and record.touched == {1}
+        assert heap.objects[1].slots == {"s": -1} and heap.namespace == {"x": 1}
+        assert heap.objects[5].value == 0 and heap.objects[-1].value == 3
+        heap.apply([HeapOp(op="create", id=6, kind="scalar", value=5, size_bytes=8)], ids)
+        assert ids[6] == -2 and heap.objects[6].value == 4
         # an id the map lacks is unknown, even when this heap has an object
         # of that number; the partial record keeps what ran before it
         with pytest.raises(UnknownObject) as exc:
             heap.apply([
                 HeapOp(op="set_value", id=5, value=4),
-                HeapOp(op="bind", name="y", id=2),
+                HeapOp(op="bind", name="y", id=-1),
             ], ids)
-        assert exc.value.partial.touched == {2} and exc.value.op_index == 1
-        assert heap.objects[2].value == 4 and "y" not in heap.namespace
+        assert exc.value.partial.touched == {-1} and exc.value.op_index == 1
+        assert heap.objects[-1].value == 4 and "y" not in heap.namespace
         # the kind checks hold through the map
         with pytest.raises(InvalidHeapOp):
             heap.apply([HeapOp(op="set_value", id=70, value=1)], ids)
         with pytest.raises(InvalidHeapOp):
             heap.apply([HeapOp(op="set_slot", parent_id=5, slot="t", child_id=70)], ids)
-        assert heap.objects[2].slots == {} and heap.objects[1].value is None
+        assert heap.objects[-1].slots == {} and heap.objects[1].value is None
 
     def test_determinism(self, rng):
         ops = []

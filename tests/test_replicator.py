@@ -546,8 +546,9 @@ class TestRestore:
         heap = result.session.heap
         l1_root = heap.namespace["l1"]
         assert heap.objects[heap.namespace["big2d"]].slots["0"] == l1_root
-        # so the rerun-produced l1 object was dropped in favor of the payload copy
-        assert result.id_map[4] == l1_root
+        # so the rerun-produced l1 object was dropped in favor of the payload
+        # copy, which keeps its recorded id
+        assert l1_root == 4
 
     def test_restored_lineage_keeps_rerun_runtimes(self, tmp_path):
         trace = worked_example_trace()
@@ -1132,6 +1133,21 @@ class TestAblations:
         good = restore(read_checkpoint(path2), trace.programs())
         assert verify(session.heap, good.session.heap).isomorphic
 
+    def test_rerun_copy_left_live_is_not_checkpointed(self, tmp_path):
+        # the split restore keeps l1's rerun copy live beside big2d's stored
+        # one; the copy's id was made by no recording, so no checkpoint may
+        # name it
+        trace = aliased_pair_trace()
+        session, _ = run_trace(trace)
+        path = tmp_path / "ablate.ckpt"
+        write_checkpoint(session, link_blind_plan(session), path)
+        restored = restore(read_checkpoint(path), trace.programs()).session
+        assert restored.heap.namespace == {"l1": -1, "big2d": 3}
+        copy_all = ReplicationPlan(migrate={"l1", "big2d"}, rerun=[], cost_s=0.0)
+        with pytest.raises(SerializationError, match=r"object -\d+ .* no recording made"):
+            write_checkpoint(restored, copy_all, tmp_path / "again.ckpt")
+        assert not (tmp_path / "again.ckpt").exists()
+
     def test_no_idgraph_restores_value_incorrectly(self, tmp_path):
         # hash-only monitoring misses c2's swap, so the stale lineage replays
         # c3's mutation into the object big2d should no longer contain
@@ -1357,14 +1373,14 @@ class TestRecheckpoint:
 
 
 def restore_outcome(checkpoint, programs, faulty: set[str], original: SimHeap):
-    """What a restore gives: the error it raises, or its namespace, id map,
-    fallbacks and verify report against ``original``."""
+    """What a restore gives: the error it raises, or its namespace, object
+    ids, fallbacks and verify report against ``original``."""
     try:
         result = restore(checkpoint, programs, deserialization_fault=faulty.__contains__)
     except StatecutError as err:
         return f"{type(err).__name__}: {err}", None
     heap = result.session.heap
-    return (sorted(heap.namespace.items()), sorted(result.id_map.items()),
+    return (sorted(heap.namespace.items()), sorted(heap.objects),
             result.fallback_recomputed, verify(original, heap).to_json()), result
 
 
@@ -1405,22 +1421,17 @@ class TestLiveLineage:
         # no plan reruns a nondeterministic cell; a fallback through one
         # raises Unreconstructable
         assert verify(session.heap, result.session.heap).isomorphic
+        assert result.session.heap.objects.keys() == session.heap.objects.keys()
         assert result.session.history.next_t == session.history.next_t
         again = plan_session(result.session)
         assert (again.migrate, again.rerun, repr(again.cost_s)) == (
             plan.migrate, plan.rerun, repr(plan.cost_s))
 
-        # pruning is idempotent: where no variable fell back, the restored
-        # session writes the same file; otherwise the same manifest, up to
-        # the fresh ids of the recomputed roots
+        # pruning is idempotent: with or without a fallback, the restored
+        # session writes the same file
         second = path.with_name("again.ckpt")
         write_checkpoint(result.session, plan, second)
-        if not result.fallback_recomputed:
-            assert second.read_bytes() == path.read_bytes()
-        remapped = read_manifest(second)
-        assert remapped.pop("variables") == {
-            name: result.id_map[oid] for name, oid in manifest.pop("variables").items()}
-        assert remapped == manifest
+        assert second.read_bytes() == path.read_bytes()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), split=st.floats(0.1, 0.9), fail_rate=st.floats(0.0, 0.3))
@@ -1448,15 +1459,53 @@ class TestLiveLineage:
         restored = result.session
         assert restored.history.to_manifest() == original.history.to_manifest()
 
-        # the remaining ops name the original heap's objects: map each to its
-        # restored copy, and every other id past the restored heap's
-        offset = 1 + max(restored.heap.objects, default=0)
-
-        def local(oid):
-            return None if oid is None else result.id_map.get(oid, oid + offset)
-
+        # the restored heap holds the original's ids, so the remaining cells
+        # run unchanged
         for program in trace.cells[cut:]:
-            ops = [op._replace(id=local(op.id), parent_id=local(op.parent_id), child_id=local(op.child_id))
-                   for op in program.ops]
-            assert record_cell(restored, replace(program, ops=ops)) == record_cell(original, program)
+            assert record_cell(restored, program) == record_cell(original, program)
         assert restored.history.to_manifest() == original.history.to_manifest()
+
+
+class TestMultiHop:
+    # a restored session keeps running the trace's own programs and
+    # migrates again: at every hop the restore is accepted, holds the
+    # session's object ids and re-checkpoints to the same bytes, and the
+    # chain ends as the unmigrated run
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), bandwidth=st.sampled_from([1e2, 1e4, 1e8]),
+           fault_rate=st.sampled_from([0.0, 0.2]))
+    def test_migration_chain_ends_as_the_unmigrated_run(self, tmp_path_factory, seed, bandwidth, fault_rate):
+        rng = random.Random(seed)
+        trace = with_failing_cells(generate_trace(GenParams(
+            cells=40, variables=6, alias_density=0.4, unserializable_rate=0.1,
+            undeserializable_rate=0.2, never_rerun_rate=0.05, nondet_rate=0.1, delete_rate=0.15,
+        ), seed), rng, 0.1)
+        programs = trace.programs()
+        original = new_session(trace.profile, trace.variable_annotations)
+        records = [record_cell(original, program) for program in trace.cells]
+        session = new_session(trace.profile, trace.variable_annotations)
+        path = tmp_path_factory.mktemp("hops") / "c.ckpt"
+        start = 0
+        for hop in (10, 20, 30):
+            for index in range(start, hop):
+                assert record_cell(session, trace.cells[index]) == records[index]
+            start = hop
+            try:
+                plan = plan_session(session, bandwidth=bandwidth)
+                write_checkpoint(session, plan, path)
+                faulty = {name for name in sorted(plan.migrate) if rng.random() < fault_rate}
+                result = restore(read_checkpoint(path), programs, deserialization_fault=faulty.__contains__)
+            except (Infeasible, Unreconstructable):
+                return
+            restored = result.session
+            assert verify(session.heap, restored.heap).isomorphic, (hop, result.fallback_recomputed)
+            assert restored.heap.objects.keys() == session.heap.objects.keys()
+            again = path.with_name("again.ckpt")
+            write_checkpoint(restored, plan, again)
+            assert again.read_bytes() == path.read_bytes()
+            session = restored
+        for index in range(start, len(trace.cells)):
+            assert record_cell(session, trace.cells[index]) == records[index]
+        assert verify(original.heap, session.heap).isomorphic
+        assert session.history.to_manifest() == original.history.to_manifest()
