@@ -239,13 +239,9 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
         if id_graph_changed(pre_graph, post_graph):
             modified.add(name)
             continue
-        if name not in accessed and pre_graph.nodes.isdisjoint(touched):
-            continue
+        # the name is accessed: it reaches an object changed in place, or was rebound to its old root
         pre_hash = subgraph_hash(before.objects, pre_root)
-        if pre_hash is None:
-            if name in accessed:
-                modified.add(name)
-        elif value_hash(heap, name) != pre_hash:
+        if pre_hash is None or value_hash(heap, name) != pre_hash:
             modified.add(name)
     # an accessed name the cell did not affect kept its closure and values, so
     # only the unhashable-access rule can mark it

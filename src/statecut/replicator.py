@@ -7,8 +7,8 @@ every object reachable from a migrated variable, and a SHA-256 digest of
 every byte before it. The file is written to a temporary name and renamed
 into place; reading it checks every field against the rules of ``schema``
 (published as docs/checkpoint.schema.json), then the rules that relate
-fields, and ends any fault in one FormatError that names the file. A restore whose lineage
-disagrees with the trace is a FormatError too.
+fields, which the writer checks before it writes, and ends any fault in one
+FormatError naming the file, as does a restore whose lineage and trace disagree.
 Restoration loads the stored objects under their own ids, then walks the
 original timestamps, interleaving cell reruns with variable re-declaration,
 so every rerun cell reads the inputs it originally saw. Every object keeps
@@ -17,10 +17,10 @@ below zero; declaring a variable points the walk's ops at its stored
 objects, so a migrated variable also produced by a rerun cell is overwritten
 with its stored copy and aliases keep pointing at the payload objects. A
 restore that ``verify`` accepts checkpoints, under the same plan, to the
-file it was restored from.
-Stored variables that fail to deserialize are found before the walk and
-recovered by moving their whole linked group back to recomputation, so the
-walk runs once, on the amended plan.
+file it was restored from. Stored variables that fail to deserialize are
+found before the walk and move, with their linked group, to recomputation;
+the walk then reruns what the lineage needs, given what loaded, and never
+reads the stored plan, which is the planner's record.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
     """Write the session's checkpoint file for the given plan.
 
     The payload holds the union of the migrated variables' reachable sets,
-    each object exactly once, sorted by id; aliases among migrated variables
-    therefore survive a round trip. Raises SerializationError if an
-    unserializable object, or one under a negative id no recording made,
-    slipped into the migrate closure.
+    each object exactly once, sorted by id, so aliases among them survive a
+    round trip. Raises the reader's FormatError for a plan it would refuse,
+    and SerializationError if an unserializable object, or one under a
+    negative id no recording made, slipped into the migrate closure.
     """
     heap = session.heap
     closure: set[int] = set()
@@ -165,6 +165,7 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         annotations=dict(session.annotations),
         objects={oid: heap.objects[oid] for oid in closure},
     )
+    _check_consistent(checkpoint)
     manifest = {
         "history": session.history.to_manifest(),
         "plan": plan.to_json(),
@@ -277,21 +278,23 @@ def payload_bytes(path: str | Path) -> int:
 
 
 def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], list[int]]:
-    """Plan amendment after deserialization failures: the failed variables'
-    whole linked groups move to recomputation, and the lineage graph yields
-    the extra cells to rerun given the remaining stored variables as ground.
+    """A restore's moved names and rerun list: the failed variables' linked
+    groups move to recomputation, and the lineage yields the cells that
+    rebuild every active variable not loaded from the loaded ones. A blocked
+    walk is Unreconstructable, or a FormatError of the stored plan if none failed.
     """
     moved: set[str] = set()
     for name in failed:
         moved |= checkpoint.payload_groups[name]
     active = checkpoint.history.active_snapshots()
-    targets = {active[n] for n in moved if n in active}
-    ground = {active[n] for n in set(checkpoint.variables) - moved if n in active}
+    loaded = {active[n] for n in checkpoint.variables.keys() - moved}
     try:
-        extra = checkpoint.history.rerun_cells_from(targets, ground, require_rerunnable=True)
+        cells = checkpoint.history.rerun_cells_from(set(active.values()), loaded, require_rerunnable=True)
     except Unreconstructable as err:
+        if not failed:
+            raise FormatError(f"the stored plan needs a cell a rerun cannot reproduce: {err}") from err
         raise Unreconstructable(sorted(failed)[0], blocked_at=err.blocked_at) from err
-    return moved, [c.t for c in extra]
+    return moved, [c.t for c in cells]
 
 
 def restore(
@@ -308,12 +311,12 @@ def restore(
     it, and each failure moves its whole linked group to the rerun side
     unless an earlier failure already moved it. Then loads the objects the
     variables still stored reach, under their own ids, and walks the
-    original timestamps once: cells on the amended rerun list replay their
-    recorded ops under their recorded ids (``SimHeap.apply``), and each
-    variable still stored is declared right after the timestamp of its
-    active snapshot. The restored session records on its own copy of the
-    checkpoint's lineage, whose clock gives its next cell the timestamp the
-    original's would get.
+    original timestamps once: cells on the rerun list of ``recovery_cells``,
+    never the stored plan's, replay their recorded ops under their recorded
+    ids (``SimHeap.apply``), and each variable still stored is declared right
+    after the timestamp of its active snapshot. The restored session records
+    on its own copy of the checkpoint's lineage, whose clock gives its next
+    cell the timestamp the original's would get.
     """
     history = checkpoint.history
     active = history.active_snapshots()
@@ -330,16 +333,14 @@ def restore(
         ):
             fallbacks.append(name)
             moved |= checkpoint.payload_groups[name]
-    rerun = set(checkpoint.plan.rerun)
-    if fallbacks:
-        try:
-            moved, extra = recovery_cells(checkpoint, set(fallbacks))
-        except Unreconstructable:
-            # name the first failure, in declaration order, whose group is blocked
-            for name in fallbacks:
-                recovery_cells(checkpoint, {name})
-            raise
-        rerun.update(extra)
+    try:
+        moved, cells = recovery_cells(checkpoint, set(fallbacks))
+    except Unreconstructable:
+        # name the first failure, in declaration order, whose group is blocked
+        for name in fallbacks:
+            recovery_cells(checkpoint, {name})
+        raise
+    rerun = set(cells)
 
     declare_at: dict[int, list[str]] = {}
     stored: set[int] = set()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import statecut
 from statecut import replicator
 from statecut.cli import main
-from statecut.cost import CostProfile
+from statecut.cost import CostProfile, linked_pairs
 from statecut.errors import (
     FormatError, Infeasible, SerializationError, StatecutError, Unreconstructable,
 )
@@ -35,7 +35,9 @@ from statecut.replicator import (
     verify,
     write_checkpoint,
 )
-from statecut.trace import TraceFile, new_session, run_trace, save_trace, trace_from_json, trace_to_json
+from statecut.trace import (
+    TraceFile, load_trace, new_session, run_trace, save_trace, trace_from_json, trace_to_json,
+)
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import (
@@ -134,6 +136,20 @@ class TestCheckpointFormat:
                 original.kind, original.value, original.slots, original.size_bytes
             )
 
+    def test_store_bandwidth_survives_the_trace_and_the_checkpoint(self, tmp_path):
+        trace = worked_example_trace()
+        trace = replace(trace, profile=replace(trace.profile, store_bandwidth_bytes_per_s=0.5))
+        save_trace(trace, tmp_path / "trace.json")
+        loaded = load_trace(tmp_path / "trace.json")
+        assert loaded.profile == trace.profile
+        session, plan, path = checkpoint_roundtrip(tmp_path, loaded)
+        assert plan == plan_session(run_trace(trace)[0])
+        # the slower store prices the stored variables higher
+        assert plan.cost_s > plan_session(run_trace(worked_example_trace())[0]).cost_s
+        checkpoint = read_checkpoint(path)
+        assert checkpoint.profile == session.profile == trace.profile
+        assert checkpoint.plan == plan
+
     def test_writes_are_bit_identical(self, tmp_path):
         _, _, path1 = checkpoint_roundtrip(tmp_path, worked_example_trace())
         session, plan, _ = checkpoint_roundtrip(tmp_path, worked_example_trace())
@@ -217,8 +233,9 @@ class TestCheckpointFormat:
         # the reader type- and range-checks each cell's t, runtime and flags,
         # the plan's and the profile's numbers and the next timestamp, so most
         # damaged leaves are rejected; an in-range number (a runtime or the
-        # plan's cost of 1.5) or a flag's True still restores (44 of 480)
-        assert outcomes["rejected"] > 300 and outcomes["restored"] > 40
+        # plan's cost of 1.5) or a flag's True still restores (38 of 480), but
+        # not a True that marks a cell the restore reruns as not rerunnable
+        assert outcomes["rejected"] > 300 and outcomes["restored"] > 35
 
     @pytest.mark.parametrize("make, bandwidth", [
         (worked_example_trace, None),
@@ -303,6 +320,7 @@ class TestCheckpointFormat:
         lambda m: {**m, "variables": [[name, oid] for name, oid in m["variables"].items()]},
         lambda m: with_leaf(m, ("history", "deleted"), [["y", 5]]),
         lambda m: with_leaf(m, ("history", "cells", 0, "runtime_s"), 10**400),
+        lambda m: with_leaf(m, ("history", "recorded_cells"), len(m["history"]["cells"]) - 1),
     ], ids=["rerun-unknown-cell", "migrate-not-variables", "root-not-in-payload",
             "float-root", "stored-without-active-snapshot", "code-ref-not-string",
             "failed-at-negative", "failing-op-not-an-int", "float-t", "runtime-string",
@@ -315,7 +333,7 @@ class TestCheckpointFormat:
             "plan-alpha-string", "plan-bandwidth-list", "plan-bandwidth-zero",
             "plan-migrate-object", "plan-rerun-unsorted", "plan-rerun-duplicate",
             "cell-unknown-key", "variables-list-of-pairs", "deleted-list-of-pairs",
-            "runtime-past-float"])
+            "runtime-past-float", "fewer-recorded-than-listed"])
     def test_self_inconsistent_manifest_is_a_format_error(self, tmp_path, edit):
         trace = worked_example_trace()
         _, _, path = checkpoint_roundtrip(tmp_path, trace)
@@ -497,6 +515,20 @@ class TestCheckpointFormat:
         bogus = ReplicationPlan(migrate={"sock"}, rerun=[], cost_s=0.0)
         with pytest.raises(SerializationError):
             write_checkpoint(session, bogus, tmp_path / "bad.ckpt")
+
+    def test_plan_that_reruns_a_dropped_cell_is_refused_before_writing(self, tmp_path):
+        # the plan reruns cell 4, which only gen's snapshot kept live; a cell
+        # run after planning unbinds gen, so the lineage drops cell 4 and the
+        # reader would refuse the file
+        session, _ = run_trace(worked_example_trace())
+        plan = plan_session(session, bandwidth=1e-3)
+        assert 4 in plan.rerun
+        record_cell(session, CellProgram(code_ref="drop_gen", ops=[HeapOp(op="unbind", name="gen")]))
+        assert 4 not in session.history.cells
+        path = tmp_path / "stale.ckpt"
+        with pytest.raises(FormatError, match="does not record"):
+            write_checkpoint(session, plan, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def fresh_cell(session) -> CellProgram:
@@ -862,6 +894,67 @@ class TestFallbackRecomputation:
         assert with_fallbacks >= 10
 
 
+class TestRerunList:
+    # a restore reruns what the lineage needs, given what loaded; the stored
+    # plan is the planner's record, which it does not read
+
+    @pytest.mark.parametrize("rerun", [[1, 2], [1], [], [2, 3]])
+    def test_cut_stored_rerun_list_still_restores(self, tmp_path, rerun):
+        trace = worked_example_trace()
+        session, plan, path = checkpoint_roundtrip(tmp_path, trace)
+        assert plan.rerun == [1, 2, 3]
+        manifest = read_manifest(path)
+        manifest["plan"]["rerun"] = rerun
+        write_manifest(path, manifest)
+        checkpoint = read_checkpoint(path)
+        assert checkpoint.plan.rerun == rerun
+        result = restore(checkpoint, trace.programs())
+        assert verify(session.heap, result.session.heap).isomorphic
+
+    @pytest.mark.parametrize("faulty", [set(), {"gen"}, {"l1", "big2d", "gen"}])
+    def test_restore_reads_no_field_of_the_stored_plan(self, tmp_path, faulty):
+        trace = worked_example_trace()
+        session, _, path = checkpoint_roundtrip(tmp_path, trace)
+        checkpoint = replace(read_checkpoint(path), plan=None)
+        result = restore(checkpoint, trace.programs(), deserialization_fault=faulty.__contains__)
+        assert set(result.fallback_recomputed) <= faulty
+        assert verify(session.heap, result.session.heap).isomorphic
+
+    def test_stale_plan_is_refused_at_write_or_restores(self, tmp_path):
+        # planned after cell 8 and checkpointed after cell 12: a plan that
+        # stores a variable since deleted, or reruns a cell the lineage has
+        # since dropped, is refused before a byte is written; any other
+        # restores value-equivalent, and isomorphic unless it splits a pair
+        # that became linked after planning
+        params = GenParams(cells=12, variables=4, alias_density=0.3, unserializable_rate=0.0,
+                           delete_rate=0.1)
+        outcomes = Counter()
+        for seed in range(300):
+            trace = generate_trace(params, seed)
+            session = new_session(trace.profile, trace.variable_annotations)
+            for program in trace.cells[:8]:
+                record_cell(session, program)
+            plan = plan_session(session)
+            for program in trace.cells[8:]:
+                record_cell(session, program)
+            path = tmp_path / f"stale{seed}.ckpt"
+            try:
+                write_checkpoint(session, plan, path)
+            except StatecutError as err:
+                assert not path.exists(), seed
+                outcomes[type(err).__name__] += 1
+                continue
+            result = restore(read_checkpoint(path), trace.programs())
+            report = verify(session.heap, result.session.heap)
+            assert report.value_equivalent, seed
+            if not report.isomorphic:
+                pairs = linked_pairs(session.heap, session.history.active_snapshots())
+                assert any((a in plan.migrate) != (b in plan.migrate) for a, b in pairs), seed
+            outcomes["isomorphic" if report.isomorphic else "split"] += 1
+        assert outcomes["FormatError"] >= 20 and outcomes["split"] >= 10, outcomes
+        assert outcomes["isomorphic"] >= 150, outcomes
+
+
 def failing_cell_trace(bad: HeapOp, *later: CellProgram) -> TraceFile:
     """Cell 1 binds scalar 1 to ``a`` and a container to ``c``; cell 2 sets
     the scalar to 5, runs ``bad``, then sets it to 99. Storage is so slow
@@ -1094,6 +1187,27 @@ class TestVerify:
         report = verify(a, b)
         assert not report.value_equivalent
         assert report.value_diffs == {"model": "value 41 != 977"}
+
+    @pytest.mark.parametrize("original, restored, diff", [
+        ([HeapOp(op="create", id=1, kind="scalar", value=1, size_bytes=8)],
+         [HeapOp(op="create", id=1, kind="opaque", value=1, size_bytes=8)], "kind scalar != opaque"),
+        ([HeapOp(op="create", id=1, kind="opaque", value=1, size_bytes=8)],
+         [HeapOp(op="create", id=1, kind="opaque", value=1, size_bytes=9)], "opaque size 8 != 9"),
+        ([HeapOp(op="create", id=1, kind="container", size_bytes=8),
+          HeapOp(op="create", id=2, kind="scalar", value=1, size_bytes=8),
+          HeapOp(op="set_slot", parent_id=1, slot="a", child_id=2),
+          HeapOp(op="set_slot", parent_id=1, slot="b", child_id=2)],
+         [HeapOp(op="create", id=1, kind="container", size_bytes=8),
+          HeapOp(op="create", id=2, kind="scalar", value=1, size_bytes=8),
+          HeapOp(op="set_slot", parent_id=1, slot="a", child_id=2)], "slots ['a', 'b'] != ['a']"),
+    ], ids=["kind", "opaque-size", "slot-list"])
+    def test_shape_differences_are_reported(self, original, restored, diff):
+        a, b = SimHeap(), SimHeap()
+        for heap, ops in ((a, original), (b, restored)):
+            heap.apply([*ops, HeapOp(op="bind", name="v", id=1)])
+        report = verify(a, b)
+        assert not report.value_equivalent and not report.isomorphic
+        assert report.value_diffs == {"v": diff}
 
     def test_value_difference_reported_with_path(self):
         a, b = SimHeap(), SimHeap()
