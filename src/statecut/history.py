@@ -262,7 +262,12 @@ class HistoryGraph:
         check_fields(data, _HISTORY, "history")
         graph = cls()
         for i, entry in enumerate(data["cells"]):
-            check_fields(entry, _CELL, f"history.cells[{i}]")
+            try:
+                check_fields(entry, _CELL, "")
+            except FormatError:
+                # the path is built only to raise
+                check_fields(entry, _CELL, f"history.cells[{i}]")
+                raise
             cell = CellExecution(entry["t"], entry["code_ref"], entry["runtime_s"], entry["never_rerun"],
                                  entry["nondeterministic"], entry.get("failed_at"))
             try:

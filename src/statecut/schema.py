@@ -43,16 +43,29 @@ def _is_map(valid):
     return lambda v: type(v) is dict and all(map(valid, v.values()))
 
 
+def _is(exact: type):
+    return lambda v: type(v) is exact
+
+
+# the kinds whose rule is one exact type: ``rules`` keeps the type itself
+# for these, which ``check_fields`` tests in place rather than by a call
+_EXACT = {
+    "int": int,
+    "str": str,
+    "bool": bool,
+    # the entries of these are checked by their own readers
+    "object": dict,
+    "cells": list,
+    "ops": list,
+}
+
 FIELD_TYPES = {
     "object_id": _is_uint64,
     "size": _is_uint64,
     "kind": lambda v: type(v) is str and v in KINDS,
     "flags": lambda v: type(v) is int and 0 <= v < 8,
-    "int": lambda v: type(v) is int,
     "count": lambda v: type(v) is int and v >= 0,
-    "str": lambda v: type(v) is str,
     "ref": lambda v: type(v) is str and v != "",
-    "bool": lambda v: type(v) is bool,
     "any": lambda v: True,
     "str_list": lambda v: type(v) is list and all(type(item) is str for item in v),
     "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
@@ -64,19 +77,17 @@ FIELD_TYPES = {
     "id_map": _is_map(_is_uint64),
     "t_map": _is_map(lambda t: type(t) is int),
     "annotations": _is_map(("always_copy", "always_recompute").__contains__),
-    # the entries of these are checked by their own readers
-    "object": lambda v: type(v) is dict,
-    "cells": lambda v: type(v) is list,
-    "ops": lambda v: type(v) is list,
+    **{kind: _is(exact) for kind, exact in _EXACT.items()},
 }
 
 
 def rules(required: dict[str, str], optional: dict[str, str] | None = None) -> tuple:
     """The fields of one kind of object as the flat tuple ``check_fields``
-    walks: (name, kind, rule, required) for each, required ones first."""
+    walks: (name, kind, rule, required) for each, required ones first. A
+    rule is the type itself for an exact-type kind, else its test."""
     fields = [(name, kind, True) for name, kind in required.items()]
     fields += [(name, kind, False) for name, kind in (optional or {}).items()]
-    return tuple((name, kind, FIELD_TYPES[kind], req) for name, kind, req in fields)
+    return tuple((name, kind, _EXACT.get(kind) or FIELD_TYPES[kind], req) for name, kind, req in fields)
 
 
 def check_fields(data, fields: tuple, where: str) -> None:
@@ -87,10 +98,11 @@ def check_fields(data, fields: tuple, where: str) -> None:
     if type(data) is not dict:
         raise FormatError(f"{where or 'document'}: not an object ({data!r:.60})")
     found = 0
-    for name, kind, valid, required in fields:
+    for name, kind, rule, required in fields:
         if name in data:
-            if not valid(data[name]):
-                raise FormatError(f"{_path(where, name)}: invalid {kind} {data[name]!r:.60}")
+            value = data[name]
+            if type(value) is not rule and (type(rule) is type or not rule(value)):
+                raise FormatError(f"{_path(where, name)}: invalid {kind} {value!r:.60}")
             found += 1
         elif required:
             raise FormatError(f"{_path(where, name)}: missing")

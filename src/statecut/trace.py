@@ -6,13 +6,22 @@ deterministically against an empty heap. The schema is published at
 docs/trace.schema.json. ``save_trace`` writes compact JSON with sorted keys
 on one line, as the checkpoint writer does; ``load_trace`` reads any JSON
 layout, so an indented trace loads too.
+
+Both pause Python's cyclic garbage collector while they build: a decoded
+JSON tree, the ops built from it and the document built to encode hold no
+reference cycles, so a collection during the build frees nothing and only
+rescans the objects being built. When an 8000-cell trace was loaded in a
+process holding two more, that rescanning was about a third of the load.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .cost import CostProfile
@@ -36,6 +45,11 @@ _OPS = {
     "clear_slot": rules({"op": "str", "parent_id": "object_id", "slot": "str"}),
     "set_value": rules({"op": "str", "id": "object_id"}, {"value": "any"}),
 }
+# each kind's field names and one getter of their values, for the writer
+_OP_GETTERS = {op: ([f[0] for f in fields], attrgetter(*(f[0] for f in fields))) for op, fields in _OPS.items()}
+# every field of an op at its default, and one getter of all their values
+_OP_DEFAULTS = {name: HeapOp._field_defaults.get(name) for name in HeapOp._fields}
+_op_values = itemgetter(*HeapOp._fields)
 _CELL = rules({"code_ref": "ref", "ops": "ops"},
               {"direct_reads": "str_list", "declared_runtime_s": "seconds", "never_rerun": "bool",
                "nondeterministic": "bool"})
@@ -54,31 +68,49 @@ class TraceFile:
         return {cell.code_ref: cell for cell in self.cells}
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector in the block, and leave it on or off as
+    it was found, however the block exits."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _op_to_json(op: HeapOp) -> dict:
-    return {name: getattr(op, name) for name, *_ in _OPS[op.op]}
+    names, get = _OP_GETTERS[op.op]
+    return dict(zip(names, get(op)))
 
 
 def _op_from_json(data: dict, where: str) -> HeapOp:
     if type(data) is not dict or type(data.get("op")) is not str or data["op"] not in _OPS:
         raise FormatError(f"{where}: not an object with a known op ({data!r:.60})")
     check_fields(data, _OPS[data["op"]], where)
+    # positional from the checked fields over the defaults: a keyword call
+    # into HeapOp costs more
+    values = {**_OP_DEFAULTS, **data}
     if "name" in data:
         # one string per variable name, as in a generated trace
-        return HeapOp(**{**data, "name": sys.intern(data["name"])})
-    return HeapOp(**data)
+        values["name"] = sys.intern(data["name"])
+    return HeapOp._make(_op_values(values))
 
 
-def _ops_from_json(items: list, where: str) -> list[HeapOp]:
-    """The ops of the list at ``where``. An op's own path is built only for
-    a malformed op: its check runs again with the path, to raise."""
-    ops = []
+def _each_from_json(read, items: list, where: str) -> list:
+    """``read`` of each entry of the list at ``where``. An entry's own path
+    is built only for a malformed entry: it is read again with the path, to
+    raise."""
+    out = []
     for data in items:
         try:
-            ops.append(_op_from_json(data, ""))
+            out.append(read(data, ""))
         except FormatError:
-            _op_from_json(data, f"{where}[{len(ops)}]")
+            read(data, f"{where}[{len(out)}]")
             raise
-    return ops
+    return out
 
 
 def _cell_to_json(cell: CellProgram) -> dict:
@@ -97,7 +129,7 @@ def _cell_from_json(data: dict, where: str) -> CellProgram:
     return CellProgram(
         code_ref=data["code_ref"],
         direct_reads=set(map(sys.intern, data.get("direct_reads", ()))),
-        ops=_ops_from_json(data["ops"], f"{where}.ops"),
+        ops=_each_from_json(_op_from_json, data["ops"], f"{where}.ops"),
         declared_runtime_s=float(data.get("declared_runtime_s", 1.0)),
         never_rerun=data.get("never_rerun", False),
         nondeterministic=data.get("nondeterministic", False),
@@ -132,7 +164,7 @@ def trace_from_json(data: dict) -> TraceFile:
     if data["version"] != TRACE_VERSION:
         raise FormatError(f"unsupported trace version {data['version']!r}")
     profile = CostProfile.from_json(data["profile"])
-    cells = [_cell_from_json(cell, f"cells[{i}]") for i, cell in enumerate(data["cells"])]
+    cells = _each_from_json(_cell_from_json, data["cells"], "cells")
     refs = [c.code_ref for c in cells]
     if len(set(refs)) != len(refs):
         raise FormatError("cell code_refs must be unique")
@@ -143,15 +175,19 @@ def trace_from_json(data: dict) -> TraceFile:
 def load_trace(path: str | Path) -> TraceFile:
     """Read and check a trace file; raises FormatError, naming the path, when
     it is not JSON or nests too deep for the decoder."""
-    try:
-        data = json.loads(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
-        raise FormatError(f"{path}: not valid JSON ({err})") from err
-    return trace_from_json(data)
+    raw = Path(path).read_bytes()
+    with _collector_paused():
+        try:
+            data = json.loads(raw)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+            raise FormatError(f"{path}: not valid JSON ({err})") from err
+        return trace_from_json(data)
 
 
 def save_trace(trace: TraceFile, path: str | Path) -> None:
-    Path(path).write_bytes(_canon(trace_to_json(trace)) + b"\n")
+    with _collector_paused():
+        data = _canon(trace_to_json(trace)) + b"\n"
+    Path(path).write_bytes(data)
 
 
 def new_session(profile: CostProfile, annotations: dict[str, str] | None = None) -> Session:

@@ -1,7 +1,11 @@
+import gc
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +23,7 @@ from statecut.trace import (
     _CELL,
     _OPS,
     _TRACE,
+    _op_to_json,
     load_trace,
     run_trace,
     save_trace,
@@ -266,6 +271,97 @@ class TestTraceFormat:
         assert op != op._replace(slot="s1")
 
 
+def every_op_kind_document() -> dict:
+    """A generated trace with every op kind, as JSON, and one more cell
+    holding an op of each kind with every optional field omitted."""
+    trace = generate_trace(GenParams(cells=12, alias_density=0.5, delete_rate=0.3), 7)
+    assert {op.op for cell in trace.cells for op in cell.ops} == _OPS.keys()
+    data = trace_to_json(trace)
+    oid = 10**6
+    data["cells"].append({"code_ref": "bare", "ops": [
+        {"op": "create", "id": oid, "kind": "container"},
+        {"op": "bind", "name": "bare", "id": oid},
+        {"op": "set_slot", "parent_id": oid, "slot": "s0", "child_id": oid},
+        {"op": "clear_slot", "parent_id": oid, "slot": "s0"},
+        {"op": "set_value", "id": oid},
+        {"op": "unbind", "name": "bare"},
+    ]})
+    return data
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as it was after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCodecFastPaths:
+    """The trace codec's fast paths against their slow oracles (a keyword
+    call into ``HeapOp``, a ``getattr`` per field), and the collector left
+    on or off as the codec found it."""
+
+    def test_loaded_ops_equal_keyword_built_ops(self, tmp_path):
+        data = every_op_kind_document()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        loaded = load_trace(path)
+        assert len(loaded.cells) == len(data["cells"])
+        for cell, cell_data in zip(loaded.cells, data["cells"]):
+            oracle = [HeapOp(**op) for op in cell_data["ops"]]
+            # repr tells True from 1 and 0 from False, which == does not
+            assert cell.ops == oracle and repr(cell.ops) == repr(oracle)
+
+    def test_written_ops_equal_getattr_per_field(self, tmp_path):
+        data = every_op_kind_document()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        ops = [op for cell in load_trace(path).cells for op in cell.ops]
+        ops += [op for cell in generate_trace(GenParams(cells=12, nondet_rate=0.3), 4).cells for op in cell.ops]
+        for op in ops:
+            assert _op_to_json(op) == {name: getattr(op, name) for name, *_ in _OPS[op.op]}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("damage", [
+        None,
+        lambda text: text[:-10],
+        lambda text: text.replace('"op":"unbind"', '"op":"explode"'),
+        lambda text: text.replace('"op":"unbind"', '"op":"unbind","extra":1'),
+        lambda text: text.replace('"value":null', '"value":' + "[" * 100_000 + "]" * 100_000, 1),
+    ], ids=["ok", "bad-json", "unknown-op", "unknown-field", "too-deep"])
+    def test_load_leaves_the_collector_as_found(self, tmp_path, collector, enabled, damage):
+        path = tmp_path / "t.json"
+        save_trace(trace_from_json(every_op_kind_document()), path)
+        if damage is not None:
+            text = path.read_text()
+            assert damage(text) != text
+            path.write_text(damage(text))
+        gc.enable() if enabled else gc.disable()
+        if damage is None:
+            load_trace(path)
+        else:
+            with pytest.raises(FormatError):
+                load_trace(path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("value", [None, {1, 2}], ids=["ok", "not-json"])
+    def test_save_leaves_the_collector_as_found(self, tmp_path, collector, enabled, value):
+        trace = trace_from_json(every_op_kind_document())
+        trace.cells[-1].ops[4] = trace.cells[-1].ops[4]._replace(value=value)
+        gc.enable() if enabled else gc.disable()
+        if value is None:
+            save_trace(trace, tmp_path / "t.json")
+        else:
+            with pytest.raises(TypeError):
+                save_trace(trace, tmp_path / "t.json")
+        assert gc.isenabled() is enabled
+
+
 class TestGenerator:
     def test_same_seed_same_trace(self):
         params = GenParams(cells=12, variables=8, nondet_rate=0.2)
@@ -492,6 +588,13 @@ class TestCliExitCodes:
         assert data["cells"] == 60
         assert data["ahg_bytes"] > 0
         assert data["plan_ms"] >= 0
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-m", "statecut", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: statecut ")
 
 
 class TestReadme:
