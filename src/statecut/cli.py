@@ -237,21 +237,28 @@ def _deep_bytes(value, seen: set[int]) -> int:
 
 
 def history_memory_bytes(history: HistoryGraph) -> int:
-    """In-memory footprint of the lineage graph, metadata only."""
-    return _deep_bytes(history, set())
+    """In-memory footprint of the lineage graph, metadata only. Its own
+    attributes count as a plain dict: CPython sizes an instance dict by how
+    many instances of its class the process has made, and a process makes
+    many cells but few lineages."""
+    return sys.getsizeof(history) + _deep_bytes(dict(vars(history)), {id(history)})
 
 
 def run_bench(n_cells: int, seed: int = 0) -> dict:
     """Scalability probe: monitor ``n_cells`` re-executions over a small
-    variable pool, then time planning and measure graph memory. ``plan_ms``
-    is the least of three ``plan_session`` calls on the session, so that one
-    call slowed by other work on the machine does not set it."""
+    variable pool, then time planning and measure graph memory.
+    ``monitor_ms_per_cell`` is the wall time of monitoring the whole trace
+    over its cell count (0 with no cells). ``plan_ms`` is the least of three
+    ``plan_session`` calls on the session, so that one call slowed by other
+    work on the machine does not set it."""
     params = GenParams(
         cells=n_cells, variables=20, alias_density=0.2,
         unserializable_rate=0.05, delete_rate=0.02,
     )
     trace = generate_trace(params, seed)
+    start = time.perf_counter()
     session, _ = run_trace(trace)
+    monitor_ms = (time.perf_counter() - start) * 1e3
     plan_ms = math.inf
     for _ in range(3):
         start = time.perf_counter()
@@ -260,6 +267,7 @@ def run_bench(n_cells: int, seed: int = 0) -> dict:
     return {
         "cells": n_cells,
         "ahg_bytes": history_memory_bytes(session.history),
+        "monitor_ms_per_cell": monitor_ms / n_cells if n_cells else 0.0,
         "plan_ms": plan_ms,
         "plan_cost_s": plan.cost_s,
     }
@@ -270,9 +278,10 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        print(f"cells:     {result['cells']}")
-        print(f"ahg bytes: {result['ahg_bytes']}")
-        print(f"plan ms:   {result['plan_ms']:.2f}")
+        print(f"cells:           {result['cells']}")
+        print(f"ahg bytes:       {result['ahg_bytes']}")
+        print(f"monitor ms/cell: {result['monitor_ms_per_cell']:.4f}")
+        print(f"plan ms:         {result['plan_ms']:.2f}")
     return EXIT_OK
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import ChainMap
 from collections.abc import Iterable, KeysView, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -311,17 +310,13 @@ class SimHeap:
 
 class HeapBefore:
     """Read-only view of a heap as it stood before one batch of ops: the
-    batch's undo log laid over the live heap. It offers what the ID-graph
-    and hashing functions read, ``root`` and ``objects``."""
+    batch's undo log laid over the live heap. It offers each name's old
+    ``root`` and the old ``closure`` of an object, walked over the live
+    slots with each logged object's slots in place of its own."""
 
     def __init__(self, heap: SimHeap, record: MutationRecord):
-        self.objects: Mapping[ObjectId, HeapObject] = heap.objects
-        if record.undo:
-            earlier = {
-                oid: replace(heap.objects[oid], value=value, slots=slots)
-                for oid, (value, slots) in record.undo.items()
-            }
-            self.objects = ChainMap(earlier, heap.objects)
+        self._objects = heap.objects
+        self._undo = record.undo
         self._namespace = heap.namespace
         self._old_roots = record.old_roots
 
@@ -335,6 +330,21 @@ class HeapBefore:
         if oid is None:
             raise UnknownVariable(f"variable {name!r} was not bound")
         return oid
+
+    def closure(self, root: ObjectId) -> set[ObjectId]:
+        """``reachable_ids`` of ``root`` as the heap stood before the batch."""
+        objects, undo = self._objects, self._undo
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            oid = frontier.pop()
+            logged = undo.get(oid)
+            slots = objects[oid].slots if logged is None else logged[1]
+            for child in slots.values():
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        return seen
 
 
 @dataclass(frozen=True)
@@ -352,7 +362,7 @@ class IdGraph:
     edges: frozenset[tuple[ObjectId, str, ObjectId]]
 
 
-def build_id_graph(heap: SimHeap | HeapBefore, name: str) -> IdGraph:
+def build_id_graph(heap: SimHeap, name: str) -> IdGraph:
     """Snapshot the reference structure reachable from ``name``."""
     root = heap.root(name)
     nodes = reachable_ids(heap.objects, root)
@@ -394,8 +404,8 @@ def _digest(parts: list[bytes]) -> bytes:
 def subgraph_hash(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> int | None:
     """Stable 64-bit hash over the values and shape reachable from ``root``.
 
-    ``objects`` may be the live heap's or a view of an earlier state
-    (``HeapBefore``, ``PreSnapshot``). Identity-blind: relabeling every
+    ``objects`` may be the live heap's or an earlier copy of it
+    (``PreSnapshot``'s). Identity-blind: relabeling every
     object id leaves the hash unchanged. Children fold in sorted slot-label
     order; cycles are cut by hashing a back-edge marker carrying the DFS
     discovery index of the target. Returns None if any reachable object is
@@ -436,6 +446,6 @@ def subgraph_hash(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> int
     return int.from_bytes(memo[root], "little")
 
 
-def value_hash(heap: SimHeap | HeapBefore, name: str) -> int | None:
+def value_hash(heap: SimHeap, name: str) -> int | None:
     """Hash the heap's subgraph reachable from ``name``."""
     return subgraph_hash(heap.objects, heap.root(name))

@@ -11,12 +11,15 @@ Detection may over-identify but never misses, which is what downstream
 reconstruction relies on.
 
 ``run_cell`` works incrementally: the session keeps an index from each live
-object to the names that reach it, and the heap's undo log gives the state
-before the cell, so only the names whose closure the cell touched, or whose
-binding it changed, get ID graphs and hashes. ``PreSnapshot``,
-``detect_accesses`` and ``detect_modifications`` are the full rescan that
-``run_cell`` agrees with exactly; they are kept as its test oracle, and with
-``use_id_graphs=False`` as the hash-only ablation.
+object to the names that reach it, and only the names whose closure the cell
+touched, or whose binding it changed, are looked at, with no ID graph or
+value hash. By the heap's undo log, a name's ID graph changed iff its root
+did or an object of its old closure holds other slots than logged; if not,
+its value hash changed iff one of them holds a value of another canonical
+form than logged (barring a 64-bit collision, which only the rule sees).
+``PreSnapshot``, ``detect_accesses`` and ``detect_modifications`` are the
+full rescan that ``run_cell`` agrees with exactly; they are kept as its test
+oracle, and with ``use_id_graphs=False`` as the hash-only ablation.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .heap import (
     NameIndex,
     ObjectId,
     SimHeap,
+    _canon,
     build_id_graph,
     id_graph_changed,
     id_graphs_overlap,
@@ -76,8 +80,7 @@ class PreSnapshot:
     ID graphs are built for every name; a copy of each object, with its own
     slots dict, is kept alongside so value hashes can be computed lazily,
     after the cell has already mutated the heap, without paying to hash
-    values nobody asks about. It offers ``objects`` and ``root``, the view
-    ``HeapBefore`` offers.
+    values nobody asks about.
     """
 
     def __init__(self, heap: SimHeap):
@@ -180,10 +183,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     more. The results equal the full rescan's (``PreSnapshot``,
     ``detect_accesses``, ``detect_modifications``, then ``collect_garbage``),
     but only names the cell affected, those the index lists on an object it
-    changed in place and those it (un)bound, get ID graphs and value hashes:
-    any other name's closure, shape and values are as they were. A failing
-    cell still has its partial effects recorded before the error propagates
-    as CellExecutionError.
+    changed in place and those it (un)bound, are walked and checked against
+    the undo log: any other name's closure, shape and values are as they
+    were. A failing cell still has its partial effects recorded before the
+    error propagates as CellExecutionError.
     """
     heap = session.heap
     t = session.history.next_t
@@ -213,8 +216,15 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     affected = index.reaching(touched)
     accessed = {name for name in program.direct_reads if before.root_or_none(name) is not None}
     for name in list(accessed):
-        accessed |= index.reaching(reachable_ids(before.objects, before.root(name)))
+        accessed |= index.reaching(before.closure(before.root(name)))
     accessed |= affected | index.reaching(mutation.linked)
+
+    # what the cell changed in place, read off its undo log: the objects whose
+    # slots now differ from their logged ones, and those whose value does
+    objects, undo = heap.objects, mutation.undo
+    reshaped = {oid for oid, (_, slots) in undo.items() if objects[oid].slots != slots}
+    revalued = {oid for oid, (value, _) in undo.items()
+                if objects[oid].value is not value and _canon(objects[oid].value) != _canon(value)}
 
     affected.update(mutation.old_roots)
     created: set[str] = set()
@@ -227,27 +237,25 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
         if pre_root is None:
             if post_root is not None:
                 created.add(name)
-                index.move(name, set(), reachable_ids(heap.objects, post_root))
+                index.move(name, set(), reachable_ids(objects, post_root))
             continue
+        old = before.closure(pre_root)
         if post_root is None:
             deleted.add(name)
-            maybe_dead |= index.move(name, reachable_ids(before.objects, pre_root), set())
+            maybe_dead |= index.move(name, old, set())
             continue
-        pre_graph = build_id_graph(before, name)
-        post_graph = build_id_graph(heap, name)
-        maybe_dead |= index.move(name, pre_graph.nodes, post_graph.nodes)
-        if id_graph_changed(pre_graph, post_graph):
+        # the module's two rules; a name whose ID graph is unchanged kept its
+        # closure, and it is accessed, so the unhashable-access rule applies
+        if post_root != pre_root or not reshaped.isdisjoint(old):
+            maybe_dead |= index.move(name, old, reachable_ids(objects, post_root))
             modified.add(name)
-            continue
-        # the name is accessed: it reaches an object changed in place, or was rebound to its old root
-        pre_hash = subgraph_hash(before.objects, pre_root)
-        if pre_hash is None or value_hash(heap, name) != pre_hash:
+        elif not revalued.isdisjoint(old) or any(not objects[oid].hashable for oid in old):
             modified.add(name)
     # an accessed name the cell did not affect kept its closure and values, so
     # only the unhashable-access rule can mark it
     for name in accessed - affected:
-        closure = reachable_ids(heap.objects, heap.namespace[name])
-        if any(not heap.objects[oid].hashable for oid in closure):
+        closure = reachable_ids(objects, heap.namespace[name])
+        if any(not objects[oid].hashable for oid in closure):
             modified.add(name)
 
     # a name the cell unbound that is bound at its end was rebound after the

@@ -37,10 +37,11 @@ def attributes() -> dict:
 def test_tracer_patches_every_hook_and_restores_them(tmp_path):
     tracer = load_spans().Tracer()
     before = attributes()
-    unpatched = planner.build_flow_graph
+    unpatched = (planner.build_flow_graph, monitor.build_id_graph, monitor.subgraph_hash)
     tracer.install()
     try:
-        assert planner.build_flow_graph is not unpatched
+        patched = (planner.build_flow_graph, monitor.build_id_graph, monitor.subgraph_hash)
+        assert all(new is not old for new, old in zip(patched, unpatched))
         tracer.set_phase("setup")
         trace = gen.generate_trace(GenParams(cells=12, variables=5, alias_density=0.5), 3)
         trace_mod.save_trace(trace, tmp_path / "trace.json")
@@ -69,8 +70,7 @@ def test_tracer_patches_every_hook_and_restores_them(tmp_path):
     calls = tracer.round_totals()["calls"]
     for key in (
         "setup:gen.generate_trace", "setup:trace.save_trace", "setup:trace.load_trace",
-        "monitor:heap.apply", "monitor:heap.build_id_graph", "monitor:heap.subgraph_hash",
-        "monitor:history.record",
+        "monitor:heap.apply", "monitor:history.record",
         "checkpoint:planner.session_cost_model", "checkpoint:cost.profile_variables",
         "checkpoint:cost.linked_pairs", "checkpoint:planner.build_flow_graph",
         "checkpoint:planner.min_cut_plan", "checkpoint:replicator.write_checkpoint",
@@ -80,4 +80,7 @@ def test_tracer_patches_every_hook_and_restores_them(tmp_path):
         "restore:history.rerun_cells_from", "verify:replicator.verify",
     ):
         assert calls.get(key, 0) >= 1, key
+    # run_cell reads the undo log; only the full-rescan oracle fingerprints
+    for key in ("monitor:heap.build_id_graph", "monitor:heap.subgraph_hash"):
+        assert calls.get(key, 0) == 0, key
     assert attributes() == before

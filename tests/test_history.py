@@ -473,6 +473,19 @@ class TestManifestRoundTrip:
         wide, _ = run_trace(trace_with(200))
         assert history_memory_bytes(wide.history) == history_memory_bytes(slim.history)
 
+    def test_memory_independent_of_other_lineages(self):
+        # CPython reports a smaller instance dict for each instance its class
+        # has made; the measure depends on what the lineage holds alone
+        from statecut.cli import history_memory_bytes
+
+        trace = generate_trace(GenParams(cells=30, variables=5), 7)
+        first, _ = run_trace(trace)
+        first_bytes = history_memory_bytes(first.history)
+        for _ in range(300):
+            HistoryGraph()
+        second, _ = run_trace(trace)
+        assert history_memory_bytes(second.history) == first_bytes
+
     def test_memory_counts_everything_the_lineage_holds(self):
         # the collector's view of every object the lineage references: a
         # __slots__ class, whose fields history_memory_bytes cannot see,

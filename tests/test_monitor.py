@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import statecut.monitor as monitor_mod
 from statecut.errors import CellExecutionError
 from statecut.gen import GenParams, generate_trace
-from statecut.heap import HeapOp, build_id_graph, value_hash
+from statecut.heap import HeapBefore, HeapOp, build_id_graph, value_hash
 from statecut.history import VariableSnapshot
 from statecut.monitor import (
     CellProgram,
@@ -275,6 +275,33 @@ class TestCompleteness:
         assert "l1" in {vs.name for vs in rec.accessed}
 
 
+def count_work(monkeypatch) -> dict[str, list]:
+    """Record what run_cell walks and canonicalises: the roots of its
+    closure walks over the heap before the cell (``HeapBefore.closure``)
+    and over the live heap (``reachable_ids``), and each value it passes
+    to ``_canon``."""
+    work: dict[str, list] = {"before": [], "live": [], "canon": []}
+    real_closure, real_reachable, real_canon = (
+        HeapBefore.closure, monitor_mod.reachable_ids, monitor_mod._canon)
+
+    def closure(self, root):
+        work["before"].append(root)
+        return real_closure(self, root)
+
+    def reachable(objects, root):
+        work["live"].append(root)
+        return real_reachable(objects, root)
+
+    def canon(value):
+        work["canon"].append(value)
+        return real_canon(value)
+
+    monkeypatch.setattr(HeapBefore, "closure", closure)
+    monkeypatch.setattr(monitor_mod, "reachable_ids", reachable)
+    monkeypatch.setattr(monitor_mod, "_canon", canon)
+    return work
+
+
 class TestLazyHashing:
     def test_untouched_huge_variable_never_hashed(self, monkeypatch):
         session = session_with()
@@ -287,19 +314,14 @@ class TestLazyHashing:
             HeapOp(op="bind", name="tiny", id=2),
         ]))
 
-        hashed: list[int] = []
-        real = monitor_mod.subgraph_hash
-
-        def counting(objects, root):
-            hashed.append(root)
-            return real(objects, root)
-
-        monkeypatch.setattr(monitor_mod, "subgraph_hash", counting)
+        work = count_work(monkeypatch)
         run_cell(session, CellProgram(
             code_ref="c3", direct_reads={"tiny"},
             ops=[HeapOp(op="set_value", id=2, value=5)],
         ))
-        assert hashed == [2]  # the untouched huge variable was never hashed
+        # the untouched huge variable was never walked or canonicalised
+        assert set(work["before"]) == {2} and work["live"] == []
+        assert sorted(work["canon"]) == [1, 5]
 
 
 class TestWorkedExampleLineage:
@@ -397,8 +419,114 @@ class TestIncrementalMatchesRescan:
             assert monitored(session, program) == expected, program.code_ref
 
 
+# values equal under == whose canonical forms differ, and NaN, unequal to
+# itself under == with one canonical form
+CORNER_VALUES = (1, 1.0, True, 0, 0.0, -0.0, float("nan"), "1", None)
+CORNER_NAMES = ("v0", "v1", "v2", "v3")
+
+
+def corner_cell(data, heap, ids) -> CellProgram:
+    """A cell over ``heap`` mixing the op shapes where reading the undo log
+    could part from fingerprinting: values equal under == or canonically, a
+    slot cleared and set back, a slot swapped to a value-equal fresh object,
+    cycles, unhashable objects, slots set on a container the cell made, a
+    name unbound and rebound to its old root, and a failing op."""
+    scratch = copy.deepcopy(heap)
+    ops: list[HeapOp] = []
+
+    def emit(*batch):
+        scratch.apply(batch)
+        ops.extend(batch)
+
+    def pick(oids):
+        return data.draw(st.sampled_from(sorted(oids))) if oids else None
+
+    for _ in range(data.draw(st.integers(1, 5))):
+        objects, names = scratch.objects, scratch.namespace
+        containers = [oid for oid, obj in objects.items() if obj.kind == "container"]
+        others = [oid for oid, obj in objects.items() if obj.kind != "container"]
+        shape = data.draw(st.sampled_from((
+            "new", "value", "reslot", "swap", "link", "fresh_container",
+            "unhashable", "rebind", "alias", "unbind",
+        )))
+        if shape == "new":
+            oid = next(ids)
+            kind = data.draw(st.sampled_from(("scalar", "container")))
+            value = data.draw(st.sampled_from(CORNER_VALUES)) if kind == "scalar" else None
+            emit(HeapOp(op="create", id=oid, kind=kind, value=value, size_bytes=8),
+                 HeapOp(op="bind", name=data.draw(st.sampled_from(CORNER_NAMES)), id=oid))
+        elif shape == "value" and others:
+            oid = pick(others)
+            value = data.draw(st.sampled_from(CORNER_VALUES + (objects[oid].value,)))
+            emit(HeapOp(op="set_value", id=oid, value=value))
+        elif shape == "reslot" and any(objects[oid].slots for oid in containers):
+            # the first slot of a container with two or more moves to the end
+            parent = pick([oid for oid in containers if len(objects[oid].slots) > 1]
+                          or [oid for oid in containers if objects[oid].slots])
+            slot, child = next(iter(objects[parent].slots.items()))
+            emit(HeapOp(op="clear_slot", parent_id=parent, slot=slot),
+                 HeapOp(op="set_slot", parent_id=parent, slot=slot, child_id=child))
+        elif shape == "swap" and any(objects[oid].slots for oid in containers):
+            parent = pick([oid for oid in containers if objects[oid].slots])
+            slot = data.draw(st.sampled_from(sorted(objects[parent].slots)))
+            old = objects[objects[parent].slots[slot]]
+            twin = next(ids)
+            emit(HeapOp(op="create", id=twin, kind=old.kind, value=old.value, size_bytes=old.size_bytes,
+                        hashable=old.hashable),
+                 HeapOp(op="set_slot", parent_id=parent, slot=slot, child_id=twin))
+        elif shape == "link" and containers:
+            # any child, the parent itself and its ancestors included
+            emit(HeapOp(op="set_slot", parent_id=pick(containers),
+                        slot=data.draw(st.sampled_from("abc")), child_id=pick(objects)))
+        elif shape == "fresh_container":
+            box, leaf = next(ids), next(ids)
+            emit(HeapOp(op="create", id=box, kind="container", size_bytes=8),
+                 HeapOp(op="create", id=leaf, kind="scalar", size_bytes=8,
+                        value=data.draw(st.sampled_from(CORNER_VALUES))),
+                 HeapOp(op="set_slot", parent_id=box, slot="a", child_id=leaf))
+            emit(HeapOp(op="set_slot", parent_id=box, slot="b", child_id=pick(objects)))
+            if containers and data.draw(st.booleans()):
+                emit(HeapOp(op="set_slot", parent_id=pick(containers), slot="b", child_id=box))
+            else:
+                emit(HeapOp(op="bind", name=data.draw(st.sampled_from(CORNER_NAMES)), id=box))
+        elif shape == "unhashable":
+            blob = next(ids)
+            emit(HeapOp(op="create", id=blob, kind="opaque", size_bytes=8, hashable=False))
+            if containers and data.draw(st.booleans()):
+                emit(HeapOp(op="set_slot", parent_id=pick(containers), slot="c", child_id=blob))
+            else:
+                emit(HeapOp(op="bind", name=data.draw(st.sampled_from(CORNER_NAMES)), id=blob))
+        elif shape == "rebind" and names:
+            name = pick(names)
+            emit(HeapOp(op="unbind", name=name), HeapOp(op="bind", name=name, id=names[name]))
+        elif shape == "alias" and objects:
+            emit(HeapOp(op="bind", name=data.draw(st.sampled_from(CORNER_NAMES)), id=pick(objects)))
+        elif shape == "unbind" and names:
+            emit(HeapOp(op="unbind", name=pick(names)))
+    if ops and data.draw(st.booleans()):
+        # a bad op mid-batch: the ops before it keep their effects
+        ops.insert(data.draw(st.integers(0, len(ops))), HeapOp(op="bind", name="v0", id=10**9))
+    reads = data.draw(st.sets(st.sampled_from(CORNER_NAMES + ("absent",)), max_size=2))
+    return CellProgram(code_ref="corner", direct_reads=reads, ops=ops)
+
+
+class TestUndoLogRules:
+    """The undo-log rules equal the fingerprints on the cells where they
+    could part: each record, and the objects left, equal a full rescan's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corner_cells_match_rescan(self, data):
+        session = session_with()
+        ids = iter(range(1, 10**6))
+        for _ in range(data.draw(st.integers(1, 6))):
+            program = corner_cell(data, session.heap, ids)
+            expected = rescan_cell(session, program)
+            assert monitored(session, program) == expected, program
+
+
 class TestWorkCount:
-    def test_one_value_set_builds_two_graphs_and_hashes_one_name(self, monkeypatch):
+    def test_one_value_set_walks_and_compares_one_name(self, monkeypatch):
         # 300 names; n0..n9 share one scalar, so reading n0 accesses all ten
         session = session_with()
         ops = [HeapOp(op="create", id=1, kind="scalar", value=0, size_bytes=8)]
@@ -414,31 +542,16 @@ class TestWorkCount:
                 ops.append(HeapOp(op="set_slot", parent_id=box, slot="shared", child_id=1))
         run_cell(session, CellProgram(code_ref="setup", ops=ops))
 
-        graphs: list[str] = []
-        hashed: list[int] = []
-        real_graph, real_hash, real_value = (
-            monitor_mod.build_id_graph, monitor_mod.subgraph_hash, monitor_mod.value_hash)
-
-        def counting_graph(heap, name):
-            graphs.append(name)
-            return real_graph(heap, name)
-
-        def counting_hash(objects, root):
-            hashed.append(root)
-            return real_hash(objects, root)
-
-        def counting_value(heap, name):
-            hashed.append(heap.root(name))
-            return real_value(heap, name)
-
-        monkeypatch.setattr(monitor_mod, "build_id_graph", counting_graph)
-        monkeypatch.setattr(monitor_mod, "subgraph_hash", counting_hash)
-        monkeypatch.setattr(monitor_mod, "value_hash", counting_value)
+        work = count_work(monkeypatch)
         rec = run_cell(session, CellProgram(
             code_ref="bump", direct_reads={"n0"},
             ops=[HeapOp(op="set_value", id=11, value=-1)],
         ))
         assert {vs.name for vs in rec.accessed} == {f"n{i}" for i in range(10)}
         assert rec.written == {"n0"}
-        assert len(graphs) <= 2
-        assert set(hashed) == {10}
+        # only n0's state before the cell is walked, and its shape did not
+        # change, so its live closure is not; the other nine accessed names
+        # are walked on the live heap for the unhashable-access rule alone
+        assert set(work["before"]) == {10}
+        assert set(work["live"]) <= {10 + 2 * i for i in range(1, 10)}
+        assert sorted(work["canon"]) == [-1, 0]

@@ -587,6 +587,7 @@ class TestCliExitCodes:
         data = json.loads(capsys.readouterr().out)
         assert data["cells"] == 60
         assert data["ahg_bytes"] > 0
+        assert data["monitor_ms_per_cell"] > 0
         assert data["plan_ms"] >= 0
 
     def test_runs_as_a_module(self):
