@@ -24,15 +24,7 @@ from .errors import (
     Unreconstructable,
 )
 from .gen import GenParams, generate_trace, inject_false_edges
-from .heap import (
-    HeapObject,
-    HeapOp,
-    IdGraph,
-    SimHeap,
-    build_id_graph,
-    id_graph_changed,
-    value_hash,
-)
+from .heap import HeapObject, HeapOp, SimHeap
 from .history import CellExecution, CellRecord, HistoryGraph, VariableSnapshot
 from .monitor import CellProgram, Session, run_cell
 from .planner import (

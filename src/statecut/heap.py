@@ -78,8 +78,9 @@ class MutationRecord:
     """Names and objects touched by one batch of heap ops, plus the undo log:
     the value and slots (the only fields an op changes in place) each object
     had before its first change in the batch, and each (un)bound name's root
-    before the batch (None if it was unbound). The log over the untouched
-    live heap is the heap as it stood before the batch (``HeapBefore``)."""
+    before the batch (None if it was unbound). ``run_cell`` compares the
+    logged value and slots with the live ones to tell what the batch
+    changed."""
 
     unbound: set[str] = field(default_factory=set)
     created: set[ObjectId] = field(default_factory=set)
@@ -111,17 +112,20 @@ def reachable_ids(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> set
 
 
 class NameIndex:
-    """Which names reach each object of ``objects``, given each name's root.
+    """Each name's closure over ``objects``, given each name's root, and
+    its inverse: which names reach each object.
 
-    Objects no name reaches have no entry. ``version`` is left to the
-    index's keeper: ``run_cell`` keeps the session's index current and
-    records there the heap version it agrees with.
+    ``closures`` holds every bound name's closure as of its last ``move``;
+    ``names`` has no entry for an object no name reaches. ``version`` is
+    left to the index's keeper: ``run_cell`` keeps the session's index
+    current and records there the heap version it agrees with.
     """
 
     def __init__(self, objects: Mapping[ObjectId, HeapObject], roots: Mapping[str, ObjectId]):
         self.names: dict[ObjectId, set[str]] = {}
+        self.closures: dict[str, set[ObjectId]] = {}
         for name, root in roots.items():
-            self.move(name, set(), reachable_ids(objects, root))
+            self.move(name, reachable_ids(objects, root))
         self.version: int | None = None
 
     def reaching(self, oids) -> set[str]:
@@ -141,9 +145,13 @@ class NameIndex:
                 pairs.update(combinations(sorted(names), 2))
         return pairs
 
-    def move(self, name: str, before: set[ObjectId], after: set[ObjectId]) -> set[ObjectId]:
-        """Record that ``name`` now reaches ``after`` instead of ``before``;
-        returns the objects it no longer reaches."""
+    def move(self, name: str, after: set[ObjectId]) -> set[ObjectId]:
+        """Record that ``name`` now reaches ``after``, which the index keeps
+        (empty: the name is unbound); returns the objects it no longer
+        reaches."""
+        before = self.closures.pop(name, set())
+        if after:
+            self.closures[name] = after
         index = self.names
         left = before - after
         for oid in left:
@@ -306,45 +314,6 @@ class SimHeap:
             del self.objects[oid]
         self.version += 1
         return dead
-
-
-class HeapBefore:
-    """Read-only view of a heap as it stood before one batch of ops: the
-    batch's undo log laid over the live heap. It offers each name's old
-    ``root`` and the old ``closure`` of an object, walked over the live
-    slots with each logged object's slots in place of its own."""
-
-    def __init__(self, heap: SimHeap, record: MutationRecord):
-        self._objects = heap.objects
-        self._undo = record.undo
-        self._namespace = heap.namespace
-        self._old_roots = record.old_roots
-
-    def root_or_none(self, name: str) -> ObjectId | None:
-        if name in self._old_roots:
-            return self._old_roots[name]
-        return self._namespace.get(name)
-
-    def root(self, name: str) -> ObjectId:
-        oid = self.root_or_none(name)
-        if oid is None:
-            raise UnknownVariable(f"variable {name!r} was not bound")
-        return oid
-
-    def closure(self, root: ObjectId) -> set[ObjectId]:
-        """``reachable_ids`` of ``root`` as the heap stood before the batch."""
-        objects, undo = self._objects, self._undo
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            oid = frontier.pop()
-            logged = undo.get(oid)
-            slots = objects[oid].slots if logged is None else logged[1]
-            for child in slots.values():
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,16 @@ rule for unhashable variables.
 Detection may over-identify but never misses, which is what downstream
 reconstruction relies on.
 
-``run_cell`` works incrementally: the session keeps an index from each live
-object to the names that reach it, and only the names whose closure the cell
-touched, or whose binding it changed, are looked at, with no ID graph or
-value hash. By the heap's undo log, a name's ID graph changed iff its root
-did or an object of its old closure holds other slots than logged; if not,
-its value hash changed iff one of them holds a value of another canonical
-form than logged (barring a 64-bit collision, which only the rule sees).
+``run_cell`` works incrementally: the session keeps an index of each bound
+name's closure and of the names that reach each live object, and only the
+names whose closure the cell touched, or whose binding it changed, are
+looked at, with no ID graph or value hash. The index holds their closures
+as they stood before the cell, so no earlier state is walked. By the heap's
+undo log, a name's ID graph changed iff its root did or an object of its old
+closure holds other slots than logged; if not, its value hash changed iff
+one of them holds a value of another canonical form than logged (barring a
+64-bit collision, which only the rule sees). A closure is walked only for a
+name the cell created or whose ID graph it changed.
 ``PreSnapshot``, ``detect_accesses`` and ``detect_modifications`` are the
 full rescan that ``run_cell`` agrees with exactly; they are kept as its test
 oracle, and with ``use_id_graphs=False`` as the hash-only ablation.
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from .cost import CostProfile
 from .errors import CellExecutionError, StatecutError
 from .heap import (
-    HeapBefore,
     HeapOp,
     IdGraph,
     NameIndex,
@@ -183,9 +185,11 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     more. The results equal the full rescan's (``PreSnapshot``,
     ``detect_accesses``, ``detect_modifications``, then ``collect_garbage``),
     but only names the cell affected, those the index lists on an object it
-    changed in place and those it (un)bound, are walked and checked against
-    the undo log: any other name's closure, shape and values are as they
-    were. A failing cell still has its partial effects recorded before the
+    changed in place and those it (un)bound, are checked against the undo
+    log, each over its closure before the cell as the index holds it: any
+    other name's closure, shape and values are as they were. A name's new
+    closure is walked only when the cell created the name or changed its ID
+    graph. A failing cell still has its partial effects recorded before the
     error propagates as CellExecutionError.
     """
     heap = session.heap
@@ -206,7 +210,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     except StatecutError as err:
         mutation, failed_at = err.partial, err.op_index
         failure = err
-    before = HeapBefore(heap, mutation)
+
+    # the index moves a name only once it is checked below, so until then it
+    # holds every name's closure as it stood before the cell
+    closures = index.closures
 
     # declared reads bound before the cell, plus every name sharing an object
     # with one of them, plus every name the cell changed in place (its new
@@ -214,9 +221,9 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     # cell bound or put in a slot (the cell got hold of it through a name)
     touched = mutation.touched
     affected = index.reaching(touched)
-    accessed = {name for name in program.direct_reads if before.root_or_none(name) is not None}
+    accessed = {name for name in program.direct_reads if name in closures}
     for name in list(accessed):
-        accessed |= index.reaching(before.closure(before.root(name)))
+        accessed |= index.reaching(closures[name])
     accessed |= affected | index.reaching(mutation.linked)
 
     # what the cell changed in place, read off its undo log: the objects whose
@@ -226,41 +233,40 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     revalued = {oid for oid, (value, _) in undo.items()
                 if objects[oid].value is not value and _canon(objects[oid].value) != _canon(value)}
 
-    affected.update(mutation.old_roots)
+    old_roots, namespace = mutation.old_roots, heap.namespace
+    affected.update(old_roots)
     created: set[str] = set()
     deleted: set[str] = set()
     modified: set[str] = set()
     maybe_dead = orphans | mutation.created
     for name in affected:
-        pre_root = before.root_or_none(name)
-        post_root = heap.namespace.get(name)
-        if pre_root is None:
+        old = closures.get(name)
+        post_root = namespace.get(name)
+        if old is None:
             if post_root is not None:
                 created.add(name)
-                index.move(name, set(), reachable_ids(objects, post_root))
+                index.move(name, reachable_ids(objects, post_root))
             continue
-        old = before.closure(pre_root)
         if post_root is None:
             deleted.add(name)
-            maybe_dead |= index.move(name, old, set())
+            maybe_dead |= index.move(name, set())
             continue
         # the module's two rules; a name whose ID graph is unchanged kept its
         # closure, and it is accessed, so the unhashable-access rule applies
-        if post_root != pre_root or not reshaped.isdisjoint(old):
-            maybe_dead |= index.move(name, old, reachable_ids(objects, post_root))
+        if old_roots.get(name, post_root) != post_root or not reshaped.isdisjoint(old):
+            maybe_dead |= index.move(name, reachable_ids(objects, post_root))
             modified.add(name)
         elif not revalued.isdisjoint(old) or any(not objects[oid].hashable for oid in old):
             modified.add(name)
     # an accessed name the cell did not affect kept its closure and values, so
     # only the unhashable-access rule can mark it
     for name in accessed - affected:
-        closure = reachable_ids(objects, heap.namespace[name])
-        if any(not objects[oid].hashable for oid in closure):
+        if any(not objects[oid].hashable for oid in closures[name]):
             modified.add(name)
 
     # a name the cell unbound that is bound at its end was rebound after the
     # unbind, and counts as created; churn that ends unbound is a deletion
-    created |= {name for name in mutation.unbound if name in heap.namespace}
+    created |= {name for name in mutation.unbound if name in namespace}
     modified -= created
 
     # every recorded write precedes t, so a name's active snapshot is what the

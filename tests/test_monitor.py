@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import statecut.monitor as monitor_mod
 from statecut.errors import CellExecutionError
 from statecut.gen import GenParams, generate_trace
-from statecut.heap import HeapBefore, HeapOp, build_id_graph, value_hash
+from statecut.heap import HeapOp, build_id_graph, reachable_ids, value_hash
 from statecut.history import VariableSnapshot
 from statecut.monitor import (
     CellProgram,
@@ -277,26 +278,19 @@ class TestCompleteness:
 
 def count_work(monkeypatch) -> dict[str, list]:
     """Record what run_cell walks and canonicalises: the roots of its
-    closure walks over the heap before the cell (``HeapBefore.closure``)
-    and over the live heap (``reachable_ids``), and each value it passes
-    to ``_canon``."""
-    work: dict[str, list] = {"before": [], "live": [], "canon": []}
-    real_closure, real_reachable, real_canon = (
-        HeapBefore.closure, monitor_mod.reachable_ids, monitor_mod._canon)
-
-    def closure(self, root):
-        work["before"].append(root)
-        return real_closure(self, root)
+    closure walks (``reachable_ids``), and each value it passes to
+    ``_canon``."""
+    work: dict[str, list] = {"walks": [], "canon": []}
+    real_reachable, real_canon = monitor_mod.reachable_ids, monitor_mod._canon
 
     def reachable(objects, root):
-        work["live"].append(root)
+        work["walks"].append(root)
         return real_reachable(objects, root)
 
     def canon(value):
         work["canon"].append(value)
         return real_canon(value)
 
-    monkeypatch.setattr(HeapBefore, "closure", closure)
     monkeypatch.setattr(monitor_mod, "reachable_ids", reachable)
     monkeypatch.setattr(monitor_mod, "_canon", canon)
     return work
@@ -319,8 +313,9 @@ class TestLazyHashing:
             code_ref="c3", direct_reads={"tiny"},
             ops=[HeapOp(op="set_value", id=2, value=5)],
         ))
-        # the untouched huge variable was never walked or canonicalised
-        assert set(work["before"]) == {2} and work["live"] == []
+        # tiny's closure before the cell is the index's, and its shape did not
+        # change; the untouched huge variable was never canonicalised
+        assert work["walks"] == []
         assert sorted(work["canon"]) == [1, 5]
 
 
@@ -354,6 +349,25 @@ def monitored(session, program) -> tuple:
     except CellExecutionError as err:
         rec = err.record
     return rec, set(session.heap.objects)
+
+
+def with_bad_op(program, rng: random.Random) -> CellProgram:
+    """``program`` with a bad op mid-batch: the ops before it keep their
+    effects, it and the ops after it take none."""
+    ops = list(program.ops)
+    ops.insert(rng.randint(0, len(ops)), HeapOp(op="bind", name="v0", id=10**9))
+    return dataclasses.replace(program, ops=ops)
+
+
+def live_index(heap) -> tuple[dict, dict]:
+    """Each bound name's closure over the live heap, and the names that
+    reach each object."""
+    closures = {name: reachable_ids(heap.objects, root) for name, root in heap.namespace.items()}
+    names: dict = {}
+    for name, closure in closures.items():
+        for oid in closure:
+            names.setdefault(oid, set()).add(name)
+    return closures, names
 
 
 def outside_mutation(heap, rng: random.Random) -> list[HeapOp]:
@@ -402,14 +416,13 @@ class TestIncrementalMatchesRescan:
         session = new_session(trace.profile)
         for program in trace.cells:
             if rng.random() < fail_rate and program.ops:
-                # a bad op mid-batch: the ops before it keep their effects
-                ops = list(program.ops)
-                ops.insert(rng.randint(0, len(ops)), HeapOp(op="bind", name="v0", id=10**9))
-                program = CellProgram(program.code_ref, program.direct_reads, ops)
+                program = with_bad_op(program, rng)
             if rng.random() < outside_rate:
                 session.heap.apply(outside_mutation(session.heap, rng))
             expected = rescan_cell(session, program)
             assert monitored(session, program) == expected, program.code_ref
+            # the index holds each bound name's closure, and its inverse
+            assert (session.index.closures, session.index.names) == live_index(session.heap)
 
     def test_worked_example(self):
         trace = worked_example_trace()
@@ -549,9 +562,25 @@ class TestWorkCount:
         ))
         assert {vs.name for vs in rec.accessed} == {f"n{i}" for i in range(10)}
         assert rec.written == {"n0"}
-        # only n0's state before the cell is walked, and its shape did not
-        # change, so its live closure is not; the other nine accessed names
-        # are walked on the live heap for the unhashable-access rule alone
-        assert set(work["before"]) == {10}
-        assert set(work["live"]) <= {10 + 2 * i for i in range(1, 10)}
+        # every closure before the cell is the index's, and no shape changed,
+        # so nothing is walked, not even for the unhashable-access rule
+        assert work["walks"] == []
         assert sorted(work["canon"]) == [-1, 0]
+
+    def test_walks_only_names_created_or_rewritten(self, monkeypatch):
+        # a cell walks a closure only for a name it created or whose ID graph
+        # it changed, and the record lists every such name
+        work = count_work(monkeypatch)
+        for seed in range(300):
+            rng = random.Random(seed)
+            trace = generate_trace(GenParams(
+                cells=12, variables=6, alias_density=0.7, unhashable_rate=0.3,
+                delete_rate=0.2, nondet_rate=0.2,
+            ), seed)
+            session = new_session(trace.profile)
+            for program in trace.cells:
+                if rng.random() < 0.2 and program.ops:
+                    program = with_bad_op(program, rng)
+                work["walks"].clear()
+                rec, _ = monitored(session, program)
+                assert len(work["walks"]) <= len(rec.created | rec.written), (seed, rec.t)
