@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -244,13 +245,24 @@ def history_memory_bytes(history: HistoryGraph) -> int:
     return sys.getsizeof(history) + _deep_bytes(dict(vars(history)), {id(history)})
 
 
+def _least_ms(fn, *args):
+    """``fn(*args)`` and the least wall time in ms of three calls, so that
+    one call slowed by other work on the machine does not set it."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, (time.perf_counter() - start) * 1e3)
+    return result, best
+
+
 def run_bench(n_cells: int, seed: int = 0) -> dict:
     """Scalability probe: monitor ``n_cells`` re-executions over a small
-    variable pool, then time planning and measure graph memory.
-    ``monitor_ms_per_cell`` is the wall time of monitoring the whole trace
-    over its cell count (0 with no cells). ``plan_ms`` is the least of three
-    ``plan_session`` calls on the session, so that one call slowed by other
-    work on the machine does not set it."""
+    variable pool, then time planning, reading the session's checkpoint and
+    restoring it, and measure graph memory. ``monitor_ms_per_cell`` is the
+    wall time of monitoring the whole trace over its cell count (0 with no
+    cells). ``plan_ms``, ``read_ms`` and ``restore_ms`` are each the least of
+    three ``plan_session``, ``read_checkpoint`` and ``restore`` calls."""
     params = GenParams(
         cells=n_cells, variables=20, alias_density=0.2,
         unserializable_rate=0.05, delete_rate=0.02,
@@ -259,17 +271,20 @@ def run_bench(n_cells: int, seed: int = 0) -> dict:
     start = time.perf_counter()
     session, _ = run_trace(trace)
     monitor_ms = (time.perf_counter() - start) * 1e3
-    plan_ms = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        plan = plan_session(session)
-        plan_ms = min(plan_ms, (time.perf_counter() - start) * 1e3)
+    plan, plan_ms = _least_ms(plan_session, session)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe.ckpt"
+        write_checkpoint(session, plan, path)
+        checkpoint, read_ms = _least_ms(read_checkpoint, path)
+    _, restore_ms = _least_ms(restore, checkpoint, trace.programs())
     return {
         "cells": n_cells,
         "ahg_bytes": history_memory_bytes(session.history),
         "monitor_ms_per_cell": monitor_ms / n_cells if n_cells else 0.0,
         "plan_ms": plan_ms,
         "plan_cost_s": plan.cost_s,
+        "read_ms": read_ms,
+        "restore_ms": restore_ms,
     }
 
 
@@ -282,6 +297,8 @@ def cmd_bench(args) -> int:
         print(f"ahg bytes:       {result['ahg_bytes']}")
         print(f"monitor ms/cell: {result['monitor_ms_per_cell']:.4f}")
         print(f"plan ms:         {result['plan_ms']:.2f}")
+        print(f"read ms:         {result['read_ms']:.2f}")
+        print(f"restore ms:      {result['restore_ms']:.2f}")
     return EXIT_OK
 
 
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nondet-rate", type=_rate, default=0.0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="scalability probe: lineage memory and planning time")
+    p = sub.add_parser("bench", help="scalability probe: lineage memory, planning, read and restore time")
     p.add_argument("--cells", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

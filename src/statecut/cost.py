@@ -154,24 +154,36 @@ def linked_pairs(heap: SimHeap, names) -> set[tuple[str, str]]:
     return NameIndex(heap.objects, {name: heap.root(name) for name in names}).shared_pairs()
 
 
-def linked_groups(names, pairs) -> list[set[str]]:
-    """Partition ``names`` into the connected components of ``pairs``.
+def _find(parent: dict[str, str], n: str) -> str:
+    while parent[n] != n:
+        parent[n] = parent[parent[n]]
+        n = parent[n]
+    return n
 
-    Pairs naming anything outside ``names`` are ignored. Groups come out in
-    the order of their first member in sorted ``names``.
+
+def _union(parent: dict[str, str], a: str, b: str) -> None:
+    parent[_find(parent, a)] = _find(parent, b)
+
+
+def linked_groups(names, links) -> list[set[str]]:
+    """Partition ``names`` into the connected components of ``links``: each
+    link is a collection of names tied together, such as a linked pair or
+    the names that reach one object, and costs one union per name after
+    its first.
+
+    Names outside ``names`` are ignored. Groups come out in the order of
+    their first member in sorted ``names``.
     """
     parent = {n: n for n in names}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    for a, b in pairs:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
+    for link in links:
+        first = None
+        for n in link:
+            if n in parent:
+                if first is None:
+                    first = n
+                else:
+                    _union(parent, n, first)
     groups: dict[str, set[str]] = {}
     for n in sorted(parent):
-        groups.setdefault(find(n), set()).add(n)
+        groups.setdefault(_find(parent, n), set()).add(n)
     return list(groups.values())

@@ -73,30 +73,28 @@ class HeapOp(NamedTuple):
     child_id: ObjectId | None = None
 
 
-@dataclass
 class MutationRecord:
     """Names and objects touched by one batch of heap ops, plus the undo log:
     the value and slots (the only fields an op changes in place) each object
     had before its first change in the batch, and each (un)bound name's root
     before the batch (None if it was unbound). ``run_cell`` compares the
     logged value and slots with the live ones to tell what the batch
-    changed."""
+    changed. A plain class with slots: every ``apply`` makes one, and a
+    dataclass with default factories costs about a third more to build."""
 
-    unbound: set[str] = field(default_factory=set)
-    created: set[ObjectId] = field(default_factory=set)
-    linked: set[ObjectId] = field(default_factory=set)  # bound to a name or put in a slot
-    undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = field(default_factory=dict)
-    old_roots: dict[str, ObjectId | None] = field(default_factory=dict)
+    __slots__ = ("unbound", "created", "linked", "undo", "old_roots")
+
+    def __init__(self) -> None:
+        self.unbound: set[str] = set()
+        self.created: set[ObjectId] = set()
+        self.linked: set[ObjectId] = set()  # bound to a name or put in a slot
+        self.undo: dict[ObjectId, tuple[object, dict[str, ObjectId]]] = {}
+        self.old_roots: dict[str, ObjectId | None] = {}
 
     @property
     def touched(self) -> KeysView[ObjectId]:
         """The objects the batch changed in place."""
         return self.undo.keys()
-
-    def log(self, obj: HeapObject) -> None:
-        """Keep ``obj``'s value and slots, unless the batch already changed it."""
-        if obj.id not in self.undo:
-            self.undo[obj.id] = (obj.value, dict(obj.slots))
 
 
 def reachable_ids(objects: Mapping[ObjectId, HeapObject], root: ObjectId) -> set[ObjectId]:
@@ -118,14 +116,16 @@ class NameIndex:
     ``closures`` holds every bound name's closure as of its last ``move``;
     ``names`` has no entry for an object no name reaches. ``version`` is
     left to the index's keeper: ``run_cell`` keeps the session's index
-    current and records there the heap version it agrees with.
+    current and records there the heap version it agrees with, and
+    ``monitor.current_index`` rebuilds it when the heap moved since.
     """
 
     def __init__(self, objects: Mapping[ObjectId, HeapObject], roots: Mapping[str, ObjectId]):
         self.names: dict[ObjectId, set[str]] = {}
         self.closures: dict[str, set[ObjectId]] = {}
         for name, root in roots.items():
-            self.move(name, reachable_ids(objects, root))
+            closure = self.closures[name] = reachable_ids(objects, root)
+            self._enter(name, closure)
         self.version: int | None = None
 
     def reaching(self, oids) -> set[str]:
@@ -159,13 +159,18 @@ class NameIndex:
             names.discard(name)
             if not names:
                 del index[oid]
-        for oid in after - before:
+        self._enter(name, after - before)
+        return left
+
+    def _enter(self, name: str, oids: set[ObjectId]) -> None:
+        """Record that ``name`` reaches ``oids``, which it did not before."""
+        index = self.names
+        for oid in oids:
             names = index.get(oid)
             if names is None:
                 index[oid] = {name}
             else:
                 names.add(name)
-        return left
 
 
 def _mapped(ids: dict[ObjectId, ObjectId], oid: ObjectId) -> ObjectId:
@@ -238,70 +243,91 @@ class SimHeap:
         recorded them: each create keeps its recorded id unless a live object
         holds it, and then takes ``allocate_id()``; it records the id it took
         in ``ids``, and every other object id is looked up there
-        (UnknownObject if absent). The record holds this heap's ids."""
+        (UnknownObject if absent). The record holds this heap's ids.
+
+        The monitor, restore and ``gen`` all run their ops here, so the loop
+        is written out flat: each op costs no method call, and each of its
+        fields is read once (a tuple field costs a descriptor call)."""
         record = MutationRecord()
         self.version += 1
-        for index, op in enumerate(ops):
-            try:
-                self._apply_one(op, record, ids)
-            except (UnknownVariable, UnknownObject, InvalidHeapOp) as err:
-                err.partial = record
-                err.op_index = index
-                raise
+        objects, namespace, undo, old_roots = self.objects, self.namespace, record.undo, record.old_roots
+        link, index = record.linked.add, 0
+        try:
+            for index, op in enumerate(ops):
+                action = op.op
+                if action == "create":
+                    recorded = oid = op.id
+                    if ids is not None:
+                        if oid in objects:  # a trace creates each id once: the stored copy holds it
+                            oid = self.allocate_id()
+                        ids[recorded] = oid
+                    # positional, in HeapObject's field order: called with
+                    # keywords, a class gets them as a dict, which doubles the cost
+                    obj = HeapObject(oid, op.kind, op.value, {},
+                                     op.size_bytes, op.serializable, op.deserializable, op.hashable)
+                    if oid in objects:
+                        raise InvalidHeapOp(f"object id {oid} already live")
+                    objects[oid] = obj
+                    record.created.add(oid)
+                elif action == "bind":
+                    name, oid = op.name, op.id
+                    root = oid if ids is None else _mapped(ids, oid)
+                    if root not in objects:
+                        raise UnknownObject(f"no object with id {root}")
+                    old_roots.setdefault(name, namespace.get(name))
+                    namespace[name] = root
+                    link(root)
+                elif action == "unbind":
+                    name = op.name
+                    if name not in namespace:
+                        raise UnknownVariable(f"variable {name!r} is not bound")
+                    old_roots.setdefault(name, namespace.pop(name))
+                    record.unbound.add(name)
+                elif action == "set_slot":
+                    parent_id, child_id = op.parent_id, op.child_id
+                    key = parent_id if ids is None else _mapped(ids, parent_id)
+                    parent = objects.get(key)
+                    if parent is None:
+                        raise UnknownObject(f"no object with id {key}")
+                    if parent.kind != "container":
+                        raise InvalidHeapOp(f"object {parent_id} is not a container")
+                    child = child_id if ids is None else _mapped(ids, child_id)
+                    if child not in objects:
+                        raise UnknownObject(f"no object with id {child}")
+                    if key not in undo:
+                        undo[key] = (parent.value, dict(parent.slots))
+                    link(child)
+                    parent.slots[op.slot] = child
+                elif action == "clear_slot":
+                    parent_id, slot = op.parent_id, op.slot
+                    key = parent_id if ids is None else _mapped(ids, parent_id)
+                    parent = objects.get(key)
+                    if parent is None:
+                        raise UnknownObject(f"no object with id {key}")
+                    slots = parent.slots
+                    if slot not in slots:
+                        raise InvalidHeapOp(f"object {parent_id} has no slot {slot!r}")
+                    if key not in undo:
+                        undo[key] = (parent.value, dict(slots))
+                    del slots[slot]
+                elif action == "set_value":
+                    oid = op.id
+                    key = oid if ids is None else _mapped(ids, oid)
+                    obj = objects.get(key)
+                    if obj is None:
+                        raise UnknownObject(f"no object with id {key}")
+                    if obj.kind == "container":
+                        raise InvalidHeapOp("containers carry values through slots")
+                    if key not in undo:
+                        undo[key] = (obj.value, dict(obj.slots))
+                    obj.value = op.value
+                else:
+                    raise InvalidHeapOp(f"unknown op {action!r}")
+        except (UnknownVariable, UnknownObject, InvalidHeapOp) as err:
+            err.partial = record
+            err.op_index = index
+            raise
         return record
-
-    def _apply_one(self, op: HeapOp, record: MutationRecord, ids: dict[ObjectId, ObjectId] | None) -> None:
-        # each field is read once: a tuple field costs a descriptor call
-        action = op.op
-        if action == "create":
-            recorded = oid = op.id
-            if ids is not None:
-                if oid in self.objects:  # a trace creates each id once: the stored copy holds it
-                    oid = self.allocate_id()
-                ids[recorded] = oid
-            # positional, in HeapObject's field order: called with keywords,
-            # a class gets them as a dict, which doubles the cost
-            self.add_object(HeapObject(oid, op.kind, op.value, {},
-                                       op.size_bytes, op.serializable, op.deserializable, op.hashable))
-            record.created.add(oid)
-        elif action == "bind":
-            name, oid = op.name, op.id
-            root = oid if ids is None else _mapped(ids, oid)
-            old = self.namespace.get(name)
-            self.bind(name, root)
-            record.linked.add(root)
-            record.old_roots.setdefault(name, old)
-        elif action == "unbind":
-            name = op.name
-            old = self.namespace.get(name)
-            self.unbind(name)
-            record.unbound.add(name)
-            record.old_roots.setdefault(name, old)
-        elif action == "set_slot":
-            parent_id, child_id = op.parent_id, op.child_id
-            parent = self.get(parent_id if ids is None else _mapped(ids, parent_id))
-            if parent.kind != "container":
-                raise InvalidHeapOp(f"object {parent_id} is not a container")
-            child = self.get(child_id if ids is None else _mapped(ids, child_id))
-            record.log(parent)
-            record.linked.add(child.id)
-            parent.slots[op.slot] = child.id
-        elif action == "clear_slot":
-            parent_id, slot = op.parent_id, op.slot
-            parent = self.get(parent_id if ids is None else _mapped(ids, parent_id))
-            if slot not in parent.slots:
-                raise InvalidHeapOp(f"object {parent_id} has no slot {slot!r}")
-            record.log(parent)
-            del parent.slots[slot]
-        elif action == "set_value":
-            oid = op.id
-            obj = self.get(oid if ids is None else _mapped(ids, oid))
-            if obj.kind == "container":
-                raise InvalidHeapOp("containers carry values through slots")
-            record.log(obj)
-            obj.value = op.value
-        else:
-            raise InvalidHeapOp(f"unknown op {action!r}")
 
     def collect_garbage(self) -> set[ObjectId]:
         """Mark-and-sweep from the namespace; returns the ids swept away."""

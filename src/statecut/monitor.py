@@ -177,6 +177,17 @@ def detect_modifications(
     return {"modified": modified, "created": created, "deleted": deleted}
 
 
+def current_index(session: Session) -> NameIndex:
+    """The session's name index as of its heap: the one ``run_cell`` keeps,
+    or, when the heap's version moved since (a change made outside
+    ``run_cell``), a fresh one over every bound name, which only
+    ``run_cell`` keeps in its place."""
+    index, heap = session.index, session.heap
+    if index is None or index.version != heap.version:
+        index = NameIndex(heap.objects, heap.namespace)
+    return index
+
+
 def run_cell(session: Session, program: CellProgram) -> CellRecord:
     """Execute one cell under monitoring and fold the outcome into the session.
 
@@ -195,10 +206,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     heap = session.heap
     t = session.history.next_t
 
-    index = session.index
+    index = current_index(session)
     orphans: set[ObjectId] = set()
-    if index is None or index.version != heap.version:
-        index = session.index = NameIndex(heap.objects, heap.namespace)
+    if index is not session.index:
+        session.index = index
         # a change made outside run_cell may have left objects no name
         # reaches; the full sweep at the end of this cell would delete them
         orphans = set(heap.objects).difference(index.names)

@@ -9,6 +9,8 @@ into place; reading it checks every field against the rules of ``schema``
 (published as docs/checkpoint.schema.json), then the rules that relate
 fields, which the writer checks before it writes, and ends any fault in one
 FormatError naming the file, as does a restore whose lineage and trace disagree.
+The writer also refuses a plan that splits linked names, which the session's
+name index shows in one lookup of the stored closure.
 Restoration loads the stored objects under their own ids, then walks the
 original timestamps, interleaving cell reruns with variable re-declaration,
 so every rerun cell reads the inputs it originally saw. Every object keeps
@@ -20,7 +22,10 @@ restore that ``verify`` accepts checkpoints, under the same plan, to the
 file it was restored from. Stored variables that fail to deserialize are
 found before the walk and move, with their linked group, to recomputation;
 the walk then reruns what the lineage needs, given what loaded, and never
-reads the stored plan, which is the planner's record.
+reads the stored plan, which is the planner's record. One name index over
+the payload gives each stored closure, walked once, and the linked groups.
+Reading and restoring pause the cyclic collector, as loading a trace does:
+what they build holds no reference cycles.
 """
 
 from __future__ import annotations
@@ -42,11 +47,11 @@ from .errors import (
     StatecutError,
     Unreconstructable,
 )
-from .heap import HeapObject, NameIndex, SimHeap, _canon, reachable_ids
+from .heap import KINDS, HeapObject, NameIndex, SimHeap, _canon
 from .history import HistoryGraph
-from .monitor import CellProgram, Session
+from .monitor import CellProgram, Session, current_index
 from .planner import ReplicationPlan
-from .schema import FIELD_TYPES, check_fields, rules
+from .schema import _U64, check_fields, collector_paused, rules
 
 MAGIC = b"SCCKPT01"
 FORMAT_VERSION = 6
@@ -72,8 +77,13 @@ class Checkpoint:
     def payload_groups(self) -> dict[str, set[str]]:
         """Each stored name's group: the stored names linked to it by shared
         payload objects, directly or through other members."""
-        pairs = NameIndex(self.objects, self.variables).shared_pairs()
-        return {n: group for group in linked_groups(self.variables, pairs) for n in group}
+        return _groups(self.variables, NameIndex(self.objects, self.variables))
+
+
+def _groups(names, index: NameIndex) -> dict[str, set[str]]:
+    """Each of ``names``' linked group, by one union-find over the names
+    that reach each object of ``index``."""
+    return {n: group for group in linked_groups(names, index.names.values()) for n in group}
 
 
 @dataclass
@@ -92,7 +102,8 @@ class RestoreResult:
 # without its outer brackets, so an empty payload is 0 bytes.
 
 _RECORD = rules({"id": "object_id", "kind": "kind", "flags": "flags", "size_bytes": "size", "value": "any"})
-_is_id, _is_label = FIELD_TYPES["object_id"], FIELD_TYPES["str"]
+# (serializable, deserializable, hashable) for each value of flags
+_FLAGS = tuple((bool(flags & 1), bool(flags & 2), bool(flags & 4)) for flags in range(8))
 
 
 def _record(obj: HeapObject) -> list:
@@ -109,24 +120,28 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
     appears twice and every slot names a stored object."""
     objects: dict[int, HeapObject] = {}
     for i, record in enumerate(json.loads(b"[" + payload + b"]")):
-        where = f"payload[{i}]"
-        if type(record) is not list or len(record) < 5 or len(record) % 2 == 0:
-            raise FormatError(f"{where}: not a list [id, kind, flags, size_bytes, value, label1, child1, ...]")
-        # the fixed fields are positional: each is checked in place against
-        # its rule, without building an object per record
-        for (name, kind, valid, _), value in zip(_RECORD, record):
-            if not valid(value):
-                raise FormatError(f"{where}.{name}: invalid {kind} {value!r:.60}")
-        oid, kind, flags, size, value, *slots = record
-        labels, children = slots[::2], slots[1::2]
-        if not (all(map(_is_label, labels)) and all(map(_is_id, children))):
-            raise FormatError(f"{where}: a slot label is not a string or a child not an object id")
-        if oid in objects or len(set(labels)) < len(labels):
+        if type(record) is not list or len(record) < 5 or not len(record) % 2:
+            raise FormatError(f"payload[{i}]: not a list [id, kind, flags, size_bytes, value, label1, child1, ...]")
+        # the fixed fields are tested in place, each as its rule in _RECORD
+        # does, and the rules are looked up only to name a fault
+        oid, kind, flags, size, value = record[:5]
+        if not (type(oid) is int and 0 <= oid < _U64 and kind in KINDS and type(flags) is int
+                and 0 <= flags < 8 and type(size) is int and 0 <= size < _U64):
+            for (name, rule, valid, _), item in zip(_RECORD, record):
+                if not valid(item):
+                    raise FormatError(f"payload[{i}].{name}: invalid {rule} {item!r:.60}")
+        slots = {}
+        if len(record) > 5:
+            labels, children = record[5::2], record[6::2]
+            # the types of the labels and of the children, each set built in C
+            if (set(map(type, labels)) != {str} or set(map(type, children)) != {int}
+                    or min(children) < 0 or max(children) >= _U64):
+                raise FormatError(f"payload[{i}]: a slot label is not a string or a child not an object id")
+            slots = dict(zip(labels, children))
+        if oid in objects or 2 * len(slots) < len(record) - 5:
             raise FormatError(f"payload stores object {oid!r} or one of its slot labels twice")
-        objects[oid] = HeapObject(
-            id=oid, kind=kind, value=value, slots=dict(zip(labels, children)), size_bytes=size,
-            serializable=bool(flags & 1), deserializable=bool(flags & 2), hashable=bool(flags & 4),
-        )
+        # positional, with the flags looked up: a keyword call costs twice as much
+        objects[oid] = HeapObject(oid, kind, value, slots, size, *_FLAGS[flags])
     dangling = {child for obj in objects.values() for child in obj.slots.values()} - objects.keys()
     if dangling:
         raise FormatError(f"payload slots name absent objects {sorted(dangling)}")
@@ -141,16 +156,21 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
 
     The payload holds the union of the migrated variables' reachable sets,
     each object exactly once, sorted by id, so aliases among them survive a
-    round trip. Raises the reader's FormatError for a plan it would refuse,
-    and SerializationError if an unserializable object, or one under a
-    negative id no recording made, slipped into the migrate closure.
+    round trip; the sets are the session's name index's (``current_index``).
+    Raises the reader's FormatError for a plan it would refuse, and for one
+    that splits linked names: an active name it does not store reaches an
+    object it stores, which a restore would leave as two objects. Raises
+    SerializationError if an unserializable object, or one under a negative
+    id no recording made, slipped into the migrate closure. Nothing is
+    written when it raises.
     """
     heap = session.heap
+    index = current_index(session)
     closure: set[int] = set()
     variables: dict[str, int] = {}
     for name in sorted(plan.migrate):
         variables[name] = heap.root(name)
-        closure |= heap.reachable(name)
+        closure |= index.closures[name]
     for oid in closure:
         if not heap.objects[oid].serializable:
             raise SerializationError(f"object {oid} in the migrate closure is not serializable")
@@ -166,6 +186,9 @@ def write_checkpoint(session: Session, plan: ReplicationPlan, path: str | Path) 
         objects={oid: heap.objects[oid] for oid in closure},
     )
     _check_consistent(checkpoint)
+    split = (index.reaching(closure) - plan.migrate) & session.history.active_snapshots().keys()
+    if split:
+        raise FormatError(f"the plan splits linked names: {sorted(split)} reach stored objects but are not stored")
     manifest = {
         "history": session.history.to_manifest(),
         "plan": plan.to_json(),
@@ -232,6 +255,7 @@ def _sections(path: str | Path) -> tuple[bytes, bytes]:
     return raw[20:manifest_end], raw[manifest_end + 8 : payload_end]
 
 
+@collector_paused()
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Parse a checkpoint file; raises FormatError, naming the path, when it
     is malformed."""
@@ -277,15 +301,18 @@ def payload_bytes(path: str | Path) -> int:
 # -- restoring ----------------------------------------------------------------
 
 
-def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], list[int]]:
+def recovery_cells(checkpoint: Checkpoint, failed: set[str],
+                   groups: dict[str, set[str]] | None = None) -> tuple[set[str], list[int]]:
     """A restore's moved names and rerun list: the failed variables' linked
-    groups move to recomputation, and the lineage yields the cells that
-    rebuild every active variable not loaded from the loaded ones. A blocked
-    walk is Unreconstructable, or a FormatError of the stored plan if none failed.
+    groups (``groups``, by default the checkpoint's ``payload_groups``) move
+    to recomputation, and the lineage yields the cells that rebuild every
+    active variable not loaded from the loaded ones. A blocked walk is
+    Unreconstructable, or a FormatError of the stored plan if none failed.
     """
+    groups = checkpoint.payload_groups if groups is None else groups
     moved: set[str] = set()
     for name in failed:
-        moved |= checkpoint.payload_groups[name]
+        moved |= groups[name]
     active = checkpoint.history.active_snapshots()
     loaded = {active[n] for n in checkpoint.variables.keys() - moved}
     try:
@@ -297,6 +324,7 @@ def recovery_cells(checkpoint: Checkpoint, failed: set[str]) -> tuple[set[str], 
     return moved, [c.t for c in cells]
 
 
+@collector_paused()
 def restore(
     checkpoint: Checkpoint,
     programs: dict[str, CellProgram],
@@ -316,35 +344,41 @@ def restore(
     ids (``SimHeap.apply``), and each variable still stored is declared right
     after the timestamp of its active snapshot. The restored session records
     on its own copy of the checkpoint's lineage, whose clock gives its next
-    cell the timestamp the original's would get.
+    cell the timestamp the original's would get. Each stored closure is
+    walked once, by one name index over the payload, which also gives the
+    linked groups when a variable fails to load. The restore keeps neither:
+    a checkpoint may be held after its restore.
     """
     history = checkpoint.history
     active = history.active_snapshots()
     objects = checkpoint.objects
-    closures: dict[str, set[int]] = {}
+    index = NameIndex(objects, checkpoint.variables)
+    closures = index.closures
+    undeserializable = {oid for oid, obj in objects.items() if not obj.deserializable}
+    groups: dict[str, set[str]] = {}
     fallbacks: list[str] = []
     moved: set[str] = set()
     for name in sorted(checkpoint.variables, key=lambda n: (active[n].t, n)):
         if name in moved:
             continue
-        closure = closures[name] = reachable_ids(objects, checkpoint.variables[name])
-        if any(not objects[oid].deserializable for oid in closure) or (
+        if not undeserializable.isdisjoint(closures[name]) or (
             deserialization_fault is not None and deserialization_fault(name)
         ):
             fallbacks.append(name)
-            moved |= checkpoint.payload_groups[name]
+            groups = groups or _groups(checkpoint.variables, index)
+            moved |= groups[name]
     try:
-        moved, cells = recovery_cells(checkpoint, set(fallbacks))
+        moved, cells = recovery_cells(checkpoint, set(fallbacks), groups)
     except Unreconstructable:
         # name the first failure, in declaration order, whose group is blocked
         for name in fallbacks:
-            recovery_cells(checkpoint, {name})
+            recovery_cells(checkpoint, {name}, groups)
         raise
     rerun = set(cells)
 
     declare_at: dict[int, list[str]] = {}
     stored: set[int] = set()
-    for name in sorted(closures.keys() - moved):
+    for name in sorted(checkpoint.variables.keys() - moved):
         declare_at.setdefault(active[name].t, []).append(name)
         stored |= closures[name]
     # every object a stored variable reaches, under its own id; ops reach

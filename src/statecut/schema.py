@@ -4,13 +4,16 @@
 fields of an object with their kinds (``rules``) and checks the object with
 ``check_fields``. docs/trace.schema.json and docs/checkpoint.schema.json
 state the same rules (tests/test_trace_cli.py checks that they agree).
-Rules that relate fields to each other stay with the readers.
+Rules that relate fields to each other stay with the readers, which also
+share ``collector_paused``.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
+from contextlib import contextmanager
 
 from .errors import FormatError
 from .heap import KINDS
@@ -21,12 +24,23 @@ _U64 = 2**64
 _FLOAT_MAX = sys.float_info.max
 
 
-def _is_uint64(v) -> bool:
-    return type(v) is int and 0 <= v < _U64
+# the kinds whose rule is a range of numbers of some exact types, as
+# (types, low, high) for low <= value < high: ``rules`` keeps the triple,
+# which ``check_fields`` tests in place rather than by a call
+_RANGES = {
+    "object_id": ((int,), 0, _U64),
+    "size": ((int,), 0, _U64),
+    "flags": ((int,), 0, 8),
+    "count": ((int,), 0, math.inf),
+    "seconds": ((float, int), 0, _FLOAT_MAX),
+}
 
 
-def _is_seconds(v) -> bool:
-    return (type(v) is float or type(v) is int) and 0 <= v < _FLOAT_MAX
+def _in_range(types: tuple, low, high):
+    return lambda v: type(v) in types and low <= v < high
+
+
+_is_seconds = _in_range(*_RANGES["seconds"])
 
 
 def _is_reads(v) -> bool:
@@ -60,23 +74,19 @@ _EXACT = {
 }
 
 FIELD_TYPES = {
-    "object_id": _is_uint64,
-    "size": _is_uint64,
     "kind": lambda v: type(v) is str and v in KINDS,
-    "flags": lambda v: type(v) is int and 0 <= v < 8,
-    "count": lambda v: type(v) is int and v >= 0,
     "ref": lambda v: type(v) is str and v != "",
     "any": lambda v: True,
     "str_list": lambda v: type(v) is list and all(type(item) is str for item in v),
     "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
-    "seconds": _is_seconds,
     # a total over cells, infinite when one of them is not rerunnable
     "seconds_or_inf": lambda v: v == math.inf or _is_seconds(v),
     "bandwidth": lambda v: (type(v) is float or type(v) is int) and 0 < v < _FLOAT_MAX,
     "reads": _is_reads,
-    "id_map": _is_map(_is_uint64),
+    "id_map": _is_map(_in_range(*_RANGES["object_id"])),
     "t_map": _is_map(lambda t: type(t) is int),
     "annotations": _is_map(("always_copy", "always_recompute").__contains__),
+    **{kind: _in_range(*bounds) for kind, bounds in _RANGES.items()},
     **{kind: _is(exact) for kind, exact in _EXACT.items()},
 }
 
@@ -84,10 +94,12 @@ FIELD_TYPES = {
 def rules(required: dict[str, str], optional: dict[str, str] | None = None) -> tuple:
     """The fields of one kind of object as the flat tuple ``check_fields``
     walks: (name, kind, rule, required) for each, required ones first. A
-    rule is the type itself for an exact-type kind, else its test."""
+    rule is the type itself for an exact-type kind, the (types, low, high)
+    triple for a range kind, else its test."""
     fields = [(name, kind, True) for name, kind in required.items()]
     fields += [(name, kind, False) for name, kind in (optional or {}).items()]
-    return tuple((name, kind, _EXACT.get(kind) or FIELD_TYPES[kind], req) for name, kind, req in fields)
+    return tuple((name, kind, _EXACT.get(kind) or _RANGES.get(kind) or FIELD_TYPES[kind], req)
+                 for name, kind, req in fields)
 
 
 def check_fields(data, fields: tuple, where: str) -> None:
@@ -101,8 +113,14 @@ def check_fields(data, fields: tuple, where: str) -> None:
     for name, kind, rule, required in fields:
         if name in data:
             value = data[name]
-            if type(value) is not rule and (type(rule) is type or not rule(value)):
-                raise FormatError(f"{_path(where, name)}: invalid {kind} {value!r:.60}")
+            if type(value) is not rule:
+                if type(rule) is tuple:
+                    types, low, high = rule
+                    valid = type(value) in types and low <= value < high
+                else:
+                    valid = type(rule) is not type and rule(value)
+                if not valid:
+                    raise FormatError(f"{_path(where, name)}: invalid {kind} {value!r:.60}")
             found += 1
         elif required:
             raise FormatError(f"{_path(where, name)}: missing")
@@ -113,3 +131,19 @@ def check_fields(data, fields: tuple, where: str) -> None:
 
 def _path(where: str, name: str) -> str:
     return f"{where}.{name}" if where else name
+
+
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic collector in the block, and leave it on or off
+    as it was found, however the block exits. The readers build many small
+    objects that hold no reference cycles, so a collection during a build
+    frees nothing and only rescans what is being built; a reader may also
+    be decorated with ``@collector_paused()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -7,19 +7,18 @@ docs/trace.schema.json. ``save_trace`` writes compact JSON with sorted keys
 on one line, as the checkpoint writer does; ``load_trace`` reads any JSON
 layout, so an indented trace loads too.
 
-Both pause Python's cyclic garbage collector while they build: a decoded
-JSON tree, the ops built from it and the document built to encode hold no
-reference cycles, so a collection during the build frees nothing and only
-rescans the objects being built. When an 8000-cell trace was loaded in a
-process holding two more, that rescanning was about a third of the load.
+Both pause Python's cyclic garbage collector while they build
+(``schema.collector_paused``): a decoded JSON tree, the ops built from it
+and the document built to encode hold no reference cycles, so a collection
+during the build frees nothing and only rescans the objects being built.
+When an 8000-cell trace was loaded in a process holding two more, that
+rescanning was about a third of the load.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -29,7 +28,7 @@ from .errors import CellExecutionError, FormatError
 from .heap import HeapOp, SimHeap, _canon
 from .history import HistoryGraph
 from .monitor import CellProgram, Session, run_cell
-from .schema import check_fields, rules
+from .schema import check_fields, collector_paused, rules
 
 TRACE_VERSION = 1
 
@@ -66,19 +65,6 @@ class TraceFile:
 
     def programs(self) -> dict[str, CellProgram]:
         return {cell.code_ref: cell for cell in self.cells}
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic collector in the block, and leave it on or off as
-    it was found, however the block exits."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _op_to_json(op: HeapOp) -> dict:
@@ -176,7 +162,7 @@ def load_trace(path: str | Path) -> TraceFile:
     """Read and check a trace file; raises FormatError, naming the path, when
     it is not JSON or nests too deep for the decoder."""
     raw = Path(path).read_bytes()
-    with _collector_paused():
+    with collector_paused():
         try:
             data = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
@@ -185,7 +171,7 @@ def load_trace(path: str | Path) -> TraceFile:
 
 
 def save_trace(trace: TraceFile, path: str | Path) -> None:
-    with _collector_paused():
+    with collector_paused():
         data = _canon(trace_to_json(trace)) + b"\n"
     Path(path).write_bytes(data)
 

@@ -1,6 +1,11 @@
 """Helpers that edit decoded JSON documents (traces, checkpoint manifests)."""
 
 import copy
+import hashlib
+import json
+import struct
+
+from statecut import replicator
 
 
 def leaf_paths(node, path=()):
@@ -27,3 +32,23 @@ def with_leaf(document, path, value):
 
 # wrong-typed values a single damaged leaf may hold
 WRONG_VALUES = ("x", -1, 10**6, None, [], {}, 1.5, True)
+
+
+def read_manifest(path) -> dict:
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+    return json.loads(raw[20:20 + manifest_len])
+
+
+def seal(path, body: bytes) -> None:
+    """Write ``body`` (a checkpoint without its digest) with a matching digest."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def write_manifest(path, manifest) -> None:
+    """Swap a checkpoint's manifest section, keeping a correct header and digest."""
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
+    edited = json.dumps(manifest).encode()
+    seal(path, raw[:12] + struct.pack("<Q", len(edited)) + edited
+         + raw[20 + manifest_len:-replicator.DIGEST_BYTES])

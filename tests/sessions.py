@@ -22,7 +22,10 @@ from statecut.planner import (
     min_cut_plan,
     session_cost_model,
 )
+from statecut.replicator import write_checkpoint
 from statecut.trace import TraceFile, new_session
+
+from documents import read_manifest, write_manifest
 
 
 def worked_example_trace() -> TraceFile:
@@ -312,3 +315,15 @@ def link_blind_plan(session: Session) -> ReplicationPlan:
     """The min-cut plan with no ties between linked variables (and no
     annotations): free to split an aliased pair."""
     return min_cut_plan(build_flow_graph(session.history, session_cost_model(session)))
+
+
+def write_split_by_hand(session, plan, path) -> None:
+    """A checkpoint of ``plan``, which may split linked names and which the
+    writer would then refuse: the file of a plan that stores every active
+    name, with the manifest's plan and variable table cut down to ``plan``."""
+    active = session.history.active_snapshots()
+    write_checkpoint(session, ReplicationPlan(migrate=set(active), rerun=[], cost_s=0.0), path)
+    manifest = read_manifest(path)
+    manifest["plan"] = plan.to_json()
+    manifest["variables"] = {n: manifest["variables"][n] for n in sorted(plan.migrate)}
+    write_manifest(path, manifest)

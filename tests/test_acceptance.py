@@ -12,7 +12,7 @@ import pytest
 
 from statecut.cli import run_bench
 from statecut.cost import linked_pairs
-from statecut.errors import Infeasible, Unreconstructable
+from statecut.errors import FormatError, Infeasible, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.planner import (
     ReplicationPlan,
@@ -34,6 +34,7 @@ from sessions import (
     link_blind_plan,
     reference_swap_trace,
     worked_example_trace,
+    write_split_by_hand,
 )
 
 
@@ -127,16 +128,19 @@ def test_criterion_3_ablations_reproduce_failures(tmp_path):
     breaks value correctness on a structural swap. The full path restores
     both sessions isomorphic."""
 
-    def restored(session, plan, trace, name):
+    def restored(session, plan, trace, name, write=write_checkpoint):
         path = tmp_path / name
-        write_checkpoint(session, plan, path)
+        write(session, plan, path)
         return verify(session.heap, restore(read_checkpoint(path), trace.programs()).session.heap)
 
     aliased = aliased_pair_trace()
     session, _ = run_trace(aliased)
     blind = link_blind_plan(session)
     assert blind.migrate == {"big2d"}  # the pair was split
-    broken = restored(session, blind, aliased, "nolinked.ckpt")
+    # the writer refuses a split; written past it, the split restores two objects
+    with pytest.raises(FormatError, match="splits linked names"):
+        write_checkpoint(session, blind, tmp_path / "refused.ckpt")
+    broken = restored(session, blind, aliased, "nolinked.ckpt", write=write_split_by_hand)
     assert broken.value_equivalent and not broken.isomorphic
     assert restored(session, plan_session(session), aliased, "linked.ckpt").isomorphic
 

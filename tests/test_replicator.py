@@ -1,4 +1,4 @@
-import hashlib
+import gc
 import json
 import math
 import os
@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -17,15 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import statecut
-from statecut import replicator
+from statecut import cost, replicator
+from statecut import heap as heap_module
 from statecut.cli import main
 from statecut.cost import CostProfile, linked_pairs
 from statecut.errors import (
-    FormatError, Infeasible, SerializationError, StatecutError, Unreconstructable,
+    FormatError, Infeasible, MissingCellProgram, SerializationError, StatecutError, Unreconstructable,
 )
 from statecut.gen import GenParams, generate_trace, inject_false_edges
-from statecut.heap import HeapOp, SimHeap, reachable_ids
-from statecut.monitor import CellProgram
+from statecut.heap import HeapObject, HeapOp, NameIndex, SimHeap, reachable_ids
+from statecut.monitor import CellProgram, run_cell
 from statecut.planner import ReplicationPlan, plan_session
 from statecut.replicator import (
     payload_bytes,
@@ -39,7 +40,7 @@ from statecut.trace import (
     TraceFile, load_trace, new_session, run_trace, save_trace, trace_from_json, trace_to_json,
 )
 
-from documents import WRONG_VALUES, leaf_paths, with_leaf
+from documents import WRONG_VALUES, leaf_paths, read_manifest, seal, with_leaf, write_manifest
 from sessions import (
     aliased_pair_trace,
     hash_only_session,
@@ -48,6 +49,7 @@ from sessions import (
     reference_swap_trace,
     with_failing_cells,
     worked_example_trace,
+    write_split_by_hand,
 )
 
 
@@ -60,26 +62,6 @@ TYPE_RULE_ERROR = re.compile(r"\(FormatError: ([\w.\[\]]+): invalid ")
 def field_path(leaf: tuple) -> str:
     """A leaf's path as the reader names it, e.g. history.cells[3].runtime_s."""
     return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in leaf).lstrip(".")
-
-
-def read_manifest(path) -> dict:
-    raw = path.read_bytes()
-    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
-    return json.loads(raw[20:20 + manifest_len])
-
-
-def seal(path, body: bytes) -> None:
-    """Write ``body`` (a checkpoint without its digest) with a matching digest."""
-    path.write_bytes(body + hashlib.sha256(body).digest())
-
-
-def write_manifest(path, manifest) -> None:
-    """Swap a checkpoint's manifest section, keeping a correct header and digest."""
-    raw = path.read_bytes()
-    (manifest_len,) = struct.unpack_from("<Q", raw, 12)
-    edited = json.dumps(manifest).encode()
-    seal(path, raw[:12] + struct.pack("<Q", len(edited)) + edited
-         + raw[20 + manifest_len:-replicator.DIGEST_BYTES])
 
 
 def payload_records(path) -> list:
@@ -481,6 +463,42 @@ class TestCheckpointFormat:
         assert payload_bytes(path) == 0
         assert read_checkpoint(path).objects == {}
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_read_and_restore_leave_the_collector_as_found(self, tmp_path, enabled):
+        trace = worked_example_trace()
+        _, _, path = checkpoint_roundtrip(tmp_path, trace)
+        damaged = tmp_path / "damaged.ckpt"
+        damaged.write_bytes(path.read_bytes()[:-1])
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            restore(read_checkpoint(path), trace.programs())
+            assert gc.isenabled() is enabled
+            with pytest.raises(FormatError):
+                read_checkpoint(damaged)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MissingCellProgram):
+                restore(read_checkpoint(path), {})
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_payload_range_edges_are_accepted(self, tmp_path):
+        # ids and sizes at 0 and 2**64 - 1 and flags at 0 and 7 are in range
+        top = 2**64 - 1
+        trace = worked_example_trace()
+        session, _, path = checkpoint_roundtrip(tmp_path, trace)
+        records = payload_records(path)
+        edges = [[0, "scalar", 0, 0, 1], [top, "opaque", 7, top, None],
+                 [9, "container", 7, top, None, "a", 0, "b", top]]
+        write_payload(path, records + edges)
+        objects = read_checkpoint(path).objects
+        assert objects[0] == HeapObject(0, "scalar", 1, {}, 0, False, False, False)
+        assert objects[top] == HeapObject(top, "opaque", None, {}, top, True, True, True)
+        assert objects[9].slots == {"a": 0, "b": top} and objects[9].size_bytes == top
+        result = restore(read_checkpoint(path), trace.programs())
+        assert verify(session.heap, result.session.heap).isomorphic
+
     def test_shared_object_stored_once(self, tmp_path):
         session, plan, path = checkpoint_roundtrip(tmp_path, worked_example_trace())
         loaded = read_checkpoint(path)
@@ -538,6 +556,56 @@ def fresh_cell(session) -> CellProgram:
         HeapOp(op="create", id=oid, kind="scalar", value=1, size_bytes=8),
         HeapOp(op="bind", name="fresh", id=oid),
     ])
+
+
+def live_view(history) -> dict:
+    """What a lineage's manifest keeps of it: its live cells with their
+    edges, references and totals, the last live write of each name and the
+    tombstones of the names live cells write."""
+    latest = {vs.name: vs for t in sorted(history.writes) for vs in history.writes[t]}
+    return {
+        **{key: getattr(history, key) for key in ("cells", "reads", "writes", "refs", "next_t",
+                                                  "recorded_cells", "recorded_rerun_s")},
+        "latest": latest,
+        "deleted": {name: t for name, t in history.deleted.items() if name in latest},
+    }
+
+
+class TestReaderEquivalence:
+    def test_read_back_lineage_and_objects_equal_the_written(self, tmp_path):
+        # random sessions with failed cells, tombstones and cyclic payloads
+        seen = Counter()
+        for seed in range(80):
+            trace = with_failing_cells(generate_trace(GenParams(
+                cells=25, variables=6, alias_density=0.6, unserializable_rate=0.1, delete_rate=0.2,
+            ), seed), random.Random(seed), 0.2)
+            session, _ = run_trace(trace)
+            heap = session.heap
+            containers = sorted(oid for oid in heap.namespace.values() if heap.objects[oid].kind == "container")
+            if containers:  # the generator seldom closes a cycle: close one
+                run_cell(session, CellProgram(code_ref="cycle", ops=[
+                    HeapOp(op="set_slot", parent_id=containers[0], slot="back", child_id=containers[0])]))
+            try:
+                plan = plan_session(session)
+            except Infeasible:
+                continue
+            path = tmp_path / f"eq{seed}.ckpt"
+            written = write_checkpoint(session, plan, path)
+            checkpoint = read_checkpoint(path)
+            history = checkpoint.history
+            assert live_view(history) == live_view(session.history), seed
+            # the reader's own lineage is already what a manifest keeps
+            assert vars(history) == live_view(history), seed
+            assert history.active_snapshots() == session.history.active_snapshots(), seed
+            assert checkpoint.objects == written.objects, seed
+            assert written.objects == {oid: session.heap.objects[oid] for oid in set().union(
+                *(session.heap.reachable(name) for name in plan.migrate))}, seed
+            objects = checkpoint.objects
+            seen["failed"] += any(cell.failed for cell in history.cells.values())
+            seen["tombstone"] += bool(history.deleted)
+            seen["cycle"] += any(oid in reachable_ids(objects, child)
+                                 for oid, obj in objects.items() for child in obj.slots.values())
+        assert min(seen["failed"], seen["tombstone"], seen["cycle"]) >= 5, seen
 
 
 class TestRestore:
@@ -894,6 +962,133 @@ class TestFallbackRecomputation:
         assert with_fallbacks >= 10
 
 
+class TestRestoreWork:
+    # restore walks each stored closure once, through the payload's name
+    # index, and ties linked groups with one union-find over that index
+
+    def test_restore_walks_each_stored_closure_once(self, tmp_path, monkeypatch):
+        walks = Counter()
+        sweeping = []
+        walk, sweep = heap_module.reachable_ids, SimHeap.collect_garbage
+
+        def counted_walk(objects, root):
+            walks["sweep" if sweeping else "other"] += 1
+            return walk(objects, root)
+
+        def counted_sweep(heap):
+            sweeping.append(True)
+            try:
+                return sweep(heap)
+            finally:
+                sweeping.pop()
+
+        # every module that could walk a closure, whether it calls the walker
+        # through ``heap`` or imports it
+        for module in (heap_module, replicator):
+            monkeypatch.setattr(module, "reachable_ids", counted_walk, raising=False)
+        monkeypatch.setattr(SimHeap, "collect_garbage", counted_sweep)
+        restores = 0
+        for seed in range(40):
+            trace = generate_trace(GenParams(
+                cells=30, variables=8, alias_density=0.6, unserializable_rate=0.1,
+                undeserializable_rate=0.3, delete_rate=0.05,
+            ), seed + 700)
+            session, _ = run_trace(trace)
+            path = tmp_path / f"w{seed}.ckpt"
+            write_checkpoint(session, plan_session(session), path)
+            walks.clear()
+            checkpoint = read_checkpoint(path)
+            assert walks["other"] == 0, seed
+            for fault in (None, lambda name: True):
+                checkpoint = read_checkpoint(path)
+                walks.clear()
+                try:
+                    result = restore(checkpoint, trace.programs(), deserialization_fault=fault)
+                except Unreconstructable:
+                    continue
+                restores += 1
+                # nothing the restore derived stays on the checkpoint
+                assert vars(checkpoint).keys() == {f.name for f in fields(checkpoint)}, seed
+                assert walks["other"] <= len(checkpoint.variables), seed
+                assert walks["sweep"] <= len(result.session.heap.namespace), seed
+        assert restores >= 40
+
+    def test_payload_groups_make_one_union_per_shared_index_entry(self, tmp_path, monkeypatch):
+        unions = Counter()
+        union = cost._union
+
+        def counted_union(parent, a, b):
+            unions["calls"] += 1
+            return union(parent, a, b)
+
+        monkeypatch.setattr(cost, "_union", counted_union)
+        linked = 0
+        for seed in range(30):
+            trace = generate_trace(GenParams(cells=40, variables=10, alias_density=0.7, unserializable_rate=0.0), seed)
+            session, _ = run_trace(trace)
+            heap = session.heap
+            storable = {n: heap.root(n) for n in heap.namespace
+                        if all(heap.objects[o].serializable for o in heap.reachable(n))}
+            path = tmp_path / f"u{seed}.ckpt"
+            write_checkpoint(session, ReplicationPlan(migrate=set(storable), rerun=[], cost_s=0.0), path)
+            checkpoint = read_checkpoint(path)
+            unions.clear()
+            groups = checkpoint.payload_groups
+            index = NameIndex(checkpoint.objects, checkpoint.variables)
+            entries = sum(len(names) for names in index.names.values() if len(names) > 1)
+            assert unions["calls"] <= entries, seed
+            assert groups.keys() == storable.keys()
+            linked += any(len(group) > 1 for group in groups.values())
+        assert linked >= 10
+
+
+class TestSplitCheck:
+    # the writer refuses a plan that stores one name of a linked pair and
+    # leaves the other to a rerun, before writing a byte
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_planned_checkpoints_pass_and_a_split_pair_is_refused(self, tmp_path_factory, seed, data):
+        trace = generate_trace(GenParams(
+            cells=12, variables=5, alias_density=0.7, unserializable_rate=0.0, delete_rate=0.05,
+            bandwidth_bytes_per_s=1e9,
+        ), seed)
+        session, _ = run_trace(trace)
+        plan = plan_session(session)
+        directory = tmp_path_factory.mktemp("split")
+        write_checkpoint(session, plan, directory / "planned.ckpt")
+        pairs = sorted(linked_pairs(session.heap, session.history.active_snapshots()))
+        assert all((a in plan.migrate) == (b in plan.migrate) for a, b in pairs)
+        stored = [pair for pair in pairs if pair[0] in plan.migrate]
+        assume(stored)
+        dropped = data.draw(st.sampled_from(sorted({name for pair in stored for name in pair})))
+        path = directory / "split.ckpt"
+        with pytest.raises(FormatError, match="splits linked names"):
+            write_checkpoint(session, replace(plan, migrate=plan.migrate - {dropped}), path)
+        assert sorted(directory.iterdir()) == [directory / "planned.ckpt"]
+
+
+    def test_a_heap_changed_outside_run_cell_is_checked_as_it_now_is(self, tmp_path):
+        trace = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e9), cells=[
+            CellProgram(code_ref="c1", ops=[
+                HeapOp(op="create", id=1, kind="container", size_bytes=8),
+                HeapOp(op="create", id=2, kind="scalar", value=3, size_bytes=8),
+                HeapOp(op="bind", name="a", id=1),
+                HeapOp(op="bind", name="b", id=2),
+            ]),
+        ])
+        session, _ = run_trace(trace)
+        only_a = ReplicationPlan(migrate={"a"}, rerun=[], cost_s=0.0)
+        assert write_checkpoint(session, only_a, tmp_path / "before.ckpt").objects.keys() == {1}
+        # linked outside run_cell: the index the monitor kept is stale
+        session.heap.apply([HeapOp(op="set_slot", parent_id=1, slot="x", child_id=2)])
+        with pytest.raises(FormatError, match=r"splits linked names: \['b'\]"):
+            write_checkpoint(session, only_a, tmp_path / "after.ckpt")
+        assert not (tmp_path / "after.ckpt").exists()
+        both = replace(only_a, migrate={"a", "b"})
+        assert write_checkpoint(session, both, tmp_path / "both.ckpt").objects.keys() == {1, 2}
+
+
 class TestRerunList:
     # a restore reruns what the lineage needs, given what loaded; the stored
     # plan is the planner's record, which it does not read
@@ -922,10 +1117,9 @@ class TestRerunList:
 
     def test_stale_plan_is_refused_at_write_or_restores(self, tmp_path):
         # planned after cell 8 and checkpointed after cell 12: a plan that
-        # stores a variable since deleted, or reruns a cell the lineage has
-        # since dropped, is refused before a byte is written; any other
-        # restores value-equivalent, and isomorphic unless it splits a pair
-        # that became linked after planning
+        # stores a variable since deleted, reruns a cell the lineage has
+        # since dropped, or splits a pair that became linked after planning
+        # is refused before a byte is written; any other restores isomorphic
         params = GenParams(cells=12, variables=4, alias_density=0.3, unserializable_rate=0.0,
                            delete_rate=0.1)
         outcomes = Counter()
@@ -937,22 +1131,26 @@ class TestRerunList:
             plan = plan_session(session)
             for program in trace.cells[8:]:
                 record_cell(session, program)
+            pairs = linked_pairs(session.heap, session.history.active_snapshots())
+            splits = any((a in plan.migrate) != (b in plan.migrate) for a, b in pairs)
             path = tmp_path / f"stale{seed}.ckpt"
             try:
                 write_checkpoint(session, plan, path)
             except StatecutError as err:
                 assert not path.exists(), seed
-                outcomes[type(err).__name__] += 1
+                if "splits linked names" in str(err):
+                    assert splits, seed
+                    outcomes["split refused"] += 1
+                else:
+                    outcomes[type(err).__name__] += 1
                 continue
+            assert not splits, seed
             result = restore(read_checkpoint(path), trace.programs())
             report = verify(session.heap, result.session.heap)
             assert report.value_equivalent, seed
-            if not report.isomorphic:
-                pairs = linked_pairs(session.heap, session.history.active_snapshots())
-                assert any((a in plan.migrate) != (b in plan.migrate) for a, b in pairs), seed
             outcomes["isomorphic" if report.isomorphic else "split"] += 1
-        assert outcomes["FormatError"] >= 20 and outcomes["split"] >= 10, outcomes
-        assert outcomes["isomorphic"] >= 150, outcomes
+        assert outcomes["FormatError"] >= 20 and outcomes["split refused"] >= 10, outcomes
+        assert outcomes["split"] == 0 and outcomes["isomorphic"] >= 150, outcomes
 
 
 def failing_cell_trace(bad: HeapOp, *later: CellProgram) -> TraceFile:
@@ -1234,8 +1432,14 @@ class TestAblations:
         ablated = link_blind_plan(session)
         assert ablated.migrate == {"big2d"}  # constraint violated on purpose
 
+        # the writer refuses the split, and leaves no file
         path = tmp_path / "ablate.ckpt"
-        write_checkpoint(session, ablated, path)
+        with pytest.raises(FormatError, match=r"splits linked names: \['l1'\]"):
+            write_checkpoint(session, ablated, path)
+        assert not path.exists()
+
+        # the same split written past the writer restores two objects
+        write_split_by_hand(session, ablated, path)
         result = restore(read_checkpoint(path), trace.programs())
         report = verify(session.heap, result.session.heap)
         assert report.value_equivalent
@@ -1254,7 +1458,7 @@ class TestAblations:
         trace = aliased_pair_trace()
         session, _ = run_trace(trace)
         path = tmp_path / "ablate.ckpt"
-        write_checkpoint(session, link_blind_plan(session), path)
+        write_split_by_hand(session, link_blind_plan(session), path)
         restored = restore(read_checkpoint(path), trace.programs()).session
         assert restored.heap.namespace == {"l1": -1, "big2d": 3}
         copy_all = ReplicationPlan(migrate={"l1", "big2d"}, rerun=[], cost_s=0.0)

@@ -32,7 +32,7 @@ from statecut.trace import (
 )
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
-from sessions import aliased_pair_trace, link_blind_plan, worked_example_trace
+from sessions import aliased_pair_trace, link_blind_plan, worked_example_trace, write_split_by_hand
 
 DOCS = Path(__file__).parent.parent / "docs"
 SCHEMA = json.loads((DOCS / "trace.schema.json").read_text())
@@ -454,13 +454,14 @@ class TestCliExitCodes:
         assert main(["plan", str(path)]) == 2
 
     def test_verification_failure_exits_3(self, tmp_path):
-        # a deliberately link-blind checkpoint of an aliased pair
+        # a deliberately link-blind checkpoint of an aliased pair, which the
+        # writer refuses, written past it
         trace = aliased_pair_trace()
         trace_path = tmp_path / "aliased.json"
         save_trace(trace, trace_path)
         session, _ = run_trace(trace)
         ckpt = tmp_path / "broken.ckpt"
-        write_checkpoint(session, link_blind_plan(session), ckpt)
+        write_split_by_hand(session, link_blind_plan(session), ckpt)
         assert main(["verify", str(trace_path), str(ckpt)]) == 3
 
     def test_format_error_exits_4(self, tmp_path):
@@ -588,7 +589,9 @@ class TestCliExitCodes:
         assert data["cells"] == 60
         assert data["ahg_bytes"] > 0
         assert data["monitor_ms_per_cell"] > 0
-        assert data["plan_ms"] >= 0
+        assert data.keys() == {"cells", "ahg_bytes", "monitor_ms_per_cell", "plan_ms", "plan_cost_s",
+                               "read_ms", "restore_ms"}
+        assert data["plan_ms"] >= 0 and data["read_ms"] > 0 and data["restore_ms"] > 0
 
     def test_runs_as_a_module(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
