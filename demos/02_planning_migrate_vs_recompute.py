@@ -21,6 +21,7 @@ from statecut import (
     min_cut_plan,
     run_trace,
 )
+from statecut.monitor import current_index
 from statecut.planner import session_cost_model
 
 MB = 10**6
@@ -52,7 +53,7 @@ trace = TraceFile(
 session, _ = run_trace(trace)
 cost = session_cost_model(session)
 active = session.history.active_snapshots()
-linked = linked_pairs(session.heap, active)
+linked = linked_pairs(current_index(session), active)
 
 print("per-variable economics (seconds):")
 for name in sorted(active):

@@ -8,6 +8,7 @@ number of cell executions: both should stay small and roughly linear.
 
 from statecut import GenParams, generate_trace, linked_pairs, run_trace
 from statecut.cli import run_bench
+from statecut.monitor import current_index
 from statecut.planner import build_flow_graph, min_cut_plan, session_cost_model
 
 trace = generate_trace(
@@ -19,7 +20,7 @@ print(f"{'bandwidth B/s':>14} {'plan cost s':>12} {'migrate':>8} {'stored bytes'
 for bandwidth in (1e9, 1e7, 1e5, 1e3, 1e1):
     session, _ = run_trace(trace)
     cost = session_cost_model(session, bandwidth=bandwidth)
-    linked = linked_pairs(session.heap, session.history.active_snapshots())
+    linked = linked_pairs(current_index(session), session.history.active_snapshots())
     plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
     stored = sum(cost.var_sizes[name] for name in plan.migrate)
     print(f"{bandwidth:>14.0e} {plan.cost_s:>12.3f} {len(plan.migrate):>8} {stored:>13}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownVariable
 # build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
-from .heap import NameIndex, SimHeap, build_id_graph
+from .heap import NameIndex, build_id_graph
 from .history import CellExecution, HistoryGraph
 from .schema import FIELD_TYPES, check_fields, rules
 
@@ -81,19 +81,16 @@ class CostModel:
 
     # -- profiling ----------------------------------------------------------
 
-    def profile_variables(self, heap: SimHeap, names=None) -> None:
-        """Measure per-variable sizes and serializability over reachable sets.
+    def profile_variables(self, objects, closures) -> None:
+        """Measure per-variable sizes and serializability over ``closures``
+        (name -> the ids of the objects in ``objects`` it reaches).
 
         Sizes sum every object in the variable's closure; an object shared by
         two variables is charged to each variable's own closure.
         """
-        names = heap.namespace.keys() if names is None else names
-        for name in names:
-            closure = heap.reachable(name)
-            self.var_sizes[name] = sum(heap.objects[o].size_bytes for o in closure)
-            self.var_serializable[name] = all(
-                heap.objects[o].serializable for o in closure
-            )
+        for name, closure in closures.items():
+            self.var_sizes[name] = sum(objects[o].size_bytes for o in closure)
+            self.var_serializable[name] = all(objects[o].serializable for o in closure)
 
     # -- per-variable estimates ----------------------------------------------
 
@@ -145,13 +142,17 @@ class CostModel:
         )
 
 
-def linked_pairs(heap: SimHeap, names) -> set[tuple[str, str]]:
-    """Unordered pairs of variables whose reachable objects intersect.
-
-    Such pairs must be migrated together or recomputed together, otherwise
-    the shared reference would be split into two objects on restore.
+def linked_pairs(index: NameIndex, names) -> list[tuple[str, str]]:
+    """The pairs that tie each linked group of ``names``, whose closures in
+    ``index`` intersect directly or through other members: a group is
+    migrated or recomputed as a whole, or a restore would split a shared
+    reference in two. A group of k gives the k-1 pairs of its sorted members.
     """
-    return NameIndex(heap.objects, {name: heap.root(name) for name in names}).shared_pairs()
+    pairs: list[tuple[str, str]] = []
+    for group in linked_groups(names, index.names.values()):
+        members = sorted(group)
+        pairs += zip(members, members[1:])
+    return pairs
 
 
 def _find(parent: dict[str, str], n: str) -> str:

@@ -14,7 +14,6 @@ import hashlib
 import json
 from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidHeapOp, RootMismatch, UnknownObject, UnknownVariable
@@ -136,14 +135,6 @@ class NameIndex:
             if names:
                 found |= names
         return found
-
-    def shared_pairs(self) -> set[tuple[str, str]]:
-        """Sorted pairs of names that reach a common object."""
-        pairs: set[tuple[str, str]] = set()
-        for names in self.names.values():
-            if len(names) > 1:
-                pairs.update(combinations(sorted(names), 2))
-        return pairs
 
     def move(self, name: str, after: set[ObjectId]) -> set[ObjectId]:
         """Record that ``name`` now reaches ``after``, which the index keeps

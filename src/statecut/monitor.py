@@ -303,5 +303,9 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     index.version = heap.version
 
     if failure is not None:
-        raise CellExecutionError(program.code_ref, failure, record)
+        # the error's traceback holds this frame, so the frame must not hold it
+        try:
+            raise CellExecutionError(program.code_ref, failure, record)
+        finally:
+            failure = None
     return record

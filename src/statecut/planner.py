@@ -6,13 +6,15 @@ migration cost and points at the cell that produced it; each cell the
 lineage keeps (the backward closure of the active snapshots, the only cells
 a plan can rerun) feeds the sink at its rerun cost and points at the
 producers of the non-active snapshots it read (an active one is available
-either as stored or as rebuilt by its own arc). Linked variables are tied both ways, so aliased
-pairs land on the same side of the cut. These ties are infinite, so a
+either as stored or as rebuilt by its own arc). These arcs are infinite, so a
 recomputed variable drags every cell of its rebuild to the source side, and
 there are at most as many as lineage read edges plus one per active
-variable. The min cut's sink side is the migrate set; its source-side cells
-form the rerun list. A variable none of whose options is finite lies on an
-all-infinite source-sink path.
+variable. Each linked group of k variables is tied by the k-1 pairs of its
+sorted members, each pair by infinite arcs both ways, so the group lands on
+one side of the cut: at most 2·(active - groups) tie arcs. The min cut's
+sink side is the migrate set; its source-side cells form the rerun list. A
+variable none of whose options is finite lies on an all-infinite
+source-sink path.
 
 Dinic's algorithm solves the cut, in O(V^2 E): each phase levels the
 residual network by a breadth-first search from the source and pushes a
@@ -25,11 +27,14 @@ every maximum flow, so the plan does not depend on the order of the arcs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
+from . import cost as cost_module
 from .cost import CostModel
-from .errors import FormatError, Infeasible, TooLarge
+from .errors import FormatError, Infeasible, TooLarge, UnknownVariable
 from .history import HistoryGraph
+from .monitor import current_index
 from .schema import check_fields, rules
 
 INF = math.inf
@@ -99,10 +104,15 @@ class ReplicationPlan:
         )
 
 
+def _priced(cost: CostModel, migrate: set[str], rerun: list[int], cost_s: float) -> ReplicationPlan:
+    """A plan stamped with the channel ``cost`` prices for."""
+    return ReplicationPlan(migrate, rerun, cost_s, cost.profile.alpha, cost.profile.bandwidth_bytes_per_s)
+
+
 def build_flow_graph(
     history: HistoryGraph,
     cost: CostModel,
-    linked: set[tuple[str, str]] | None = None,
+    linked: Iterable[tuple[str, str]] | None = None,
     forced_migrate: set[str] | None = None,
     forced_recompute: set[str] | None = None,
 ) -> FlowGraph:
@@ -276,19 +286,13 @@ def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
     )
     if not math.isclose(cut, flow, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError(f"max-flow {flow} != cut value {cut}")
-    return ReplicationPlan(
-        migrate=migrate,
-        rerun=rerun,
-        cost_s=cut,
-        alpha=fg.cost.profile.alpha,
-        bandwidth_bytes_per_s=fg.cost.profile.bandwidth_bytes_per_s,
-    )
+    return _priced(fg.cost, migrate, rerun, cut)
 
 
 def brute_force_plan(
     history: HistoryGraph,
     cost: CostModel,
-    linked: set[tuple[str, str]] | None = None,
+    linked: Iterable[tuple[str, str]] | None = None,
     forced_migrate: set[str] | None = None,
     forced_recompute: set[str] | None = None,
 ) -> ReplicationPlan:
@@ -330,13 +334,7 @@ def brute_force_plan(
     migrate = set(best_set)
     targets = {active[n] for n in set(names) - migrate}
     rerun = [c.t for c in history.rerun_cells_from(targets, {active[n] for n in migrate})]
-    return ReplicationPlan(
-        migrate=migrate,
-        rerun=rerun,
-        cost_s=best[0],
-        alpha=cost.profile.alpha,
-        bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
-    )
+    return _priced(cost, migrate, rerun, best[0])
 
 
 def baseline_plans(history: HistoryGraph, cost: CostModel) -> dict[str, ReplicationPlan]:
@@ -348,21 +346,10 @@ def baseline_plans(history: HistoryGraph, cost: CostModel) -> dict[str, Replicat
     state; its cost is that of every cell the session recorded.
     """
     active = history.active_snapshots()
-    copy_all = ReplicationPlan(
-        migrate=set(active),
-        rerun=[],
-        cost_s=cost.migration_cost(active),
-        alpha=cost.profile.alpha,
-        bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
-    )
-    rerun_all = ReplicationPlan(
-        migrate=set(),
-        rerun=list(history.cells),
-        cost_s=history.recorded_rerun_s,
-        alpha=cost.profile.alpha,
-        bandwidth_bytes_per_s=cost.profile.bandwidth_bytes_per_s,
-    )
-    return {"copy_all": copy_all, "rerun_all": rerun_all}
+    return {
+        "copy_all": _priced(cost, set(active), [], cost.migration_cost(active)),
+        "rerun_all": _priced(cost, set(), list(history.cells), history.recorded_rerun_s),
+    }
 
 
 def session_cost_model(
@@ -375,7 +362,9 @@ def session_cost_model(
 ) -> CostModel:
     """A fresh cost model of the session: its storage profile adjusted to the
     requested channel and objective, with the active variables' sizes and
-    serializability profiled from the heap.
+    serializability profiled over their closures in the session's name index
+    (``current_index``). Raises UnknownVariable for an active variable the
+    heap no longer binds.
 
     ``objective="migrate"`` prices store time fully (alpha=1);
     ``objective="restore"`` discounts it (alpha=0.05). An explicit ``alpha``
@@ -390,7 +379,12 @@ def session_cost_model(
     cost = CostModel(replace(
         session.profile, **{k: v for k, v in overrides.items() if v is not None}
     ))
-    cost.profile_variables(session.heap, session.history.active_snapshots())
+    index = current_index(session)
+    try:
+        closures = {name: index.closures[name] for name in session.history.active_snapshots()}
+    except KeyError as missing:  # the heap unbound it outside run_cell
+        raise UnknownVariable(f"variable {missing.args[0]!r} is not bound") from None
+    cost.profile_variables(session.heap.objects, closures)
     return cost
 
 
@@ -402,15 +396,15 @@ def plan_session(
     latency: float | None = None,
     objective: str | None = None,
 ) -> ReplicationPlan:
-    """Profile the session and compute a plan under the requested objective."""
-    from .cost import linked_pairs
-
+    """Profile the session and compute a plan under the requested objective,
+    with the linked groups of the session's name index."""
     cost = session_cost_model(
         session, alpha=alpha, bandwidth=bandwidth, latency=latency, objective=objective
     )
     active = session.history.active_snapshots()
 
-    linked = linked_pairs(session.heap, active)
+    # looked up on the module at each plan, where bench/spans.py wraps it
+    linked = cost_module.linked_pairs(current_index(session), active)
     forced_migrate = {n for n, a in session.annotations.items() if a == "always_copy" and n in active}
     forced_recompute = {n for n, a in session.annotations.items() if a == "always_recompute" and n in active}
 

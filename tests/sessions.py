@@ -195,6 +195,34 @@ def aliased_pair_trace() -> TraceFile:
     )
 
 
+def fan_out_trace(k: int, m: int, *, unhashable: bool = False, stuck: bool = False) -> TraceFile:
+    """k views of one m-object structure, so that all k+1 names form one
+    linked group: cell "df" binds df to a container with m-1 scalar slots,
+    then each cell "view<i>" binds v<i> to a fresh container whose slot
+    holds df's root. With ``unhashable``, one scalar of the structure is
+    unhashable, so every view cell also modifies every name it reaches; with
+    ``stuck``, one is unserializable and the df cell is never rerun, so no
+    plan exists. Each object weighs 8 B and each cell takes 1 s."""
+    ops = [HeapOp(op="create", id=0, kind="container", size_bytes=8)]
+    for i in range(1, m):
+        odd = i == 1
+        ops += [
+            HeapOp(op="create", id=i, kind="scalar", value=i, size_bytes=8, hashable=not (unhashable and odd),
+                   serializable=not (stuck and odd), deserializable=not (stuck and odd)),
+            HeapOp(op="set_slot", parent_id=0, slot=str(i), child_id=i),
+        ]
+    ops.append(HeapOp(op="bind", name="df", id=0))
+    cells = [CellProgram(code_ref="df", ops=ops, never_rerun=stuck)]
+    for i in range(k):
+        view = m + i
+        cells.append(CellProgram(code_ref=f"view{i}", direct_reads={"df"}, ops=[
+            HeapOp(op="create", id=view, kind="container", size_bytes=8),
+            HeapOp(op="set_slot", parent_id=view, slot="base", child_id=0),
+            HeapOp(op="bind", name=f"v{i}", id=view),
+        ]))
+    return TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e6), cells=cells)
+
+
 def reference_swap_trace() -> TraceFile:
     """c2 swaps big2d's nested slot to a fresh, value-equal scalar and c3
     then changes list1, big2d's old element. Storage is slow, so every plan

@@ -14,6 +14,7 @@ from statecut.cli import run_bench
 from statecut.cost import linked_pairs
 from statecut.errors import FormatError, Infeasible, Unreconstructable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
+from statecut.monitor import current_index
 from statecut.planner import (
     ReplicationPlan,
     baseline_plans,
@@ -45,7 +46,7 @@ def report(criterion: int, message: str) -> None:
 def planner_inputs(trace, **kwargs):
     session, _ = run_trace(trace)
     cost = session_cost_model(session, **kwargs)
-    linked = linked_pairs(session.heap, session.history.active_snapshots())
+    linked = linked_pairs(current_index(session), session.history.active_snapshots())
     return session, cost, linked
 
 
@@ -176,7 +177,7 @@ def test_criterion_4_alpha_flip_with_reported_quantities():
 def test_criterion_5_worked_example_partition():
     """The documented six-variable instance splits exactly as described."""
     session, cost, linked = planner_inputs(worked_example_trace())
-    assert linked == {("big2d", "l1")}
+    assert linked == [("big2d", "l1")]
     plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
     oracle = brute_force_plan(session.history, cost, linked)
     assert plan.migrate == {"l1", "big2d", "gen"}
@@ -253,7 +254,7 @@ def test_criterion_8_false_positive_robustness(tmp_path):
             assert base <= grown, (instance, name)
 
         cost = session_cost_model(session)
-        linked = linked_pairs(session.heap, session.history.active_snapshots())
+        linked = linked_pairs(current_index(session), session.history.active_snapshots())
         plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
         path = tmp_path / "fp.ckpt"
         write_checkpoint(session, plan, path)

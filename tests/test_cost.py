@@ -4,17 +4,26 @@ from dataclasses import replace
 
 import pytest
 
+import statecut.heap as heap_module
+from statecut import cost, monitor, replicator
 from statecut.cost import CostModel, CostProfile, linked_pairs
-from statecut.errors import UnknownVariable
+from statecut.errors import Infeasible, UnknownVariable
 from statecut.gen import GenParams, generate_trace
-from statecut.heap import HeapOp, SimHeap, reachable_ids
-from statecut.monitor import CellProgram
-from statecut.planner import ReplicationPlan, brute_force_plan, session_cost_model
+from statecut.heap import HeapOp, NameIndex, SimHeap, reachable_ids
+from statecut.monitor import CellProgram, current_index
+from statecut.planner import (
+    ReplicationPlan,
+    brute_force_plan,
+    build_flow_graph,
+    min_cut_plan,
+    plan_session,
+    session_cost_model,
+)
 from statecut.replicator import read_checkpoint, write_checkpoint
 from statecut.trace import TraceFile, run_trace
 
 from heaps import make_object
-from sessions import worked_example_trace
+from sessions import fan_out_trace, worked_example_trace
 
 INF = math.inf
 
@@ -47,6 +56,27 @@ def components(names, pairs) -> dict[str, set[str]]:
             for n in merged:
                 group[n] = merged
     return group
+
+
+def all_pairs_plan(session, **channel) -> ReplicationPlan:
+    """The plan of the network that ties every pair of active names whose
+    closures intersect, with each closure walked afresh for the cost model
+    and for the pairs."""
+    heap = session.heap
+    roots = {name: heap.root(name) for name in session.history.active_snapshots()}
+    model = session_cost_model(session, **channel)
+    model.profile_variables(heap.objects, {name: reachable_ids(heap.objects, root) for name, root in roots.items()})
+    return min_cut_plan(build_flow_graph(session.history, model, pairwise_oracle(heap.objects, roots)))
+
+
+def outcome(plan_of, session, **channel):
+    """A plan as its migrate set, rerun list and exact cost, or the names
+    Infeasible gives when there is none."""
+    try:
+        plan = plan_of(session, **channel)
+    except Infeasible as err:
+        return err.variables
+    return plan.migrate, plan.rerun, float.hex(plan.cost_s)
 
 
 def model(bandwidth=1.0, latency=0.0, alpha=1.0, store_bandwidth=None) -> CostModel:
@@ -117,7 +147,7 @@ class TestEstimates:
             HeapOp(op="bind", name="b", id=2),
         ])
         m = model()
-        m.profile_variables(heap)
+        m.profile_variables(heap.objects, {name: heap.reachable(name) for name in heap.namespace})
         assert m.var_sizes == {"a": 15, "b": 5}
 
 
@@ -218,7 +248,7 @@ class TestLinkedPairs:
     def test_worked_example_pair(self):
         session, _ = run_trace(worked_example_trace())
         active = session.history.active_snapshots()
-        assert linked_pairs(session.heap, active) == {("big2d", "l1")}
+        assert linked_pairs(current_index(session), active) == [("big2d", "l1")]
 
     def test_disjoint_heap(self):
         heap = SimHeap()
@@ -226,7 +256,7 @@ class TestLinkedPairs:
         make_object(heap, 2)
         heap.bind("a", 1)
         heap.bind("b", 2)
-        assert linked_pairs(heap, {"a", "b"}) == set()
+        assert linked_pairs(NameIndex(heap.objects, heap.namespace), {"a", "b"}) == []
 
     def test_transitive_chain_lists_each_overlap(self):
         heap = SimHeap()
@@ -244,7 +274,31 @@ class TestLinkedPairs:
             HeapOp(op="bind", name="b", id=2),
             HeapOp(op="bind", name="c", id=3),
         ])
-        assert linked_pairs(heap, {"a", "b", "c"}) == {("a", "b"), ("b", "c")}
+        assert linked_pairs(NameIndex(heap.objects, heap.namespace), {"a", "b", "c"}) == [("a", "b"), ("b", "c")]
+
+    def test_ties_join_sorted_members_not_overlaps(self):
+        # b reaches nothing c reaches, yet the group {a, b, c, d} ties b to c;
+        # without a, which links b to the others, b stands alone
+        heap = SimHeap()
+        for oid in (1, 2, 3, 6):
+            make_object(heap, oid, "container")
+        make_object(heap, 4, "scalar", value=1)
+        make_object(heap, 5, "scalar", value=2)
+        heap.apply([
+            HeapOp(op="set_slot", parent_id=1, slot="0", child_id=4),
+            HeapOp(op="set_slot", parent_id=2, slot="0", child_id=4),
+            HeapOp(op="set_slot", parent_id=2, slot="1", child_id=5),
+            HeapOp(op="set_slot", parent_id=3, slot="0", child_id=5),
+            HeapOp(op="set_slot", parent_id=6, slot="0", child_id=1),
+            HeapOp(op="bind", name="c", id=1),
+            HeapOp(op="bind", name="a", id=2),
+            HeapOp(op="bind", name="b", id=3),
+            HeapOp(op="bind", name="d", id=6),
+        ])
+        index = NameIndex(heap.objects, heap.namespace)
+        assert pairwise_oracle(heap.objects, heap.namespace) == {("a", "b"), ("a", "c"), ("a", "d"), ("c", "d")}
+        assert linked_pairs(index, {"a", "b", "c", "d"}) == [("a", "b"), ("b", "c"), ("c", "d")]
+        assert linked_pairs(index, {"b", "c", "d"}) == [("c", "d")]
 
     def test_matches_pairwise_oracle(self, rng, tmp_path):
         sessions = [
@@ -254,14 +308,28 @@ class TestLinkedPairs:
             # wide-shaped: dozens of live names out of a pool of 200
             run_trace(generate_trace(GenParams(cells=120, variables=200, alias_density=0.5), seed))[0]
             for seed in range(3)
+        ] + [
+            # heavy aliasing with unserializable objects: storable names share
+            # objects with unstorable ones
+            run_trace(generate_trace(GenParams(cells=40, variables=10, alias_density=0.7), seed))[0]
+            for seed in range(20)
         ] + [run_trace(cycle_shared_by_three())[0]]
+        narrowed = 0
         for session in sessions:
             heap = session.heap
             names = sorted(heap.namespace)
             expected = pairwise_oracle(heap.objects, heap.namespace)
-            assert linked_pairs(heap, names) == expected
-            # the checkpoint's groups: components of the same oracle over its payload
-            storable = {n for n in names if all(heap.objects[o].serializable for o in heap.reachable(n))}
+            groups = components(names, expected)
+            ties = linked_pairs(current_index(session), names)
+            assert components(names, ties) == groups
+            assert len(ties) == len(names) - len({frozenset(group) for group in groups.values()})
+            assert all(b in groups[a] for a, b in ties)
+            # the checkpoint's groups: components of the same oracle over its
+            # payload. A storable plan stores no group that holds a name
+            # reaching an unserializable object, or it would split that group
+            unstorable = {n for n in names if not all(heap.objects[o].serializable for o in heap.reachable(n))}
+            storable = {n for n in names if groups[n].isdisjoint(unstorable)}
+            narrowed += len(storable | unstorable) < len(names)
             path = tmp_path / "oracle.ckpt"
             write_checkpoint(session, ReplicationPlan(migrate=storable, rerun=[], cost_s=0.0), path)
             checkpoint = read_checkpoint(path)
@@ -269,7 +337,79 @@ class TestLinkedPairs:
                 storable, pairwise_oracle(checkpoint.objects, checkpoint.variables))
         # the hand-built session came last; the wide-shaped ones link many names
         assert expected == {("a", "b"), ("a", "c"), ("b", "c")}
-        assert sum(len(linked_pairs(s.heap, s.heap.namespace)) for s in sessions[10:13]) > 50
+        assert ties == [("a", "b"), ("b", "c")]
+        assert sum(len(pairwise_oracle(s.heap.objects, s.heap.namespace)) for s in sessions[10:13]) > 50
+        assert narrowed >= 1
+
+
+class TestPlanningReadsTheIndex:
+    # plan_session takes every closure from the session's name index and
+    # ties each linked group by one chain, planning as the network that ties
+    # every intersecting pair of freshly walked closures does
+
+    def test_fan_out_plans_match_the_all_pairs_network(self, monkeypatch):
+        unions = []
+        union = cost._union
+        monkeypatch.setattr(cost, "_union", lambda parent, a, b: unions.append(a) or union(parent, a, b))
+        shapes = [(1, 1, False, False), (20, 200, False, False), (20, 200, True, False),
+                  (200, 50, False, False), (100, 50, True, False), (30, 30, False, True)]
+        for k, m, unhashable, stuck in shapes:
+            session, _ = run_trace(fan_out_trace(k, m, unhashable=unhashable, stuck=stuck))
+            index = current_index(session)
+            entries = sum(len(names) for names in index.names.values() if len(names) > 1)
+            for bandwidth in (1e9, 10.0):  # migrate wins, then rerun does
+                unions.clear()
+                planned = outcome(plan_session, session, bandwidth=bandwidth)
+                assert len(unions) <= entries, (k, m)
+                assert planned == outcome(all_pairs_plan, session, bandwidth=bandwidth), (k, m, bandwidth)
+                if stuck:
+                    assert planned == sorted(session.heap.namespace)
+                else:
+                    # one group: all of it migrates on the fast channel and
+                    # all of it reruns on the slow one
+                    migrate, rerun, _ = planned
+                    assert len(migrate) == (k + 1 if bandwidth == 1e9 else 0), (k, m, bandwidth)
+                    assert len(rerun) == k + 1 - len(migrate), (k, m, bandwidth)
+
+    def test_plan_and_write_walk_no_closure(self, tmp_path, monkeypatch):
+        walks = []
+        walk = heap_module.reachable_ids
+
+        def counted_walk(objects, root):
+            walks.append(root)
+            return walk(objects, root)
+
+        sessions = [
+            run_trace(generate_trace(GenParams(cells=30, variables=8, alias_density=0.7, unserializable_rate=0.0), seed))[0]
+            for seed in range(10)
+        ] + [run_trace(fan_out_trace(50, 100, unhashable=True))[0], run_trace(worked_example_trace())[0]]
+        # every module that could walk a closure, whether it calls the walker
+        # through ``heap`` or imports it
+        for module in (heap_module, monitor, cost, replicator):
+            monkeypatch.setattr(module, "reachable_ids", counted_walk, raising=False)
+        for i, session in enumerate(sessions):
+            write_checkpoint(session, plan_session(session), tmp_path / f"w{i}.ckpt")
+        assert walks == []
+
+    def test_a_heap_changed_outside_run_cell_plans_as_a_fresh_index(self):
+        rebound = 0
+        for seed in range(20):
+            session, _ = run_trace(generate_trace(GenParams(cells=12, variables=6, alias_density=0.5), seed))
+            heap = session.heap
+            names = sorted(session.history.active_snapshots())
+            if len(names) < 2:
+                continue
+            a, b = names[0], names[-1]
+            heap.bind(a, heap.root(b))  # an alias bound outside run_cell
+            planned = outcome(plan_session, session)
+            assert planned == outcome(all_pairs_plan, session), seed
+            if not isinstance(planned, list):
+                assert (a in planned[0]) == (b in planned[0]), seed
+                rebound += 1
+            heap.unbind(a)  # an active name unbound outside run_cell
+            with pytest.raises(UnknownVariable, match=repr(a)):
+                plan_session(session)
+        assert rebound >= 10
 
 
 class TestCostProperties:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -104,6 +105,19 @@ class TestRunCell:
         assert session.history.cells[1].failed
         assert session.history.cells[1].failed_at == 2
         assert session.history.active_snapshots()["x"] == VariableSnapshot("x", 1)
+
+    def test_failed_cells_leave_no_reference_cycle(self):
+        session = session_with()
+        failing = CellProgram(code_ref="boom", ops=[HeapOp(op="bind", name="y", id=404)])
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                with pytest.raises(CellExecutionError):
+                    run_cell(session, failing)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_in_place_change_reads_the_changed_names(self):
         # the cell declares no read of c or e, yet changes their shared

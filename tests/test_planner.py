@@ -11,7 +11,7 @@ from statecut.errors import Infeasible, TooLarge
 from statecut.gen import GenParams, generate_trace
 from statecut.heap import HeapOp
 from statecut.history import CellRecord, HistoryGraph
-from statecut.monitor import CellProgram
+from statecut.monitor import CellProgram, current_index
 from statecut.planner import (
     SINK,
     SRC,
@@ -33,7 +33,7 @@ def planner_inputs(trace, **kwargs):
     session, _ = run_trace(trace)
     cost = session_cost_model(session, **kwargs)
     active = session.history.active_snapshots()
-    linked = linked_pairs(session.heap, active)
+    linked = linked_pairs(current_index(session), active)
     return session, cost, linked
 
 
@@ -159,7 +159,7 @@ class TestWorkedExamplePartition:
         # derived weights make the documented split optimal: store the linked
         # list pair and the opaque, rerun the first three cells
         session, cost, linked = planner_inputs(worked_example_trace())
-        assert linked == {("big2d", "l1")}
+        assert linked == [("big2d", "l1")]
         plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
         assert plan.migrate == {"l1", "big2d", "gen"}
         assert plan.rerun == [1, 2, 3]
@@ -201,7 +201,7 @@ class TestBruteForce:
             # migrate: 7.36 > 5.5, reread it; restore: 1.4795 < 5.5, store it
             assert plan_session(session, objective=objective).migrate == expected
             cost = session_cost_model(session, objective=objective)
-            linked = linked_pairs(session.heap, session.history.active_snapshots())
+            linked = linked_pairs(current_index(session), session.history.active_snapshots())
             oracle = brute_force_plan(session.history, cost, linked)
             assert oracle.migrate == expected, objective
 

@@ -26,7 +26,7 @@ from statecut.errors import (
 )
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut.heap import HeapObject, HeapOp, NameIndex, SimHeap, reachable_ids
-from statecut.monitor import CellProgram, run_cell
+from statecut.monitor import CellProgram, current_index, run_cell
 from statecut.planner import ReplicationPlan, plan_session
 from statecut.replicator import (
     payload_bytes,
@@ -1057,7 +1057,7 @@ class TestSplitCheck:
         plan = plan_session(session)
         directory = tmp_path_factory.mktemp("split")
         write_checkpoint(session, plan, directory / "planned.ckpt")
-        pairs = sorted(linked_pairs(session.heap, session.history.active_snapshots()))
+        pairs = sorted(linked_pairs(current_index(session), session.history.active_snapshots()))
         assert all((a in plan.migrate) == (b in plan.migrate) for a, b in pairs)
         stored = [pair for pair in pairs if pair[0] in plan.migrate]
         assume(stored)
@@ -1131,7 +1131,7 @@ class TestRerunList:
             plan = plan_session(session)
             for program in trace.cells[8:]:
                 record_cell(session, program)
-            pairs = linked_pairs(session.heap, session.history.active_snapshots())
+            pairs = linked_pairs(current_index(session), session.history.active_snapshots())
             splits = any((a in plan.migrate) != (b in plan.migrate) for a, b in pairs)
             path = tmp_path / f"stale{seed}.ckpt"
             try:
@@ -1528,7 +1528,7 @@ class TestEndToEnd:
             session, _ = run_trace(trace)
             session.history = inject_false_edges(session.history, random.Random(seed), reads=4, writes=2)
             cost = session_cost_model(session)
-            linked = lp(session.heap, session.history.active_snapshots())
+            linked = lp(current_index(session), session.history.active_snapshots())
             plan = min_cut_plan(build_flow_graph(session.history, cost, linked))
             path = tmp_path / f"fp{seed}.ckpt"
             write_checkpoint(session, plan, path)

@@ -389,10 +389,11 @@ class TestGenerator:
             ), seed)
             session, _ = run_trace(trace)
             from statecut.cost import linked_pairs
+            from statecut.monitor import current_index
             from statecut.planner import session_cost_model
 
             cost = session_cost_model(session)
-            aliased += bool(linked_pairs(session.heap, session.heap.namespace))
+            aliased += bool(linked_pairs(current_index(session), session.heap.namespace))
             unserializable += (not all(cost.var_serializable.values()))
         assert aliased >= 15
         assert unserializable >= 15
@@ -648,6 +649,7 @@ class TestSweep:
 
     def test_sweep_matches_brute_force(self, tmp_path):
         from statecut.cost import linked_pairs
+        from statecut.monitor import current_index
         from statecut.planner import brute_force_plan, plan_session, session_cost_model
 
         trace = generate_trace(GenParams(cells=10, variables=5), 4)
@@ -655,6 +657,6 @@ class TestSweep:
             session, _ = run_trace(trace)
             plan = plan_session(session, bandwidth=bandwidth)
             cost = session_cost_model(session, bandwidth=bandwidth)
-            linked = linked_pairs(session.heap, session.history.active_snapshots())
+            linked = linked_pairs(current_index(session), session.history.active_snapshots())
             oracle = brute_force_plan(session.history, cost, linked)
             assert plan.cost_s == pytest.approx(oracle.cost_s, abs=1e-9)
