@@ -16,12 +16,18 @@ sink side is the migrate set; its source-side cells form the rerun list. A
 variable none of whose options is finite lies on an all-infinite
 source-sink path.
 
-Dinic's algorithm solves the cut, in O(V^2 E): each phase levels the
-residual network by a breadth-first search from the source and pushes a
+The cut is solved in two steps. First, one depth-first pass pushes a
+blocking flow along the arcs that point from source towards sink, which
+form a DAG (source, snapshots, cells from the latest to the earliest, sink),
+so it needs no levels and each push costs O(1) however deep the lineage.
+Then Dinic's algorithm finishes on the residual network, in O(V^2 E): each
+phase levels it by a breadth-first search from the source and pushes a
 blocking flow through the level graph by an iterative depth-first search.
-The plan is read from the source side that the final breadth-first search,
-the one that no longer reaches the sink, finds. That side is the same for
-every maximum flow, so the plan does not depend on the order of the arcs.
+A rewrite chain, which takes Dinic one phase per cell, leaves it nothing
+but the final search after the pass. The plan is read from the source side
+that the final breadth-first search, the one that no longer reaches the
+sink, finds. That side is the same for every maximum flow, so the plan does
+not depend on the order of the arcs, nor on what the pass pushed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass, replace
 from . import cost as cost_module
 from .cost import CostModel
 from .errors import FormatError, Infeasible, TooLarge, UnknownVariable
+from .heap import NameIndex
 from .history import HistoryGraph
 from .monitor import current_index
 from .schema import check_fields, rules
@@ -214,23 +221,97 @@ def _infeasible_variables(fg: FlowGraph) -> list[str]:
     return [name for name, u in fg.vs_nodes.items() if ahead[u] >= 0 and behind[u] >= 0]
 
 
-def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
-    """Solve the network with Dinic's algorithm and read the plan off the
-    source side of the final residual network.
+def _push_along_lineage(fg: FlowGraph, out: list[list[int]], to: list[int], cap: list[float]) -> float:
+    """Push a blocking flow over the network's one-way arcs, in place on
+    ``cap``, and return its value.
 
-    Each phase builds a level graph by breadth-first search from the source,
+    Ranked source 0, snapshots 1, cells from the latest to the earliest, then
+    the sink, every arc ``build_flow_graph`` lays from source towards sink
+    climbs in rank, while tie arcs and reverse arcs do not. The climbing arcs
+    form a DAG, so one depth-first search with current-arc pointers pushes a
+    blocking flow along them with no levels; a dead end drops to rank -1,
+    where no arc climbs into it. A path runs source -> snapshot -> cells ->
+    sink, and only its first and last arcs can be finite: the first takes
+    each push at once, and every later arc collects what was pushed while it
+    was on the path and hands it to its reverse arc when it leaves, so a
+    push costs O(1) however deep the path.
+    """
+    rank = [0] * len(out)
+    for u in fg.vs_nodes.values():
+        rank[u] = 1
+    for r, t in enumerate(sorted(fg.ce_nodes, reverse=True), 2):
+        rank[fg.ce_nodes[t]] = r
+    rank[SINK] = len(fg.ce_nodes) + 2
+    current = [0] * len(out)  # next arc to try at each node
+    path: list[int] = []  # arcs from the source to u
+    carried: list[float] = []  # flow through path[i + 1] not yet applied to it
+    flow = 0.0
+    u = SRC
+    while True:
+        if u == SINK:
+            first, last = path[0], path[-1]
+            pushed = min(cap[first], cap[last])
+            if pushed == INF:
+                raise Infeasible(_infeasible_variables(fg))
+            cap[first] -= pushed
+            cap[first ^ 1] += pushed
+            if carried:
+                carried[-1] += pushed
+            flow += pushed
+            # back up to the tail of the first arc the push saturated
+            keep = 0 if cap[first] == 0 else len(path) - 1
+        else:
+            arcs = out[u]
+            end = len(arcs)
+            i = current[u]
+            r = rank[u]
+            while i < end:
+                e = arcs[i]
+                if cap[e] > 0 and rank[to[e]] > r:
+                    break
+                i += 1
+            current[u] = i
+            if i < end:
+                if path:
+                    carried.append(0.0)
+                path.append(e)
+                u = to[e]
+                continue
+            if u == SRC:
+                return flow
+            rank[u] = -1  # a dead end: no arc climbs into it again
+            keep = len(path) - 1
+        while len(path) > keep:
+            e = path.pop()
+            if carried:
+                moved = carried.pop()
+                cap[e] -= moved
+                cap[e ^ 1] += moved
+                if carried:
+                    carried[-1] += moved
+        u = to[e ^ 1]
+
+
+def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
+    """Solve the network and read the plan off the source side of the final
+    residual network.
+
+    A blocking flow along the lineage DAG (``_push_along_lineage``) comes
+    first, then Dinic's algorithm finishes on the residual network. Each
+    phase builds a level graph by breadth-first search from the source,
     stopping at the sink's level, then pushes a blocking flow through it by
     an iterative depth-first search with current-arc pointers; a node the
     search gets stuck at is dead for the rest of the phase. The distance to
     the sink grows every phase, so there are at most V phases and O(V^2 E)
     work. The last search finds no path and so reaches exactly the source
-    side of the minimum cut.
+    side of the minimum cut. After the first pass a rewrite chain, which
+    would take one phase per cell, needs that last search alone.
 
     Raises Infeasible when the cut value is infinite, naming the variables
     whose every option is infinite.
     """
     out, to, cap = _arc_arrays(fg.arcs, len(fg.node_labels))
-    flow = 0.0
+    flow = _push_along_lineage(fg, out, to, cap)
     while True:
         level = _levels(out, to, cap, SRC, SINK)
         depth = level[SINK]
@@ -359,12 +440,13 @@ def session_cost_model(
     bandwidth: float | None = None,
     latency: float | None = None,
     objective: str | None = None,
+    index: NameIndex | None = None,
 ) -> CostModel:
     """A fresh cost model of the session: its storage profile adjusted to the
     requested channel and objective, with the active variables' sizes and
     serializability profiled over their closures in the session's name index
-    (``current_index``). Raises UnknownVariable for an active variable the
-    heap no longer binds.
+    (``index``, or ``current_index(session)`` when none is given). Raises
+    UnknownVariable for an active variable the heap no longer binds.
 
     ``objective="migrate"`` prices store time fully (alpha=1);
     ``objective="restore"`` discounts it (alpha=0.05). An explicit ``alpha``
@@ -379,7 +461,8 @@ def session_cost_model(
     cost = CostModel(replace(
         session.profile, **{k: v for k, v in overrides.items() if v is not None}
     ))
-    index = current_index(session)
+    if index is None:
+        index = current_index(session)
     try:
         closures = {name: index.closures[name] for name in session.history.active_snapshots()}
     except KeyError as missing:  # the heap unbound it outside run_cell
@@ -397,14 +480,15 @@ def plan_session(
     objective: str | None = None,
 ) -> ReplicationPlan:
     """Profile the session and compute a plan under the requested objective,
-    with the linked groups of the session's name index."""
+    with the linked groups of the session's name index, read once."""
+    index = current_index(session)
     cost = session_cost_model(
-        session, alpha=alpha, bandwidth=bandwidth, latency=latency, objective=objective
+        session, alpha=alpha, bandwidth=bandwidth, latency=latency, objective=objective, index=index
     )
     active = session.history.active_snapshots()
 
     # looked up on the module at each plan, where bench/spans.py wraps it
-    linked = cost_module.linked_pairs(current_index(session), active)
+    linked = cost_module.linked_pairs(index, active)
     forced_migrate = {n for n, a in session.annotations.items() if a == "always_copy" and n in active}
     forced_recompute = {n for n, a in session.annotations.items() if a == "always_recompute" and n in active}
 

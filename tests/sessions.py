@@ -223,6 +223,27 @@ def fan_out_trace(k: int, m: int, *, unhashable: bool = False, stuck: bool = Fal
     return TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1e6), cells=cells)
 
 
+def rewrite_chain_trace(depth: int, side_bytes: int | None = None) -> TraceFile:
+    """A notebook that rewrites one variable ``depth`` times (``x = f(x)``):
+    cell "c0" binds x to a 1000-byte scalar and each cell "c<i>" reads x and
+    rebinds it to a fresh one, so every cell stays live and the planning
+    network is a ``depth``-cell path. With ``side_bytes``, a cell "r<i>"
+    after each "c<i>" reads x and binds y<i> to a scalar of that many bytes.
+    Every cell takes 0.5 s, and the channel carries 1 B/s."""
+    cells = []
+    for i in range(depth):
+        cells.append(CellProgram(code_ref=f"c{i}", direct_reads={"x"} if i else set(), declared_runtime_s=0.5, ops=[
+            HeapOp(op="create", id=2 * i + 1, kind="scalar", value=i, size_bytes=1000),
+            HeapOp(op="bind", name="x", id=2 * i + 1),
+        ]))
+        if side_bytes is not None:
+            cells.append(CellProgram(code_ref=f"r{i}", direct_reads={"x"}, declared_runtime_s=0.5, ops=[
+                HeapOp(op="create", id=2 * i + 2, kind="scalar", value=i, size_bytes=side_bytes),
+                HeapOp(op="bind", name=f"y{i}", id=2 * i + 2),
+            ]))
+    return TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells)
+
+
 def reference_swap_trace() -> TraceFile:
     """c2 swaps big2d's nested slot to a fresh, value-equal scalar and c3
     then changes list1, big2d's old element. Storage is slow, so every plan

@@ -391,7 +391,12 @@ class TestPlanningReadsTheIndex:
             write_checkpoint(session, plan_session(session), tmp_path / f"w{i}.ckpt")
         assert walks == []
 
-    def test_a_heap_changed_outside_run_cell_plans_as_a_fresh_index(self):
+    def test_a_heap_changed_outside_run_cell_plans_as_a_fresh_index(self, monkeypatch):
+        # the fresh index is built once per plan: the cost model and the
+        # ties read the same one
+        builds = []
+        build = NameIndex.__init__
+        monkeypatch.setattr(NameIndex, "__init__", lambda index, *args: builds.append(1) or build(index, *args))
         rebound = 0
         for seed in range(20):
             session, _ = run_trace(generate_trace(GenParams(cells=12, variables=6, alias_density=0.5), seed))
@@ -401,7 +406,9 @@ class TestPlanningReadsTheIndex:
                 continue
             a, b = names[0], names[-1]
             heap.bind(a, heap.root(b))  # an alias bound outside run_cell
+            builds.clear()
             planned = outcome(plan_session, session)
+            assert len(builds) == 1, seed
             assert planned == outcome(all_pairs_plan, session), seed
             if not isinstance(planned, list):
                 assert (a in planned[0]) == (b in planned[0]), seed

@@ -6,6 +6,7 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
+from statecut import planner
 from statecut.cost import CostProfile, linked_groups, linked_pairs
 from statecut.errors import Infeasible, TooLarge
 from statecut.gen import GenParams, generate_trace
@@ -24,7 +25,7 @@ from statecut.planner import (
 )
 from statecut.trace import TraceFile, run_trace
 
-from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, worked_example_trace
+from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, rewrite_chain_trace, worked_example_trace
 
 INF = math.inf
 
@@ -296,8 +297,8 @@ class TestAboveBruteForceBound:
 
     def test_matches_closure_network_on_rerun_heavy_shape(self):
         # the recompute benchmark's shape, shortened: a slow channel and a
-        # restore-centric alpha make a rerun-heavy plan whose flow takes
-        # the solver 5 or more level-graph phases (sink distance 3 to 7+)
+        # restore-centric alpha make a rerun-heavy plan: the lineage pass
+        # carries over 95% of its flow, and Dinic ends in one or two phases
         for seed in range(3):
             trace = generate_trace(GenParams(
                 cells=120, variables=60, alias_density=0.8, unserializable_rate=0.05,
@@ -317,20 +318,7 @@ class TestDeepNetwork:
         # 3000 cells each rebinding x from the one before: every cell is
         # live and the network is a 3000-arc path from x to the first cell
         depth = 3000
-        cells = [CellProgram(code_ref="c0", declared_runtime_s=0.5, ops=[
-            HeapOp(op="create", id=1, kind="scalar", value=0, size_bytes=1000),
-            HeapOp(op="bind", name="x", id=1),
-        ])] + [
-            CellProgram(code_ref=f"c{i}", direct_reads={"x"}, declared_runtime_s=0.5, ops=[
-                HeapOp(op="create", id=i + 1, kind="scalar", value=i, size_bytes=1000),
-                HeapOp(op="bind", name="x", id=i + 1),
-            ])
-            for i in range(1, depth)
-        ]
-        from statecut.cost import CostProfile
-        from statecut.trace import TraceFile
-
-        session, _ = run_trace(TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=cells))
+        session, _ = run_trace(rewrite_chain_trace(depth))
         assert depth > sys.getrecursionlimit()
         assert len(session.history.cells) == depth
         rerun_all = 0.5 * depth
@@ -341,6 +329,32 @@ class TestDeepNetwork:
             assert plan.cost_s == min(migrate_s, rerun_all)
             assert plan.migrate == ({"x"} if migrates else set())
             assert plan.rerun == ([] if migrates else list(range(1, depth + 1)))
+
+    @pytest.mark.parametrize("side_bytes", [None, 0, 10])
+    def test_rewrite_chains_plan_in_one_pass(self, side_bytes, monkeypatch):
+        # Dinic alone levels the network once per cell of a rewrite chain;
+        # after the pass along the lineage, at most one phase and the final
+        # search are left. The 1500-step side-reader chains are checked
+        # against the closure network at 200 steps, where it still fits:
+        # each y<i> there has an arc to every cell before it.
+        levels = []
+        count = planner._levels
+        monkeypatch.setattr(planner, "_levels", lambda *args: levels.append(1) or count(*args))
+        depth = 3000 if side_bytes is None else 1500
+        for steps in (depth, 200):
+            session, _ = run_trace(rewrite_chain_trace(steps, side_bytes))
+            linked = linked_pairs(current_index(session), session.history.active_snapshots())
+            for bandwidth in (1.0, 1e9):
+                cost = session_cost_model(session, bandwidth=bandwidth)
+                args = (session.history, cost, linked, set(), set())
+                levels.clear()
+                plan = min_cut_plan(build_flow_graph(*args))
+                assert len(levels) <= 2, (steps, side_bytes, bandwidth)
+                if steps == depth and side_bytes is not None:
+                    continue
+                assert plan.cost_s == pytest.approx(
+                    nx.minimum_cut_value(closure_network(*args), "src", "sink"), rel=1e-9, abs=1e-12
+                ), (steps, side_bytes, bandwidth)
 
 
 class TestBaselines:
@@ -437,6 +451,44 @@ class TestInfeasibility:
         with pytest.raises(Infeasible) as exc:
             plan_session(session)
         assert exc.value.variables == ["sock"]
+
+    def test_all_infinite_paths_are_found_by_the_lineage_pass(self, monkeypatch):
+        # an always_recompute variable whose rebuild reaches a never-rerun
+        # cell through a snapshot no longer active, and a variable both
+        # forced to migrate and unserializable: each path climbs from source
+        # to sink, so the pass raises before Dinic levels the network, and
+        # only the naming rule's two searches run
+        def scalar(name, i, **flags):
+            return [HeapOp(op="create", id=i, kind="scalar", value=i, size_bytes=10, **flags),
+                    HeapOp(op="bind", name=name, id=i)]
+
+        blocked_rebuild = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=[
+            CellProgram(code_ref="load", ops=scalar("a", 1), never_rerun=True),
+            CellProgram(code_ref="derive", direct_reads={"a"}, ops=scalar("z", 2)),
+            CellProgram(code_ref="reload", ops=scalar("a", 3)),
+        ], variable_annotations={"z": "always_recompute"})
+        pinned_socket = TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=[
+            CellProgram(code_ref="open", ops=scalar("s", 1, serializable=False, deserializable=False)),
+            CellProgram(code_ref="other", ops=scalar("b", 2)),
+        ], variable_annotations={"s": "always_copy"})
+        levels = []
+        count = planner._levels
+        monkeypatch.setattr(planner, "_levels", lambda *args: levels.append(1) or count(*args))
+        for trace, stuck in ((blocked_rebuild, ["z"]), (pinned_socket, ["s"])):
+            session, cost, linked = planner_inputs(trace)
+            annotations = trace.variable_annotations
+            forced_migrate = {n for n, a in annotations.items() if a == "always_copy"}
+            forced_recompute = {n for n, a in annotations.items() if a == "always_recompute"}
+            args = (session.history, cost, linked, forced_migrate, forced_recompute)
+            assert infeasible_groups(*args) == stuck
+            levels.clear()
+            with pytest.raises(Infeasible) as exc:
+                min_cut_plan(build_flow_graph(*args))
+            assert exc.value.variables == stuck
+            assert len(levels) == 2
+            with pytest.raises(Infeasible) as exc:
+                plan_session(session)
+            assert exc.value.variables == stuck
 
     def test_feasible_when_ground_cuts_the_blocked_path(self):
         # the never-rerun loader's output is serializable, so storing it
