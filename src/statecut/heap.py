@@ -116,7 +116,8 @@ class NameIndex:
     ``names`` has no entry for an object no name reaches. ``version`` is
     left to the index's keeper: ``run_cell`` keeps the session's index
     current and records there the heap version it agrees with, and
-    ``monitor.current_index`` rebuilds it when the heap moved since.
+    ``monitor.current_index`` rebuilds it in its place when the heap moved
+    since.
     """
 
     def __init__(self, objects: Mapping[ObjectId, HeapObject], roots: Mapping[str, ObjectId]):

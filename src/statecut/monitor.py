@@ -178,13 +178,13 @@ def detect_modifications(
 
 
 def current_index(session: Session) -> NameIndex:
-    """The session's name index as of its heap: the one ``run_cell`` keeps,
-    or, when the heap's version moved since (a change made outside
-    ``run_cell``), a fresh one over every bound name, which only
-    ``run_cell`` keeps in its place."""
+    """The session's name index as of its heap: the one it keeps, rebuilt
+    over every bound name and kept in its place when the heap's version
+    moved since (a change made outside ``run_cell``)."""
     index, heap = session.index, session.heap
     if index is None or index.version != heap.version:
-        index = NameIndex(heap.objects, heap.namespace)
+        index = session.index = NameIndex(heap.objects, heap.namespace)
+        index.version = heap.version
     return index
 
 
@@ -208,10 +208,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
 
     index = current_index(session)
     orphans: set[ObjectId] = set()
-    if index is not session.index:
-        session.index = index
-        # a change made outside run_cell may have left objects no name
-        # reaches; the full sweep at the end of this cell would delete them
+    # every object is a key of index.names after run_cell, and a rebuilt
+    # index lacks the objects that a change made outside run_cell left no
+    # name reaching; the full sweep at the end of this cell would delete them
+    if len(heap.objects) != len(index.names):
         orphans = set(heap.objects).difference(index.names)
 
     failure: Exception | None = None

@@ -16,18 +16,18 @@ sink side is the migrate set; its source-side cells form the rerun list. A
 variable none of whose options is finite lies on an all-infinite
 source-sink path.
 
-The cut is solved in two steps. First, one depth-first pass pushes a
-blocking flow along the arcs that point from source towards sink, which
-form a DAG (source, snapshots, cells from the latest to the earliest, sink),
-so it needs no levels and each push costs O(1) however deep the lineage.
-Then Dinic's algorithm finishes on the residual network, in O(V^2 E): each
-phase levels it by a breadth-first search from the source and pushes a
-blocking flow through the level graph by an iterative depth-first search.
-A rewrite chain, which takes Dinic one phase per cell, leaves it nothing
-but the final search after the pass. The plan is read from the source side
-that the final breadth-first search, the one that no longer reaches the
-sink, finds. That side is the same for every maximum flow, so the plan does
-not depend on the order of the arcs, nor on what the pass pushed.
+The cut is solved by Dinic's algorithm with a warm start, in O(V^2 E).
+Every blocking flow is pushed by one depth-first search along the arcs that
+climb in a rank. The first ranks the lineage (source, snapshots, cells from
+the latest to the earliest, sink), whose one-way arcs from source towards
+sink form a DAG, so it needs no levels and each push costs O(1) however deep
+the lineage; each later phase ranks by breadth-first levels from the source.
+A rewrite chain, which takes Dinic alone one phase per cell, needs the
+lineage search and then only the final breadth-first search. The plan is
+read from the source side that the final breadth-first search, the one that
+no longer reaches the sink, finds. That side is the same for every maximum
+flow, so the plan does not depend on the order of the arcs, nor on what the
+first search pushed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from . import cost as cost_module
 from .cost import CostModel
 from .errors import FormatError, Infeasible, TooLarge, UnknownVariable
-from .heap import NameIndex
 from .history import HistoryGraph
 from .monitor import current_index
 from .schema import check_fields, rules
@@ -193,7 +192,8 @@ def _levels(
 ) -> list[int]:
     """Breadth-first distance from ``src`` along arcs of positive capacity,
     -1 where unreached. The search stops as soon as it reaches ``sink``: by
-    then every node nearer than the sink has its level."""
+    then every node nearer than the sink has its level, and the other nodes
+    as far as the sink, which lead no nearer to it, are left unreached."""
     level = [-1] * len(out)
     level[src] = 0
     queue = [src]
@@ -204,6 +204,10 @@ def _levels(
             if level[v] < 0 and cap[e] > 0:
                 level[v] = d
                 if v == sink:
+                    for w in reversed(queue):
+                        if level[w] < d:
+                            break
+                        level[w] = -1
                     return level
                 queue.append(v)
     return level
@@ -221,45 +225,40 @@ def _infeasible_variables(fg: FlowGraph) -> list[str]:
     return [name for name, u in fg.vs_nodes.items() if ahead[u] >= 0 and behind[u] >= 0]
 
 
-def _push_along_lineage(fg: FlowGraph, out: list[list[int]], to: list[int], cap: list[float]) -> float:
-    """Push a blocking flow over the network's one-way arcs, in place on
-    ``cap``, and return its value.
+def _blocking_flow(
+    fg: FlowGraph, out: list[list[int]], to: list[int], cap: list[float], rank: list[int]
+) -> float:
+    """Push a blocking flow from source to sink along the arcs of positive
+    capacity that climb in ``rank``, in place on ``cap``, and return its value.
 
-    Ranked source 0, snapshots 1, cells from the latest to the earliest, then
-    the sink, every arc ``build_flow_graph`` lays from source towards sink
-    climbs in rank, while tie arcs and reverse arcs do not. The climbing arcs
-    form a DAG, so one depth-first search with current-arc pointers pushes a
-    blocking flow along them with no levels; a dead end drops to rank -1,
-    where no arc climbs into it. A path runs source -> snapshot -> cells ->
-    sink, and only its first and last arcs can be finite: the first takes
-    each push at once, and every later arc collects what was pushed while it
-    was on the path and hands it to its reverse arc when it leaves, so a
-    push costs O(1) however deep the path.
+    One depth-first search with current-arc pointers; a dead end drops to
+    rank -1, where no arc climbs into it again. A push updates the path's
+    finite arcs at once and backs up to the tail of the first one it
+    saturates. An infinite arc keeps what was pushed while it was on the path
+    and hands it to its reverse arc when the search leaves it: a reverse arc
+    never climbs, so the search cannot need it sooner. A push then costs one
+    step per finite arc of the path, however long the path.
     """
-    rank = [0] * len(out)
-    for u in fg.vs_nodes.values():
-        rank[u] = 1
-    for r, t in enumerate(sorted(fg.ce_nodes, reverse=True), 2):
-        rank[fg.ce_nodes[t]] = r
-    rank[SINK] = len(fg.ce_nodes) + 2
     current = [0] * len(out)  # next arc to try at each node
     path: list[int] = []  # arcs from the source to u
-    carried: list[float] = []  # flow through path[i + 1] not yet applied to it
+    finite: list[int] = []  # the finite arcs of path, in path order
+    carried: list[float] = []  # flow through each infinite arc of path, not yet on its reverse
     flow = 0.0
     u = SRC
     while True:
         if u == SINK:
-            first, last = path[0], path[-1]
-            pushed = min(cap[first], cap[last])
+            pushed, saturated = INF, -1
+            for e in finite:
+                if cap[e] < pushed:
+                    pushed, saturated = cap[e], e
             if pushed == INF:
                 raise Infeasible(_infeasible_variables(fg))
-            cap[first] -= pushed
-            cap[first ^ 1] += pushed
+            for e in finite:
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
             if carried:
                 carried[-1] += pushed
             flow += pushed
-            # back up to the tail of the first arc the push saturated
-            keep = 0 if cap[first] == 0 else len(path) - 1
         else:
             arcs = out[u]
             end = len(arcs)
@@ -272,23 +271,29 @@ def _push_along_lineage(fg: FlowGraph, out: list[list[int]], to: list[int], cap:
                 i += 1
             current[u] = i
             if i < end:
-                if path:
-                    carried.append(0.0)
                 path.append(e)
+                if cap[e] == INF:
+                    carried.append(0.0)
+                else:
+                    finite.append(e)
                 u = to[e]
                 continue
             if u == SRC:
                 return flow
-            rank[u] = -1  # a dead end: no arc climbs into it again
-            keep = len(path) - 1
-        while len(path) > keep:
+            rank[u] = -1  # a dead end
+            saturated = path[-1]
+        # back up to the tail of the saturated arc, or of the dead end's arc
+        while True:
             e = path.pop()
-            if carried:
+            if cap[e] == INF:
                 moved = carried.pop()
-                cap[e] -= moved
                 cap[e ^ 1] += moved
                 if carried:
                     carried[-1] += moved
+            else:
+                finite.pop()
+            if e == saturated:
+                break
         u = to[e ^ 1]
 
 
@@ -296,74 +301,43 @@ def min_cut_plan(fg: FlowGraph) -> ReplicationPlan:
     """Solve the network and read the plan off the source side of the final
     residual network.
 
-    A blocking flow along the lineage DAG (``_push_along_lineage``) comes
-    first, then Dinic's algorithm finishes on the residual network. Each
-    phase builds a level graph by breadth-first search from the source,
-    stopping at the sink's level, then pushes a blocking flow through it by
-    an iterative depth-first search with current-arc pointers; a node the
-    search gets stuck at is dead for the rest of the phase. The distance to
-    the sink grows every phase, so there are at most V phases and O(V^2 E)
-    work. The last search finds no path and so reaches exactly the source
-    side of the minimum cut. After the first pass a rewrite chain, which
-    would take one phase per cell, needs that last search alone.
+    Dinic's algorithm with a warm start. Every blocking flow is pushed by
+    ``_blocking_flow`` along the arcs that climb in a rank. The first ranks
+    the lineage: source 0, snapshots 1, cells from the latest to the
+    earliest, then the sink, so every arc ``build_flow_graph`` lays from
+    source towards sink climbs, while tie arcs and reverse arcs do not. Each
+    later phase ranks by the level of a breadth-first search from the source
+    that stops at the sink's level; an arc of the residual network then
+    climbs exactly when it leads one level further from the source. The
+    distance to the sink grows every phase, so there are at most V phases
+    and O(V^2 E) work. The last search finds no path and so reaches exactly
+    the source side of the minimum cut. A rewrite chain, which would take
+    Dinic alone one phase per cell, needs that last search alone after the
+    lineage phase.
 
     Raises Infeasible when the cut value is infinite, naming the variables
     whose every option is infinite.
     """
     out, to, cap = _arc_arrays(fg.arcs, len(fg.node_labels))
-    flow = _push_along_lineage(fg, out, to, cap)
+    rank = [0] * len(out)
+    for u in fg.vs_nodes.values():
+        rank[u] = 1
+    for r, t in enumerate(sorted(fg.ce_nodes, reverse=True), 2):
+        rank[fg.ce_nodes[t]] = r
+    rank[SINK] = len(fg.ce_nodes) + 2
+    flow = _blocking_flow(fg, out, to, cap, rank)
     while True:
         level = _levels(out, to, cap, SRC, SINK)
-        depth = level[SINK]
-        if depth < 0:
+        if level[SINK] < 0:
             break
-        current = [0] * len(out)  # next arc to try at each node
-        path: list[int] = []  # arcs from the source to u
-        u = SRC
-        while True:
-            if u == SINK:
-                # the first arc of least capacity is the first one the push
-                # saturates; the search backs up to its tail
-                bottleneck, first = INF, 0
-                for i, e in enumerate(path):
-                    if cap[e] < bottleneck:
-                        bottleneck, first = cap[e], i
-                if bottleneck == INF:
-                    raise Infeasible(_infeasible_variables(fg))
-                for e in path:
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
-                flow += bottleneck
-                u = to[path[first] ^ 1]
-                del path[first:]
-                continue
-            arcs = out[u]
-            end = len(arcs)
-            i = current[u]
-            d = level[u] + 1
-            while i < end:
-                e = arcs[i]
-                v = to[e]
-                if cap[e] > 0 and level[v] == d and (d < depth or v == SINK):
-                    break
-                i += 1
-            current[u] = i
-            if i < end:
-                path.append(e)
-                u = v
-            elif u == SRC:
-                break
-            else:
-                level[u] = -1  # a dead end: no arc leads into it again
-                u = to[path.pop() ^ 1]
-                current[u] += 1
+        flow += _blocking_flow(fg, out, to, cap, level)
 
     migrate = {name for name, u in fg.vs_nodes.items() if level[u] < 0}
     rerun = sorted(t for t, u in fg.ce_nodes.items() if level[u] >= 0)
     # the cut's arcs summed in a fixed order: the flow's own sum follows the
     # order of the pushes, and so the order of the arcs
-    cut = sum(fg.arcs[SRC][fg.vs_nodes[n]] for n in sorted(migrate)) + sum(
-        fg.arcs[fg.ce_nodes[t]][SINK] for t in rerun
+    cut = sum((fg.arcs[SRC][fg.vs_nodes[n]] for n in sorted(migrate)), 0.0) + sum(
+        (fg.arcs[fg.ce_nodes[t]][SINK] for t in rerun), 0.0
     )
     if not math.isclose(cut, flow, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError(f"max-flow {flow} != cut value {cut}")
@@ -440,13 +414,12 @@ def session_cost_model(
     bandwidth: float | None = None,
     latency: float | None = None,
     objective: str | None = None,
-    index: NameIndex | None = None,
 ) -> CostModel:
     """A fresh cost model of the session: its storage profile adjusted to the
     requested channel and objective, with the active variables' sizes and
     serializability profiled over their closures in the session's name index
-    (``index``, or ``current_index(session)`` when none is given). Raises
-    UnknownVariable for an active variable the heap no longer binds.
+    (``current_index``). Raises UnknownVariable for an active variable the
+    heap no longer binds.
 
     ``objective="migrate"`` prices store time fully (alpha=1);
     ``objective="restore"`` discounts it (alpha=0.05). An explicit ``alpha``
@@ -461,8 +434,7 @@ def session_cost_model(
     cost = CostModel(replace(
         session.profile, **{k: v for k, v in overrides.items() if v is not None}
     ))
-    if index is None:
-        index = current_index(session)
+    index = current_index(session)
     try:
         closures = {name: index.closures[name] for name in session.history.active_snapshots()}
     except KeyError as missing:  # the heap unbound it outside run_cell
@@ -480,15 +452,12 @@ def plan_session(
     objective: str | None = None,
 ) -> ReplicationPlan:
     """Profile the session and compute a plan under the requested objective,
-    with the linked groups of the session's name index, read once."""
-    index = current_index(session)
-    cost = session_cost_model(
-        session, alpha=alpha, bandwidth=bandwidth, latency=latency, objective=objective, index=index
-    )
+    with the linked groups of the session's name index."""
+    cost = session_cost_model(session, alpha=alpha, bandwidth=bandwidth, latency=latency, objective=objective)
     active = session.history.active_snapshots()
 
     # looked up on the module at each plan, where bench/spans.py wraps it
-    linked = cost_module.linked_pairs(index, active)
+    linked = cost_module.linked_pairs(current_index(session), active)
     forced_migrate = {n for n, a in session.annotations.items() if a == "always_copy" and n in active}
     forced_recompute = {n for n, a in session.annotations.items() if a == "always_recompute" and n in active}
 

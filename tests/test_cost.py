@@ -391,9 +391,9 @@ class TestPlanningReadsTheIndex:
             write_checkpoint(session, plan_session(session), tmp_path / f"w{i}.ckpt")
         assert walks == []
 
-    def test_a_heap_changed_outside_run_cell_plans_as_a_fresh_index(self, monkeypatch):
-        # the fresh index is built once per plan: the cost model and the
-        # ties read the same one
+    def test_a_heap_changed_outside_run_cell_plans_as_a_fresh_index(self, tmp_path, monkeypatch):
+        # the fresh index is built once: the cost model, the ties and the
+        # checkpoint writer read the same one, which the session keeps
         builds = []
         build = NameIndex.__init__
         monkeypatch.setattr(NameIndex, "__init__", lambda index, *args: builds.append(1) or build(index, *args))
@@ -413,6 +413,8 @@ class TestPlanningReadsTheIndex:
             if not isinstance(planned, list):
                 assert (a in planned[0]) == (b in planned[0]), seed
                 rebound += 1
+                write_checkpoint(session, plan_session(session), tmp_path / f"{seed}.ckpt")
+            assert len(builds) == 1, seed
             heap.unbind(a)  # an active name unbound outside run_cell
             with pytest.raises(UnknownVariable, match=repr(a)):
                 plan_session(session)

@@ -15,6 +15,7 @@ from statecut.history import VariableSnapshot
 from statecut.monitor import (
     CellProgram,
     PreSnapshot,
+    current_index,
     detect_accesses,
     detect_modifications,
     run_cell,
@@ -433,6 +434,10 @@ class TestIncrementalMatchesRescan:
                 program = with_bad_op(program, rng)
             if rng.random() < outside_rate:
                 session.heap.apply(outside_mutation(session.heap, rng))
+                if rng.random() < 0.5:
+                    # a reader's rebuild, which the session keeps, must not
+                    # hide from run_cell the objects no name reaches now
+                    current_index(session)
             expected = rescan_cell(session, program)
             assert monitored(session, program) == expected, program.code_ref
             # the index holds each bound name's closure, and its inverse

@@ -104,7 +104,7 @@ class TestFlowGraphConstruction:
 
         fg = build_flow_graph(graph, CostModel(CostProfile(bandwidth_bytes_per_s=1.0)))
         plan = min_cut_plan(fg)
-        assert plan.migrate == set() and plan.rerun == [] and plan.cost_s == 0.0
+        assert plan.migrate == set() and plan.rerun == [] and plan.cost_s.hex() == (0.0).hex()
 
     def test_random_instances_audit(self, rng):
         for seed in range(10):
@@ -355,6 +355,33 @@ class TestDeepNetwork:
                 assert plan.cost_s == pytest.approx(
                     nx.minimum_cut_value(closure_network(*args), "src", "sink"), rel=1e-9, abs=1e-12
                 ), (steps, side_bytes, bandwidth)
+
+    @pytest.mark.parametrize("side_bytes", [None, 0, 10])
+    def test_rewrite_chains_push_in_linear_work(self, side_bytes, monkeypatch):
+        # a push that wrote every arc of its path would make about 4.5
+        # million capacity writes on the 3000-cell chain
+        writes = []
+
+        class CountedCapacities(list):
+            def __setitem__(self, e, c):
+                writes.append(e)
+                super().__setitem__(e, c)
+
+        arrays = planner._arc_arrays
+
+        def counted_arrays(arcs, n):
+            out, to, cap = arrays(arcs, n)
+            return out, to, CountedCapacities(cap)
+
+        monkeypatch.setattr(planner, "_arc_arrays", counted_arrays)
+        session, _ = run_trace(rewrite_chain_trace(3000 if side_bytes is None else 1500, side_bytes))
+        linked = linked_pairs(current_index(session), session.history.active_snapshots())
+        for bandwidth in (1.0, 1e9):
+            fg = build_flow_graph(session.history, session_cost_model(session, bandwidth=bandwidth), linked)
+            size = len(fg.node_labels) + sum(map(len, fg.arcs.values())) // 2
+            writes.clear()
+            min_cut_plan(fg)
+            assert len(writes) <= 4 * size, (side_bytes, bandwidth, len(writes), size)
 
 
 class TestBaselines:
