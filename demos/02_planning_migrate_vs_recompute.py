@@ -58,7 +58,7 @@ linked = linked_pairs(current_index(session), active)
 print("per-variable economics (seconds):")
 for name in sorted(active):
     cells = session.history.rerun_cells_from({active[name]}, set(active.values()) - {active[name]})
-    rerun = sum(cost.rerun_seconds(c) for c in cells)
+    rerun = sum(c.rerun_s for c in cells)
     print(f"   {name:<6} migrate={cost.migration_seconds(name):7.2f}"
           f"   rerun-chain={rerun:7.2f}  ({', '.join(c.code_ref for c in cells)})")
 

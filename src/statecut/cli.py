@@ -81,20 +81,27 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(message) from None
 
 
-def _plan_kwargs(args) -> dict:
+def _plan_kwargs(args, bandwidth: float | None) -> dict:
     return {
         "alpha": args.alpha,
-        "bandwidth": args.bandwidth,
+        "bandwidth": bandwidth,
         "latency": args.latency,
         "objective": args.objective,
     }
 
 
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_non_negative, default=None,
-                        help="storage-time discount (overrides --objective)")
+    """The flags of ``plan`` and ``checkpoint``: --bandwidth and the pricing flags."""
     parser.add_argument("--bandwidth", type=_positive, default=None,
                         help="storage bandwidth, bytes/s")
+    _add_pricing_flags(parser)
+
+
+def _add_pricing_flags(parser: argparse.ArgumentParser) -> None:
+    """--alpha, --latency and --objective, which ``sweep`` shares: it sets the
+    bandwidth per row."""
+    parser.add_argument("--alpha", type=_non_negative, default=None,
+                        help="storage-time discount (overrides --objective)")
     parser.add_argument("--latency", type=_non_negative, default=None,
                         help="storage latency, seconds")
     parser.add_argument("--objective", choices=["migrate", "restore"], default=None,
@@ -124,10 +131,10 @@ def cmd_run(args) -> int:
 def cmd_plan(args) -> int:
     trace = load_trace(args.trace)
     session, _ = run_trace(trace)
-    plan = plan_session(session, **_plan_kwargs(args))
+    plan = plan_session(session, **_plan_kwargs(args, args.bandwidth))
     output = plan.to_json()
     if args.baselines:
-        cost = session_cost_model(session, **_plan_kwargs(args))
+        cost = session_cost_model(session, **_plan_kwargs(args, args.bandwidth))
         output["baselines"] = {
             name: {"cost_s": p.cost_s}
             for name, p in baseline_plans(session.history, cost).items()
@@ -142,7 +149,7 @@ def cmd_plan(args) -> int:
 def cmd_checkpoint(args) -> int:
     trace = load_trace(args.trace)
     session, _ = run_trace(trace)
-    plan = plan_session(session, **_plan_kwargs(args))
+    plan = plan_session(session, **_plan_kwargs(args, args.bandwidth))
     write_checkpoint(session, plan, args.out)
     size = Path(args.out).stat().st_size
     print(json.dumps({"checkpoint": str(args.out), "bytes": size, "plan": plan.to_json()}, indent=2))
@@ -184,10 +191,7 @@ def cmd_sweep(args) -> int:
     sizes = session_cost_model(session).var_sizes
     rows = []
     for bandwidth in args.bandwidths:
-        plan = plan_session(
-            session, alpha=args.alpha, bandwidth=bandwidth,
-            latency=args.latency, objective=args.objective,
-        )
+        plan = plan_session(session, **_plan_kwargs(args, bandwidth))
         migrated_bytes = sum(sizes[n] for n in plan.migrate)
         rows.append({
             "bandwidth_bytes_per_s": bandwidth,
@@ -340,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--bandwidths", type=_bandwidths, required=True,
                    help="comma-separated bytes/s values")
-    p.add_argument("--alpha", type=_non_negative, default=None)
-    p.add_argument("--latency", type=_non_negative, default=None)
-    p.add_argument("--objective", choices=["migrate", "restore"], default=None)
+    _add_pricing_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

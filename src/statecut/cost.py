@@ -1,13 +1,14 @@
 """Cost model for replication planning.
 
 Store/load time estimates come from profiled variable sizes and the storage
-channel (bandwidth, latency); recompute estimates from the cell runtimes
-the lineage records. The alpha coefficient discounts checkpoint-write time
-relative to restore time: alpha=1 prices end-to-end migration, small alpha
-prices the user-perceived restart after a suspension. Unserializable
-variables price at infinity so plans route around them; a cell that is not
-``rerunnable`` (never-rerun or nondeterministic, so a rerun would not
-reproduce its values) likewise prices rerun at infinity.
+channel (bandwidth, latency); recompute estimates sum the rerun price of
+each cell the lineage records, ``CellExecution.rerun_s``: its runtime, or
+infinity for a cell that is not ``rerunnable`` (never-rerun or
+nondeterministic, so a rerun would not reproduce its values). The alpha
+coefficient discounts checkpoint-write time relative to restore time:
+alpha=1 prices end-to-end migration, small alpha prices the user-perceived
+restart after a suspension. Unserializable variables price at infinity so
+plans route around them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import UnknownVariable
 # build_id_graph is unused here but stays importable: bench/spans.py patches cost.build_id_graph
 from .heap import NameIndex, build_id_graph
-from .history import CellExecution, HistoryGraph
+from .history import HistoryGraph
 from .schema import FIELD_TYPES, check_fields, rules
 
 INF = math.inf
@@ -115,23 +116,18 @@ class CostModel:
     def migration_seconds(self, name: str) -> float:
         return self.profile.alpha * self.store_seconds(name) + self.load_seconds(name)
 
-    def rerun_seconds(self, cell: CellExecution) -> float:
-        return cell.runtime_s if cell.rerunnable else INF
-
     # -- plan-level costs -----------------------------------------------------
 
     def migration_cost(self, names) -> float:
         """Total migrate time for a set of variables (alpha-weighted store + load)."""
-        return sum(self.migration_seconds(n) for n in names)
+        return sum((self.migration_seconds(n) for n in names), 0.0)
 
     def recompute_cost(self, history: HistoryGraph, names, ground) -> float:
         """Total rerun time of the merged cell list rebuilding ``names``."""
         active = history.active_snapshots()
         targets = {active[n] for n in names if n in active}
-        if not targets:
-            return 0.0
         cells = history.rerun_cells_from(targets, {active[n] for n in ground if n in active})
-        return sum(self.rerun_seconds(c) for c in cells)
+        return sum((c.rerun_s for c in cells), 0.0)
 
     def total_cost(self, history: HistoryGraph, migrate) -> float:
         """Plan cost: migrate the given set, recompute every other active variable."""

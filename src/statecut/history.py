@@ -65,6 +65,12 @@ class CellExecution:
         annotated never-rerun, nor for a nondeterministic one."""
         return not (self.never_rerun or self.nondeterministic)
 
+    @property
+    def rerun_s(self) -> float:
+        """The price of rerunning the cell: its recorded runtime, or infinity
+        when it is not ``rerunnable``."""
+        return self.runtime_s if self.rerunnable else math.inf
+
 
 @dataclass
 class CellRecord(CellExecution):
@@ -97,8 +103,7 @@ class HistoryGraph:
         self.refs: dict[int, int] = {}  # cell t -> references that keep it live
         self.next_t = 1  # the timestamp the next cell gets: after every recorded one
         self.recorded_cells = 0  # every cell ever recorded
-        # their rerun seconds (CostModel.rerun_seconds), from int 0 as sum() adds them
-        self.recorded_rerun_s = 0
+        self.recorded_rerun_s = 0.0  # the sum of their rerun_s
 
     # -- construction -------------------------------------------------------
 
@@ -131,7 +136,7 @@ class HistoryGraph:
                 raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote")
         self.next_t = t + 1
         self.recorded_cells += 1
-        self.recorded_rerun_s += cell.runtime_s if cell.rerunnable else math.inf
+        self.recorded_rerun_s += cell.rerun_s
         self.cells[t] = cell
         self.reads[t] = reads
         for vs in reads:

@@ -155,7 +155,7 @@ def build_flow_graph(
         u = fg.ce_nodes[cell.t]
         for t in sorted({dep.t for dep in history.reads[cell.t] if dep not in active_vses}):
             fg.add_arc(u, fg.ce_nodes[t], INF)
-        fg.add_arc(u, SINK, cost.rerun_seconds(cell))
+        fg.add_arc(u, SINK, cell.rerun_s)
     for a, b in linked or ():
         if a in fg.vs_nodes and b in fg.vs_nodes:
             fg.add_arc(fg.vs_nodes[a], fg.vs_nodes[b], INF)

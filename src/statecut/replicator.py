@@ -35,7 +35,6 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -72,12 +71,6 @@ class Checkpoint:
     variables: dict[str, int]  # migrated name -> root object id (original ids)
     annotations: dict[str, str]
     objects: dict[int, HeapObject]  # payload records keyed by original id
-
-    @cached_property
-    def payload_groups(self) -> dict[str, set[str]]:
-        """Each stored name's group: the stored names linked to it by shared
-        payload objects, directly or through other members."""
-        return _groups(self.variables, NameIndex(self.objects, self.variables))
 
 
 def _groups(names, index: NameIndex) -> dict[str, set[str]]:
@@ -302,14 +295,14 @@ def payload_bytes(path: str | Path) -> int:
 
 
 def recovery_cells(checkpoint: Checkpoint, failed: set[str],
-                   groups: dict[str, set[str]] | None = None) -> tuple[set[str], list[int]]:
+                   groups: dict[str, set[str]]) -> tuple[set[str], list[int]]:
     """A restore's moved names and rerun list: the failed variables' linked
-    groups (``groups``, by default the checkpoint's ``payload_groups``) move
-    to recomputation, and the lineage yields the cells that rebuild every
-    active variable not loaded from the loaded ones. A blocked walk is
-    Unreconstructable, or a FormatError of the stored plan if none failed.
+    groups (``groups``, each stored name's group as ``_groups`` gives it
+    over the payload's name index) move to recomputation, and the lineage
+    yields the cells that rebuild every active variable not loaded from the
+    loaded ones. A blocked walk is Unreconstructable, or a FormatError of
+    the stored plan if none failed.
     """
-    groups = checkpoint.payload_groups if groups is None else groups
     moved: set[str] = set()
     for name in failed:
         moved |= groups[name]

@@ -237,7 +237,7 @@ class TestTotalCost:
             rerun_cells = history.rerun_cells_from(
                 targets, {history.active_snapshots()[n] for n in migrate}
             )
-            per_cell = sum(cost.rerun_seconds(c) for c in rerun_cells)
+            per_cell = sum(math.inf if c.never_rerun or c.nondeterministic else c.runtime_s for c in rerun_cells)
             if math.isinf(total):
                 assert math.isinf(per_var + per_cell)
             else:
@@ -333,7 +333,8 @@ class TestLinkedPairs:
             path = tmp_path / "oracle.ckpt"
             write_checkpoint(session, ReplicationPlan(migrate=storable, rerun=[], cost_s=0.0), path)
             checkpoint = read_checkpoint(path)
-            assert checkpoint.payload_groups == components(
+            index = NameIndex(checkpoint.objects, checkpoint.variables)
+            assert replicator._groups(checkpoint.variables, index) == components(
                 storable, pairwise_oracle(checkpoint.objects, checkpoint.variables))
         # the hand-built session came last; the wide-shaped ones link many names
         assert expected == {("a", "b"), ("a", "c"), ("b", "c")}

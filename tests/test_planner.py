@@ -23,11 +23,17 @@ from statecut.planner import (
     plan_session,
     session_cost_model,
 )
+from statecut.replicator import read_checkpoint, write_checkpoint
 from statecut.trace import TraceFile, run_trace
 
 from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, rewrite_chain_trace, worked_example_trace
 
 INF = math.inf
+
+
+def rerun_price(cell):
+    """A cell's rerun price by the rule stated apart from the code."""
+    return INF if cell.never_rerun or cell.nondeterministic else cell.runtime_s
 
 
 def planner_inputs(trace, **kwargs):
@@ -51,7 +57,7 @@ class TestFlowGraphConstruction:
         # one sink arc per cell, capacity = its rerun cost
         for t, node in fg.ce_nodes.items():
             assert fg.arcs[node][SINK] == pytest.approx(
-                cost.rerun_seconds(session.history.cells[t])
+                rerun_price(session.history.cells[t])
             )
         # linked pair joined both ways with infinite capacity
         a, b = fg.vs_nodes["l1"], fg.vs_nodes["big2d"]
@@ -233,7 +239,7 @@ def closure_network(history, cost, linked, forced_migrate, forced_recompute):
         for cell in history.rerun_cells_from({vs}, set(active.values()) - {vs}):
             graph.add_edge(("v", name), ("c", cell.t))
     for cell in history.cells.values():
-        rerun = cost.rerun_seconds(cell)
+        rerun = rerun_price(cell)
         if rerun < INF:
             graph.add_edge(("c", cell.t), "sink", capacity=rerun)
         else:
@@ -256,7 +262,7 @@ def infeasible_groups(history, cost, linked, forced_migrate, forced_recompute):
         targets = {active[n] for n in group}
         cells = history.rerun_cells_from(targets, set(active.values()) - targets)
         can_recompute = (
-            all(cost.rerun_seconds(c) < INF for c in cells) and not group & forced_migrate
+            all(rerun_price(c) < INF for c in cells) and not group & forced_migrate
         )
         if not can_migrate and not can_recompute:
             bad.extend(group)
@@ -415,6 +421,16 @@ class TestBaselines:
         assert plan.migrate == {"model", "plot"}
         assert plan.cost_s == pytest.approx(3.6)
         assert plan.cost_s < min(plans["copy_all"].cost_s, plans["rerun_all"].cost_s)
+
+    def test_empty_session_costs_are_floats(self, tmp_path):
+        # a cost sums from 0.0, so a session without cells still prices in
+        # floats, which float.hex and the JSON documents keep as such
+        session, _ = run_trace(TraceFile(profile=CostProfile(bandwidth_bytes_per_s=1.0), cells=[]))
+        plans = baseline_plans(session.history, session_cost_model(session))
+        assert [plans[name].cost_s.hex() for name in ("copy_all", "rerun_all")] == [(0.0).hex()] * 2
+        path = tmp_path / "empty.ckpt"
+        write_checkpoint(session, plan_session(session), path)
+        assert read_checkpoint(path).history.recorded_rerun_s.hex() == (0.0).hex()
 
 
 class TestForcedSides:

@@ -858,7 +858,8 @@ class TestFallbackRecomputation:
         path = tmp_path / "g.ckpt"
         write_checkpoint(session, plan, path)
         checkpoint = read_checkpoint(path)
-        moved, extra = recovery_cells(checkpoint, {"outer"})
+        groups = replicator._groups(checkpoint.variables, NameIndex(checkpoint.objects, checkpoint.variables))
+        moved, extra = recovery_cells(checkpoint, {"outer"}, groups)
         assert moved == {"inner", "outer"}
         assert extra == [1, 2]
         result = restore(checkpoint, trace.programs())
@@ -1032,9 +1033,9 @@ class TestRestoreWork:
             path = tmp_path / f"u{seed}.ckpt"
             write_checkpoint(session, ReplicationPlan(migrate=set(storable), rerun=[], cost_s=0.0), path)
             checkpoint = read_checkpoint(path)
-            unions.clear()
-            groups = checkpoint.payload_groups
             index = NameIndex(checkpoint.objects, checkpoint.variables)
+            unions.clear()
+            groups = replicator._groups(checkpoint.variables, index)
             entries = sum(len(names) for names in index.names.values() if len(names) > 1)
             assert unions["calls"] <= entries, seed
             assert groups.keys() == storable.keys()
