@@ -26,7 +26,15 @@ from statecut.planner import (
 from statecut.replicator import read_checkpoint, write_checkpoint
 from statecut.trace import TraceFile, run_trace
 
-from sessions import alpha_flip_trace, fast_migrate_trace, live_closure, rewrite_chain_trace, worked_example_trace
+from certificate import certificate_errors, solve_with_residual
+from sessions import (
+    alpha_flip_trace,
+    fan_out_trace,
+    fast_migrate_trace,
+    live_closure,
+    rewrite_chain_trace,
+    worked_example_trace,
+)
 
 INF = math.inf
 
@@ -363,31 +371,106 @@ class TestDeepNetwork:
                 ), (steps, side_bytes, bandwidth)
 
     @pytest.mark.parametrize("side_bytes", [None, 0, 10])
-    def test_rewrite_chains_push_in_linear_work(self, side_bytes, monkeypatch):
+    def test_rewrite_chains_push_in_linear_work(self, side_bytes):
         # a push that wrote every arc of its path would make about 4.5
         # million capacity writes on the 3000-cell chain
         writes = []
 
         class CountedCapacities(list):
+            # a solve writes to its copy of the capacities
+            def copy(self):
+                return CountedCapacities(self)
+
             def __setitem__(self, e, c):
                 writes.append(e)
                 super().__setitem__(e, c)
 
-        arrays = planner._arc_arrays
-
-        def counted_arrays(arcs, n):
-            out, to, cap = arrays(arcs, n)
-            return out, to, CountedCapacities(cap)
-
-        monkeypatch.setattr(planner, "_arc_arrays", counted_arrays)
         session, _ = run_trace(rewrite_chain_trace(3000 if side_bytes is None else 1500, side_bytes))
         linked = linked_pairs(current_index(session), session.history.active_snapshots())
         for bandwidth in (1.0, 1e9):
             fg = build_flow_graph(session.history, session_cost_model(session, bandwidth=bandwidth), linked)
-            size = len(fg.node_labels) + sum(map(len, fg.arcs.values())) // 2
+            size = len(fg.node_labels) + len(fg.to) // 2
             writes.clear()
-            min_cut_plan(fg)
+            min_cut_plan(replace(fg, cap=CountedCapacities(fg.cap)))
             assert len(writes) <= 4 * size, (side_bytes, bandwidth, len(writes), size)
+
+
+class TestMaxFlowCertificate:
+    # the final residual network certifies each plan by max-flow/min-cut
+    # duality, in linear work, at sizes no other oracle reaches
+
+    @staticmethod
+    def certify(fg):
+        plan, residual = solve_with_residual(fg)
+        errors, steps = certificate_errors(fg, residual, plan)
+        assert errors == []
+        assert steps <= 4 * (len(fg.node_labels) + len(fg.to))
+        return plan
+
+    def test_deep_chains_at_full_size(self):
+        for steps, side_bytes in ((3000, None), (1500, 0), (1500, 10)):
+            session, _ = run_trace(rewrite_chain_trace(steps, side_bytes))
+            linked = linked_pairs(current_index(session), session.history.active_snapshots())
+            for bandwidth in (1.0, 1e9):
+                cost = session_cost_model(session, bandwidth=bandwidth)
+                plan = self.certify(build_flow_graph(session.history, cost, linked))
+                assert ("x" in plan.migrate) == (bandwidth == 1e9), (steps, side_bytes, bandwidth)
+
+    def test_fan_out_groups(self):
+        # one linked group of k + 1 names, tied by k pairs
+        for k, m in ((200, 50), (100, 50)):
+            session, _ = run_trace(fan_out_trace(k, m))
+            linked = linked_pairs(current_index(session), session.history.active_snapshots())
+            assert len(linked) == k
+            for bandwidth in (1e9, 10.0):
+                session_plan = plan_session(session, bandwidth=bandwidth)
+                cost = session_cost_model(session, bandwidth=bandwidth)
+                plan = self.certify(build_flow_graph(session.history, cost, linked))
+                assert (plan.migrate, plan.rerun) == (session_plan.migrate, session_plan.rerun)
+
+    def test_gen_sessions_past_the_brute_force_bound(self):
+        shapes = [
+            dict(cells=60, variables=40, alias_density=0.3, unserializable_rate=0.1, delete_rate=0.02),
+            dict(cells=150, variables=60, alias_density=0.8, unserializable_rate=0.05,
+                 delete_rate=0.02, bandwidth_bytes_per_s=1e4, alpha=0.05),
+        ]
+        certified = 0
+        for shape in shapes:
+            for seed in range(6):
+                session, cost, linked = planner_inputs(generate_trace(GenParams(**shape), seed))
+                assert len(session.history.active_snapshots()) > planner.BRUTE_FORCE_MAX_VARS
+                fg = build_flow_graph(session.history, cost, linked)
+                try:
+                    self.certify(fg)
+                except Infeasible:
+                    continue
+                certified += 1
+        assert certified >= 10
+
+    def test_a_perturbed_flow_or_plan_is_rejected(self):
+        session, cost, linked = planner_inputs(generate_trace(GenParams(
+            cells=150, variables=60, alias_density=0.8, unserializable_rate=0.05,
+            delete_rate=0.02, bandwidth_bytes_per_s=1e4, alpha=0.05,
+        ), 0))
+        fg = build_flow_graph(session.history, cost, linked)
+        plan, residual = solve_with_residual(fg)
+        assert certificate_errors(fg, residual, plan)[0] == []
+        # a cell's sink arc that carries flow but has room left
+        sink_arc = next(e for e in fg.sink_arcs.values() if 0 < residual[e] < fg.cap[e])
+        more = list(residual)  # push 0.1 s more through it alone
+        more[sink_arc] -= 0.1
+        more[sink_arc ^ 1] += 0.1
+        over = list(residual)  # push it past its capacity
+        over[sink_arc] = -1.0
+        over[sink_arc ^ 1] = fg.cap[sink_arc] + 1.0
+        for bad, found in ((more, "more flow in than out"), (over, "outside")):
+            assert any(found in error for error in certificate_errors(fg, bad, plan)[0])
+        for bad_plan, found in (
+            (replace(plan, rerun=plan.rerun[1:]), "the plan reruns"),
+            (replace(plan, migrate=plan.migrate - {min(plan.migrate)}), "on the other side"),
+            (replace(plan, cost_s=plan.cost_s * (1 + 1e-6)), "!= plan cost"),
+        ):
+            assert any(found in error for error in certificate_errors(fg, residual, bad_plan)[0])
 
 
 class TestBaselines:
@@ -533,6 +616,26 @@ class TestInfeasibility:
                 plan_session(session)
             assert exc.value.variables == stuck
 
+    def test_brute_force_names_only_the_blocked_group(self):
+        # a linked pair pinned apart leaves no admissible subset at all; the
+        # oracle names the group that cannot be placed, as the min cut does,
+        # not every active variable
+        partial = 0
+        for seed in range(20):
+            trace = generate_trace(GenParams(cells=12, variables=6, alias_density=0.6), seed)
+            session, cost, linked = planner_inputs(trace)
+            if not linked:
+                continue
+            a, b = linked[0]
+            args = (session.history, cost, linked, {a}, {b})
+            with pytest.raises(Infeasible) as fast:
+                min_cut_plan(build_flow_graph(*args))
+            with pytest.raises(Infeasible) as slow:
+                brute_force_plan(*args)
+            assert slow.value.variables == fast.value.variables == infeasible_groups(*args), seed
+            partial += len(slow.value.variables) < len(session.history.active_snapshots())
+        assert partial >= 5
+
     def test_feasible_when_ground_cuts_the_blocked_path(self):
         # the never-rerun loader's output is serializable, so storing it
         # unblocks everything downstream
@@ -613,18 +716,31 @@ class TestDeterminism:
                 mixed += bool(plan.migrate and plan.rerun)
                 rng = random.Random(seed)
                 for _ in range(3):
-                    order = list(fg.arcs)
-                    rng.shuffle(order)
-                    arcs = {}
-                    for u in order:
-                        targets = list(fg.arcs[u].items())
-                        rng.shuffle(targets)
-                        arcs[u] = dict(targets)
-                    shuffled = min_cut_plan(replace(fg, arcs=arcs))
+                    out = [rng.sample(arcs, len(arcs)) for arcs in fg.out]
+                    shuffled = min_cut_plan(replace(fg, out=out))
                     assert shuffled.migrate == plan.migrate
                     assert shuffled.rerun == plan.rerun
                     assert shuffled.cost_s.hex() == plan.cost_s.hex()
         assert mixed >= 6
+
+    def test_a_solve_leaves_its_network_unchanged(self):
+        # a network is built once and may be solved again, as at another
+        # bandwidth: the solve works on a copy of the capacities
+        session, cost, linked = planner_inputs(generate_trace(GenParams(cells=12, variables=6, alias_density=0.6), 1))
+        a, b = linked[0]
+        pinned_apart = build_flow_graph(session.history, cost, linked, {a}, {b})
+        outcomes = []
+        for fg in (build_flow_graph(session.history, cost, linked), pinned_apart):
+            before = list(fg.cap)
+            for _ in range(2):
+                try:
+                    plan = min_cut_plan(fg)
+                    outcomes.append((plan.migrate, plan.rerun, plan.cost_s.hex()))
+                except Infeasible as err:
+                    outcomes.append(err.variables)
+                assert fg.cap == before
+        assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+        assert isinstance(outcomes[0], tuple) and outcomes[2] == [a, b]
 
     def test_plan_json_round_trip(self):
         from statecut.planner import ReplicationPlan
