@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import FormatError, Infeasible, StatecutError
@@ -210,15 +211,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = GenParams(
-        cells=args.cells,
-        variables=args.variables,
-        alias_density=args.alias_density,
-        unserializable_rate=args.unserializable_rate,
-        undeserializable_rate=args.undeserializable_rate,
-        never_rerun_rate=args.never_rerun_rate,
-        nondet_rate=args.nondet_rate,
-    )
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
     trace = generate_trace(params, args.seed)
     save_trace(trace, args.out)
     print(f"wrote {args.out} ({params.cells} cells, seed {args.seed})")
@@ -353,13 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through _seed too, so a bad $STATECUT_SEED is a usage error
     p.add_argument("--seed", type=_seed, default=os.environ.get("STATECUT_SEED", "0"),
                    help="defaults to $STATECUT_SEED or 0")
-    p.add_argument("--cells", type=_count, default=8)
-    p.add_argument("--variables", type=_count, default=6)
-    p.add_argument("--alias-density", type=_rate, default=0.3)
-    p.add_argument("--unserializable-rate", type=_rate, default=0.1)
-    p.add_argument("--undeserializable-rate", type=_rate, default=0.0)
-    p.add_argument("--never-rerun-rate", type=_rate, default=0.0)
-    p.add_argument("--nondet-rate", type=_rate, default=0.0)
+    # one flag per GenParams field, at the field's default
+    defaults = GenParams()
+    p.add_argument("--cells", type=_count, default=defaults.cells)
+    p.add_argument("--variables", type=_count, default=defaults.variables)
+    for rate in ("alias_density", "unserializable_rate", "undeserializable_rate", "unhashable_rate",
+                 "never_rerun_rate", "nondet_rate", "delete_rate"):
+        p.add_argument("--" + rate.replace("_", "-"), type=_rate, default=getattr(defaults, rate))
+    p.add_argument("--bandwidth", dest="bandwidth_bytes_per_s", metavar="BANDWIDTH", type=_positive,
+                   default=defaults.bandwidth_bytes_per_s, help="storage bandwidth, bytes/s")
+    p.add_argument("--latency", dest="latency_s", metavar="LATENCY", type=_non_negative,
+                   default=defaults.latency_s, help="storage latency, seconds")
+    p.add_argument("--alpha", type=_non_negative, default=defaults.alpha,
+                   help="storage-time discount")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="scalability probe: lineage memory, planning, read and restore time")

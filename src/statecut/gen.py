@@ -13,6 +13,7 @@ manifest and reads the lineage back, as a checkpoint reader would.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import count
 
@@ -20,7 +21,13 @@ from .cost import CostProfile
 from .heap import HeapOp, SimHeap
 from .history import HistoryGraph
 from .monitor import CellProgram
+from .schema import collector_paused
 from .trace import TraceFile
+
+# a created root's shape, drawn at weights 3, 4 and 3: ``choices`` given the
+# running sums draws the same and does not sum the weights per draw
+_SHAPES = ("scalar", "container", "opaque")
+_SHAPE_CUM_WEIGHTS = (3, 7, 10)
 
 
 @dataclass
@@ -41,6 +48,13 @@ class GenParams:
     alpha: float = 1.0
 
 
+def _remove_sorted(names: list[str], name: str) -> None:
+    """Take ``name`` out of the sorted list ``names``, if it is there."""
+    i = bisect_left(names, name)
+    if i < len(names) and names[i] == name:
+        del names[i]
+
+
 class _TraceBuilder:
     def __init__(self, params: GenParams, rng: random.Random):
         self.params = params
@@ -49,16 +63,30 @@ class _TraceBuilder:
         # every choice reads bound names and the closures they reach
         self.heap = SimHeap()
         self.ids = count(1)
-        self.pool = [f"v{i}" for i in range(params.variables)]
         # nondeterministic outputs: later cells read them, but no cell
         # rebinds, unbinds or directly mutates the name
         self.frozen: set[str] = set()
+        # the lists the draws pick from, each in the order its draw was
+        # defined over: the pool's names less the frozen ones, in pool
+        # order; the bound names, sorted; and those of them not frozen.
+        # ``_apply`` and ``_nondet_cell`` keep them current, so a draw
+        # rebuilds none of them
+        self.pool = [f"v{i}" for i in range(params.variables)]
+        self.bound: list[str] = []
+        self.mutable: list[str] = []
 
-    def bound(self, mutable_only: bool = False) -> list[str]:
-        names = sorted(self.heap.namespace)
-        if mutable_only:
-            names = [n for n in names if n not in self.frozen]
-        return names
+    def _apply(self, ops: list[HeapOp]) -> None:
+        """Run ``ops`` on the scratch replica, and enter each name they bound
+        or take out each name they unbound."""
+        namespace = self.heap.namespace
+        for name, old in self.heap.apply(ops).old_roots.items():
+            if old is None and name in namespace:
+                insort(self.bound, name)
+                if name not in self.frozen:
+                    insort(self.mutable, name)
+            elif old is not None and name not in namespace:
+                _remove_sorted(self.bound, name)
+                _remove_sorted(self.mutable, name)
 
     def _create_scalar(self, ops: list[HeapOp], value=None) -> int:
         oid = next(self.ids)
@@ -85,11 +113,10 @@ class _TraceBuilder:
 
     def _act_create(self, ops: list[HeapOp], reads: set[str]) -> None:
         rng = self.rng
-        names = [n for n in self.pool if n not in self.frozen]
-        if not names:
+        if not self.pool:
             return
-        name = rng.choice(names)
-        shape = rng.choices(["scalar", "container", "opaque"], weights=[3, 4, 3])[0]
+        name = rng.choice(self.pool)
+        shape = rng.choices(_SHAPES, cum_weights=_SHAPE_CUM_WEIGHTS)[0]
         if shape == "scalar":
             root = self._create_scalar(ops)
         elif shape == "opaque":
@@ -100,8 +127,8 @@ class _TraceBuilder:
                 op="create", id=root, kind="container",
                 size_bytes=rng.randint(32, 256),
             ))
+            owners = self.bound  # the fragment binds its name after its slots
             for j in range(rng.randint(1, 3)):
-                owners = self.bound()
                 if owners and rng.random() < self.params.alias_density:
                     owner = rng.choice(owners)
                     reads.add(owner)
@@ -113,10 +140,9 @@ class _TraceBuilder:
 
     def _act_mutate(self, ops: list[HeapOp], reads: set[str]) -> None:
         rng = self.rng
-        names = self.bound(mutable_only=True)
-        if not names:
+        if not self.mutable:
             return
-        name = rng.choice(names)
+        name = rng.choice(self.mutable)
         reads.add(name)
         closure = sorted(self.heap.reachable(name))
         scalars = [o for o in closure if self.heap.objects[o].kind == "scalar"]
@@ -147,19 +173,20 @@ class _TraceBuilder:
 
     def _act_delete(self, ops: list[HeapOp]) -> None:
         # a nondeterministic output stays bound to the end of the session
-        names = self.bound(mutable_only=True)
-        if names:
-            ops.append(HeapOp(op="unbind", name=self.rng.choice(names)))
+        if self.mutable:
+            ops.append(HeapOp(op="unbind", name=self.rng.choice(self.mutable)))
 
     def _nondet_cell(self, index: int) -> CellProgram | None:
         rng = self.rng
-        names = [n for n in self.pool if n not in self.frozen]
-        if not names:
+        if not self.pool:
             return None
-        name = rng.choice(names)
+        name = rng.choice(self.pool)
         oid = next(self.ids)
         size = rng.randint(8, 64)
+        # the one scan of the pool: a name is frozen once
+        self.pool.remove(name)
         self.frozen.add(name)
+        _remove_sorted(self.mutable, name)
         return CellProgram(
             code_ref=f"cell_{index}",
             ops=[
@@ -176,7 +203,7 @@ class _TraceBuilder:
         if rng.random() < self.params.nondet_rate:
             program = self._nondet_cell(index)
         if program is not None:
-            self.heap.apply(program.ops)
+            self._apply(program.ops)
         else:
             ops: list[HeapOp] = []
             reads: set[str] = set()
@@ -185,13 +212,13 @@ class _TraceBuilder:
                 roll = rng.random()
                 if roll < self.params.delete_rate:
                     self._act_delete(fragment)
-                elif roll < 0.55 or not self.bound(mutable_only=True):
+                elif roll < 0.55 or not self.mutable:
                     self._act_create(fragment, reads)
                 else:
                     self._act_mutate(fragment, reads)
                 # keep the scratch heap current so later actions in this
                 # cell build against the state their ops will replay in
-                self.heap.apply(fragment)
+                self._apply(fragment)
                 ops.extend(fragment)
             program = CellProgram(
                 code_ref=f"cell_{index}",
@@ -204,10 +231,12 @@ class _TraceBuilder:
 
 
 def generate_trace(params: GenParams, seed: int) -> TraceFile:
-    """Deterministically generate a replayable random session trace."""
-    rng = random.Random(seed)
-    builder = _TraceBuilder(params, rng)
-    cells = [builder.build_cell(i) for i in range(1, params.cells + 1)]
+    """Deterministically generate a replayable random session trace. The
+    cyclic collector is paused while it builds (``schema.collector_paused``):
+    the ops, cells and scratch objects it builds hold no reference cycles."""
+    builder = _TraceBuilder(params, random.Random(seed))
+    with collector_paused():
+        cells = [builder.build_cell(i) for i in range(1, params.cells + 1)]
     return TraceFile(
         profile=CostProfile(
             bandwidth_bytes_per_s=params.bandwidth_bytes_per_s,

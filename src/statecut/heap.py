@@ -376,8 +376,15 @@ def id_graph_changed(old: IdGraph, new: IdGraph) -> bool:
     return old.root_id != new.root_id or old.nodes != new.nodes or old.edges != new.edges
 
 
+# ``json.dumps`` given any non-default argument builds an encoder per call,
+# which costs as much again as the encoding of a small value
+_CANON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canon(value: object) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    """``value`` as compact JSON with sorted keys: the bytes of
+    ``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+    return _CANON_ENCODER.encode(value).encode()
 
 
 def _digest(parts: list[bytes]) -> bytes:

@@ -5,7 +5,7 @@ fields of an object with their kinds (``rules``) and checks the object with
 ``check_fields``. docs/trace.schema.json and docs/checkpoint.schema.json
 state the same rules (tests/test_trace_cli.py checks that they agree).
 Rules that relate fields to each other stay with the readers, which also
-share ``collector_paused``.
+share ``collector_paused`` with the trace writer and the generator.
 """
 
 from __future__ import annotations
@@ -136,10 +136,11 @@ def _path(where: str, name: str) -> str:
 @contextmanager
 def collector_paused():
     """Pause Python's cyclic collector in the block, and leave it on or off
-    as it was found, however the block exits. The readers build many small
-    objects that hold no reference cycles, so a collection during a build
-    frees nothing and only rescans what is being built; a reader may also
-    be decorated with ``@collector_paused()``."""
+    as it was found, however the block exits. The trace and checkpoint
+    readers, the trace writer, ``restore`` and the trace generator build
+    many small objects that hold no reference cycles, so a collection during
+    a build frees nothing and only rescans what is being built; a function
+    may also be decorated with ``@collector_paused()``."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -1,3 +1,6 @@
+import json
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from statecut.heap import (
     HeapObject,
     HeapOp,
     SimHeap,
+    _canon,
     build_id_graph,
     id_graph_changed,
     id_graphs_overlap,
@@ -230,6 +234,41 @@ class TestValueHash:
             make_object(heap, oid, value=value)
             heap.bind("x", oid)
         assert value_hash(h1, "x") == value_hash(h2, "x")
+
+
+def dumps_canon(value) -> bytes:
+    """``_canon``'s slow oracle: ``json.dumps``, which builds an encoder per call."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanon:
+    """``_canon`` reuses one encoder; its bytes are those of ``json.dumps``."""
+
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, value):
+        assert _canon(value) == dumps_canon(value)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, True, 1, False, 0, None,
+        "naïve ☃ 𝄞", {"é": 1, "a": "ü"},
+        {"b": {"z": 1, "a": [3, {"y": 2, "x": -0.0}]}, "a": [math.nan, -math.inf]},
+    ])
+    def test_edge_values(self, value):
+        assert _canon(value) == dumps_canon(value)
+
+    def test_tells_true_from_one_and_sorts_nested_keys(self):
+        assert _canon(True) == b"true" and _canon(1) == b"1"
+        assert _canon(-0.0) == b"-0.0" and _canon(math.nan) == b"NaN"
+        assert _canon({"b": {"d": 1, "c": 2}, "a": 0}) == b'{"a":0,"b":{"c":2,"d":1}}'
+        assert _canon("é") == b'"\\u00e9"'
 
 
 class TestApplyOps:

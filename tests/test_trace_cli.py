@@ -6,12 +6,13 @@ import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from statecut import cost, history, planner, replicator
+from statecut import cost, gen, history, planner, replicator
 from statecut.cli import build_parser, main
 from statecut.errors import FormatError, StatecutError
 from statecut.gen import GenParams, generate_trace
@@ -33,6 +34,7 @@ from statecut.trace import (
 
 from documents import WRONG_VALUES, leaf_paths, with_leaf
 from sessions import aliased_pair_trace, link_blind_plan, worked_example_trace, write_split_by_hand
+from test_pinned_traces import BENCH_SHAPES
 
 DOCS = Path(__file__).parent.parent / "docs"
 SCHEMA = json.loads((DOCS / "trace.schema.json").read_text())
@@ -399,6 +401,59 @@ class TestGenerator:
         assert unserializable >= 15
 
 
+class TestGeneratorWork:
+    """Count, don't time: the generator keeps the lists it draws from, so it
+    sorts the bound names or scans the pool at most once per bind, unbind
+    or freeze, not once per draw; and it leaves the collector as found."""
+
+    def test_wide_generation_keeps_its_candidate_lists(self, monkeypatch):
+        work = Counter()
+
+        def counting_sorted(items, *args, **kwargs):
+            out = sorted(items, *args, **kwargs)
+            if out and isinstance(out[0], str):
+                work["name sorts"] += 1
+            return out
+
+        class Pool(list):
+            def __iter__(self):
+                work["pool scans"] += 1
+                return super().__iter__()
+
+        init = gen._TraceBuilder.__init__
+
+        def counting_init(builder, params, rng):
+            init(builder, params, rng)
+            builder.pool = Pool(builder.pool)
+
+        monkeypatch.setattr(gen, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(gen._TraceBuilder, "__init__", counting_init)
+        trace = generate_trace(GenParams(**BENCH_SHAPES["wide"]), 100)
+        ops = Counter(op.op for cell in trace.cells for op in cell.ops)
+        changes = ops["bind"] + ops["unbind"] + sum(cell.nondeterministic for cell in trace.cells)
+        assert ops["bind"] > 300
+        assert work["name sorts"] + work["pool scans"] <= changes
+
+    def test_generation_builds_no_reference_cycles(self, collector):
+        gc.disable()
+        gc.collect()
+        trace = generate_trace(GenParams(**BENCH_SHAPES["wide"], nondet_rate=0.1), 100)
+        assert gc.collect() == 0
+        assert trace.cells
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("delete_rate", [0.1, None], ids=["ok", "raises"])
+    def test_generation_leaves_the_collector_as_found(self, collector, enabled, delete_rate):
+        params = GenParams(cells=20, nondet_rate=0.2, delete_rate=delete_rate)
+        gc.enable() if enabled else gc.disable()
+        if delete_rate is None:
+            with pytest.raises(TypeError):  # the first draw compares a roll with None
+                generate_trace(params, 5)
+        else:
+            generate_trace(params, 5)
+        assert gc.isenabled() is enabled
+
+
 class TestCliExitCodes:
     def seeded_trace(self, tmp_path, **kwargs) -> Path:
         path = tmp_path / "trace.json"
@@ -522,6 +577,18 @@ class TestCliExitCodes:
         assert out1.read_text() == out2.read_text()
         assert "seed 77" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("shape", ["default", "wide"])
+    def test_gen_writes_what_save_trace_writes(self, tmp_path, capsys, shape):
+        # every GenParams field has a flag: the CLI writes any bench trace
+        fields = {} if shape == "default" else BENCH_SHAPES[shape]
+        flags = {"bandwidth_bytes_per_s": "--bandwidth", "latency_s": "--latency"}
+        argv = ["gen", str(tmp_path / "cli.json"), "--seed", "100"]
+        for name, value in fields.items():
+            argv += [flags.get(name, "--" + name.replace("_", "-")), repr(value)]
+        assert main(argv) == 0
+        save_trace(generate_trace(GenParams(**fields), 100), tmp_path / "api.json")
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "api.json").read_bytes()
+
     def test_restore_prints_summary(self, tmp_path, capsys):
         path = self.seeded_trace(tmp_path)
         ckpt = tmp_path / "s.ckpt"
@@ -565,6 +632,11 @@ class TestCliExitCodes:
         ["gen", "--undeserializable-rate", "-0.1"],
         ["gen", "--never-rerun-rate", "inf"],
         ["gen", "--nondet-rate", "1.5"],
+        ["gen", "--unhashable-rate", "-1"],
+        ["gen", "--delete-rate", "1.01"],
+        ["gen", "--bandwidth", "0"],
+        ["gen", "--latency", "nan"],
+        ["gen", "--alpha", "-0.5"],
         ["bench", "--cells", "-3"],
     ])
     def test_bad_count_or_rate_is_a_usage_error(self, tmp_path, capsys, flags):
