@@ -10,9 +10,12 @@ cell drops every cell that no active snapshot needs any more, so its
 manifest form is the graph as it is. The graph also keeps the session's
 clock, the timestamp its next cell gets, and is the only writer of its own
 state: a lineage built any other way, such as one with injected edges, is
-written as a manifest and read back. Reading that form checks each field
-against the rules of ``schema`` and replays the cells through the same
-recording step, which keeps the rules that relate cells to each other.
+written as a manifest and read back. Reading that form tests each cell's
+fields in place and walks their rules in ``schema`` only when a test fails,
+to name the fault or accept what the tests leave out, so a valid manifest
+costs one rule walk, for the lineage object itself. It then replays the
+cells through the same recording step, which keeps the rules that relate
+cells to each other: there is no second loader.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
-from .schema import check_fields, rules
+from .schema import _FLOAT_MAX, FIELD_TYPES, check_fields, rules
 
 
 class VariableSnapshot(NamedTuple):
@@ -39,9 +42,30 @@ _new_snapshot = partial(tuple.__new__, VariableSnapshot)
 
 _HISTORY = rules({"cells": "cells", "deleted": "t_map", "next_t": "int", "recorded_cells": "count",
                   "recorded_rerun_s": "seconds_or_inf"})
+_is_reads, _is_str_list = FIELD_TYPES["reads"], FIELD_TYPES["str_list"]
 _CELL = rules({"t": "int", "code_ref": "ref", "runtime_s": "seconds", "never_rerun": "bool",
                "nondeterministic": "bool", "reads": "reads", "writes": "str_list"},
               {"failed_at": "count"})
+
+
+def _plain_cell(entry) -> bool:
+    """Whether a manifest cell passes its rules in ``_CELL``: each scalar
+    field tested in place, as ``check_fields`` would test it, and the two
+    lists by their own rules, with no walk of the table. Also false for an
+    entry the rules accept that the tests do not cover, such as one whose
+    ``runtime_s`` is an int: ``from_manifest`` walks the rules only then, to
+    name the fault or accept the entry."""
+    if type(entry) is not dict:
+        return False
+    get = entry.get
+    code_ref, runtime_s, failed_at = get("code_ref"), get("runtime_s"), get("failed_at", 0)
+    # every required field is present, as a missing one gets None and fails
+    # its test, so the length leaves room for failed_at and no other field
+    return (type(get("t")) is int and type(code_ref) is str and code_ref != ""
+            and type(runtime_s) is float and 0 <= runtime_s < _FLOAT_MAX
+            and type(get("never_rerun")) is bool and type(get("nondeterministic")) is bool
+            and type(failed_at) is int and failed_at >= 0 and len(entry) == 7 + ("failed_at" in entry)
+            and _is_reads(get("reads")) and _is_str_list(get("writes")))
 
 
 @dataclass
@@ -111,14 +135,9 @@ class HistoryGraph:
         """Append one cell execution and its read/write dependencies, and
         drop the cells it leaves dead (itself, when it writes nothing);
         raises UnknownVariable when it reads a snapshot no live cell wrote."""
-        cell = CellExecution(
-            t=rec.t,
-            code_ref=rec.code_ref,
-            runtime_s=rec.runtime_s,
-            never_rerun=rec.never_rerun,
-            nondeterministic=rec.nondeterministic,
-            failed_at=rec.failed_at,
-        )
+        # positional: a keyword call to a dataclass costs twice as much
+        cell = CellExecution(rec.t, rec.code_ref, rec.runtime_s, rec.never_rerun, rec.nondeterministic,
+                             rec.failed_at)
         self._add(cell, set(rec.accessed), rec.written | rec.created, rec.deleted)
         return cell
 
@@ -130,19 +149,24 @@ class HistoryGraph:
         if t < self.next_t:
             raise NonMonotonicTimestamp(f"timestamp {t} is before the next timestamp {self.next_t}")
         refs, latest, tombstones, writes_of = self.refs, self.latest, self.deleted, self.writes
-        for vs in reads:
-            if vs not in writes_of.get(vs.t, ()):
-                unwritten = sorted(f"{vs.name}@{vs.t}" for vs in reads if vs not in writes_of.get(vs.t, ()))
-                raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote")
+        # a snapshot's t as vs[1]: a subscript costs no descriptor call
+        try:
+            for vs in reads:  # a dropped cell has no entry in writes_of
+                if vs not in writes_of[vs[1]]:
+                    raise KeyError(vs)
+        except KeyError:
+            unwritten = sorted(f"{vs.name}@{vs.t}" for vs in reads if vs not in writes_of.get(vs.t, ()))
+            raise UnknownVariable(f"cell {t} reads {', '.join(unwritten)}, which no live cell wrote") from None
         self.next_t = t + 1
         self.recorded_cells += 1
         self.recorded_rerun_s += cell.rerun_s
         self.cells[t] = cell
         self.reads[t] = reads
         for vs in reads:
-            refs[vs.t] += 1
+            refs[vs[1]] += 1
         # one reference more than the cell's writes, released below with the
-        # producers of the snapshots it supersedes
+        # producers of the snapshots it supersedes, or kept off the count
+        # when there are none and the cell writes something
         release = [t]
         writes = set()
         for name in written:
@@ -150,16 +174,19 @@ class HistoryGraph:
             writes.add(vs)
             old = latest.get(name)
             if tombstones.pop(name, None) is None and old is not None:
-                release.append(old.t)
+                release.append(old[1])
             latest[name] = vs
         writes_of[t] = writes
-        refs[t] = len(writes) + 1
         for name in deleted:
             if name not in written:
                 if name not in tombstones and name in latest:
-                    release.append(latest[name].t)
+                    release.append(latest[name][1])
                 tombstones[name] = t
-        self._release(release)
+        if len(release) > 1 or not writes:
+            refs[t] = len(writes) + 1
+            self._release(release)
+        else:
+            refs[t] = len(writes)
 
     def _release(self, stack: list[int]) -> None:
         """Drop one reference to each cell in ``stack``. A cell left without
@@ -171,7 +198,7 @@ class HistoryGraph:
             refs[t] -= 1
             if not refs[t]:
                 del refs[t], self.cells[t], self.writes[t]
-                stack.extend(vs.t for vs in self.reads.pop(t))
+                stack.extend(vs[1] for vs in self.reads.pop(t))
 
     def copy(self) -> HistoryGraph:
         """A lineage that records apart from this one. It shares the cells
@@ -230,20 +257,22 @@ class HistoryGraph:
 
     def to_manifest(self) -> dict:
         """The cells with their edges, the tombstones of the names they
-        write, the next timestamp and the totals over every recorded cell."""
+        write, the next timestamp and the totals over every recorded cell.
+        A cell's reads are its snapshot tuples, sorted, which JSON writes as
+        [name, t] lists and ``from_manifest`` also reads as they are."""
         cells = []
         written: set[str] = set()
         for c in self.cells.values():
-            writes = self.writes[c.t]
-            written.update(vs.name for vs in writes)
+            names = sorted([vs[0] for vs in self.writes[c.t]])
+            written.update(names)
             entry = {
                 "t": c.t,
                 "code_ref": c.code_ref,
                 "runtime_s": c.runtime_s,
                 "never_rerun": c.never_rerun,
                 "nondeterministic": c.nondeterministic,
-                "reads": sorted([vs.name, vs.t] for vs in self.reads[c.t]),
-                "writes": sorted(vs.name for vs in writes),
+                "reads": sorted(self.reads[c.t]),
+                "writes": names,
             }
             if c.failed:
                 entry["failed_at"] = c.failed_at
@@ -263,16 +292,17 @@ class HistoryGraph:
         when a field breaks its rule, a cell's t is not positive and after the
         previous cell's or it reads a snapshot no live earlier cell wrote, a
         tombstone does not follow its name's last write, the next timestamp is
-        not after every cell and tombstone, or fewer cells are recorded than listed."""
+        not after every cell and tombstone, or fewer cells are recorded than listed.
+
+        Each cell's fields are tested in place (``_plain_cell``); the cell's
+        rules are walked by ``check_fields`` only when a test fails, which
+        names the fault or accepts an entry the tests leave to the rules.
+        Each cell is then recorded by ``_add``, as ``record`` records one."""
         check_fields(data, _HISTORY, "history")
         graph = cls()
         for i, entry in enumerate(data["cells"]):
-            try:
-                check_fields(entry, _CELL, "")
-            except FormatError:
-                # the path is built only to raise
+            if not _plain_cell(entry):
                 check_fields(entry, _CELL, f"history.cells[{i}]")
-                raise
             cell = CellExecution(entry["t"], entry["code_ref"], entry["runtime_s"], entry["never_rerun"],
                                  entry["nondeterministic"], entry.get("failed_at"))
             try:

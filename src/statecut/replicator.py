@@ -13,19 +13,20 @@ The writer also refuses a plan that splits linked names, which the session's
 name index shows in one lookup of the stored closure.
 Restoration loads the stored objects under their own ids, then walks the
 original timestamps, interleaving cell reruns with variable re-declaration,
-so every rerun cell reads the inputs it originally saw. Every object keeps
-its recorded id, except a rerun copy of a stored object, which takes one
-below zero; declaring a variable points the walk's ops at its stored
-objects, so a migrated variable also produced by a rerun cell is overwritten
-with its stored copy and aliases keep pointing at the payload objects. A
-restore that ``verify`` accepts checkpoints, under the same plan, to the
-file it was restored from. Stored variables that fail to deserialize are
-found before the walk and move, with their linked group, to recomputation;
-the walk then reruns what the lineage needs, given what loaded, and never
-reads the stored plan, which is the planner's record. One name index over
-the payload gives each stored closure, walked once, and the linked groups.
-Reading and restoring pause the cyclic collector, as loading a trace does:
-what they build holds no reference cycles.
+so every rerun cell reads the inputs it originally saw; the rerun cells
+between two declarations replay through one ``SimHeap.apply`` call. Every
+object keeps its recorded id, except a rerun copy of a stored object, which
+takes one below zero; declaring a variable points the walk's ops at its
+stored objects, so a migrated variable also produced by a rerun cell is
+overwritten with its stored copy and aliases keep pointing at the payload
+objects. A restore that ``verify`` accepts checkpoints, under the same plan,
+to the file it was restored from. Stored variables that fail to deserialize
+are found before the walk and move, with their linked group, to
+recomputation; the walk then reruns what the lineage needs, given what
+loaded, and never reads the stored plan, which is the planner's record. One
+name index over the payload gives each stored closure, walked once, and the
+linked groups. Reading and restoring pause the cyclic collector, as loading
+a trace does: what they build holds no reference cycles.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     Unreconstructable,
 )
 from .heap import KINDS, HeapObject, NameIndex, SimHeap, _canon
-from .history import HistoryGraph
+from .history import CellExecution, HistoryGraph
 from .monitor import CellProgram, Session, current_index
 from .planner import ReplicationPlan
 from .schema import _U64, check_fields, collector_paused, rules
@@ -317,6 +318,35 @@ def recovery_cells(checkpoint: Checkpoint, failed: set[str],
     return moved, [c.t for c in cells]
 
 
+def _replay(heap: SimHeap, cells: list[CellExecution], programs: dict[str, CellProgram],
+            current: dict[int, int]) -> None:
+    """Replay the recorded ops of ``cells``, in order, through one
+    ``SimHeap.apply`` call, under their recorded ids (``current``); a fault
+    names the cell whose op raised it.
+
+    A cell that failed replays the ops that ran before its failing op.
+    Deletions carry no lineage edges, so an unbound name may never have been
+    rebuilt here, and its absence satisfies the unbind: each unbind is
+    tested when ``apply`` reaches it, after every op before it ran."""
+    if not cells:
+        return
+    namespace = heap.namespace
+    at = [cells[0]]  # the cell whose op ``apply`` runs
+
+    def ops():
+        for cell in cells:
+            at[0] = cell
+            for op in programs[cell.code_ref].ops[: cell.failed_at]:
+                if op.op != "unbind" or op.name in namespace:
+                    yield op
+
+    try:
+        heap.apply(ops(), current)
+    except StatecutError as err:
+        # the ops ran before: the lineage and the trace disagree
+        raise FormatError(f"cell {at[0].t} ({at[0].code_ref!r}) fails on replay: {err}") from err
+
+
 @collector_paused()
 def restore(
     checkpoint: Checkpoint,
@@ -334,13 +364,17 @@ def restore(
     variables still stored reach, under their own ids, and walks the
     original timestamps once: cells on the rerun list of ``recovery_cells``,
     never the stored plan's, replay their recorded ops under their recorded
-    ids (``SimHeap.apply``), and each variable still stored is declared right
-    after the timestamp of its active snapshot. The restored session records
-    on its own copy of the checkpoint's lineage, whose clock gives its next
-    cell the timestamp the original's would get. Each stored closure is
-    walked once, by one name index over the payload, which also gives the
-    linked groups when a variable fails to load. The restore keeps neither:
-    a checkpoint may be held after its restore.
+    ids, and each variable still stored is declared right after the
+    timestamp of its active snapshot. The rerun cells between two
+    declarations replay through one ``SimHeap.apply`` call (``_replay``),
+    so a restore makes at most one call per declaration point, plus one; a
+    replay fault names its cell. A rerun cell without its program in
+    ``programs`` is a MissingCellProgram before anything replays. The
+    restored session records on its own copy of the checkpoint's lineage,
+    whose clock gives its next cell the timestamp the original's would get.
+    Each stored closure is walked once, by one name index over the payload,
+    which also gives the linked groups when a variable fails to load. The
+    restore keeps neither: a checkpoint may be held after its restore.
     """
     history = checkpoint.history
     active = history.active_snapshots()
@@ -368,6 +402,9 @@ def restore(
             recovery_cells(checkpoint, {name}, groups)
         raise
     rerun = set(cells)
+    missing = [history.cells[t].code_ref for t in cells if history.cells[t].code_ref not in programs]
+    if missing:
+        raise MissingCellProgram(f"trace archive lacks cell {missing[0]!r} needed for rerun")
 
     declare_at: dict[int, list[str]] = {}
     stored: set[int] = set()
@@ -384,25 +421,19 @@ def restore(
             heap.add_object(HeapObject(oid, obj.kind, obj.value, dict(obj.slots), obj.size_bytes,
                                        obj.serializable, obj.deserializable, obj.hashable))
     current: dict[int, int] = {}  # recorded id -> the object ops reach by it
+    stretch: list[CellExecution] = []  # rerun cells since the last declaration
     for cell in history.cells.values():
         if cell.t in rerun:
-            if cell.code_ref not in programs:
-                raise MissingCellProgram(
-                    f"trace archive lacks cell {cell.code_ref!r} needed for rerun"
-                )
-            ops = programs[cell.code_ref].ops[: cell.failed_at]
-            # a cell that failed replays the ops that ran before its failing
-            # op; deletions carry no lineage edges, so an unbound name may
-            # never have been rebuilt here, and its absence satisfies the unbind
-            try:
-                heap.apply((op for op in ops if op.op != "unbind" or op.name in heap.namespace), current)
-            except StatecutError as err:
-                # the ops ran before: the lineage and the trace disagree
-                raise FormatError(f"cell {cell.t} ({cell.code_ref!r}) fails on replay: {err}") from err
-        for name in declare_at.get(cell.t, ()):
-            heap.bind(name, checkpoint.variables[name])
-            closure = closures[name]
-            current.update(zip(closure, closure))
+            stretch.append(cell)
+        names = declare_at.get(cell.t)
+        if names:
+            _replay(heap, stretch, programs, current)
+            stretch = []
+            for name in names:
+                heap.bind(name, checkpoint.variables[name])
+                closure = closures[name]
+                current.update(zip(closure, closure))
+    _replay(heap, stretch, programs, current)
 
     for name in set(heap.namespace) - set(active):
         heap.unbind(name)

@@ -2,7 +2,9 @@
 
 ``FIELD_TYPES`` gives the rule of each kind of field. Each reader lists the
 fields of an object with their kinds (``rules``) and checks the object with
-``check_fields``. docs/trace.schema.json and docs/checkpoint.schema.json
+``check_fields``; the payload decoder and the lineage reader test their
+fields in place first, as the table's rules state them, and walk the rules
+only to name a fault. docs/trace.schema.json and docs/checkpoint.schema.json
 state the same rules (tests/test_trace_cli.py checks that they agree).
 Rules that relate fields to each other stay with the readers, which also
 share ``collector_paused`` with the trace writer and the generator.
@@ -44,10 +46,22 @@ _is_seconds = _in_range(*_RANGES["seconds"])
 
 
 def _is_reads(v) -> bool:
+    """[name, t] pairs: lists, as JSON gives them, or the snapshot tuples of
+    a lineage's manifest built in memory, which JSON writes as lists."""
     if type(v) is not list:
         return False
     for r in v:  # a plain loop: no call per read
-        if type(r) is not list or len(r) != 2 or type(r[0]) is not str or type(r[1]) is not int:
+        if ((type(r) is not list and not isinstance(r, tuple)) or len(r) != 2 or type(r[0]) is not str
+                or type(r[1]) is not int):
+            return False
+    return True
+
+
+def _is_str_list(v) -> bool:
+    if type(v) is not list:
+        return False
+    for item in v:  # a plain loop: no call per item
+        if type(item) is not str:
             return False
     return True
 
@@ -77,7 +91,7 @@ FIELD_TYPES = {
     "kind": lambda v: type(v) is str and v in KINDS,
     "ref": lambda v: type(v) is str and v != "",
     "any": lambda v: True,
-    "str_list": lambda v: type(v) is list and all(type(item) is str for item in v),
+    "str_list": _is_str_list,
     "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
     # a total over cells, infinite when one of them is not rerunnable
     "seconds_or_inf": lambda v: v == math.inf or _is_seconds(v),

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import random
@@ -8,13 +9,15 @@ from pathlib import Path
 from types import FunctionType, ModuleType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import statecut
 from statecut.errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
-from statecut.history import CellRecord, HistoryGraph, VariableSnapshot
+from statecut import history as history_module
+from statecut.history import _CELL, CellRecord, HistoryGraph, VariableSnapshot, _plain_cell
+from statecut.schema import check_fields
 from statecut.trace import new_session, run_trace
 
 from sessions import live_closure, record_cell, with_failing_cells, worked_example_trace
@@ -503,3 +506,160 @@ class TestManifestRoundTrip:
             held += sys.getsizeof(obj)
             stack.extend(gc.get_referents(obj))
         assert abs(measured - held) <= 0.01 * held, (measured, held)
+
+
+# a manifest whose cell 1 writes x and y; ``manifest_with`` puts one more
+# cell after it, which may read x@1 and y@1 and write anything before t=10
+WRITER = {"t": 1, "code_ref": "cell_1", "runtime_s": 1.0, "never_rerun": False,
+          "nondeterministic": False, "reads": [], "writes": ["x", "y"]}
+# values each wrong for most fields of a cell
+WRONG_FIELD_VALUES = [None, True, False, 0, -1, 1.5, math.inf, math.nan, 10**400, "", "x",
+                      [], [1], ["x"], [["x"]], [["x", 1, 1]], [["x", 1.0]], [["x", True]], [[1, 1]],
+                      [("x", 1)], {}, {"x": 1}]
+_KEYS = [name for name, *_ in _CELL]
+CELL = {**WRITER, "t": 2, "reads": [["x", 1]]}  # a valid second cell
+# for each field, the wrong values nearest to valid ones
+NEAR_MISSES = {
+    "t": [True, 2.0, -1.0, "2", None],
+    "code_ref": ["", None, 1, ["c"]],
+    "runtime_s": [math.inf, math.nan, 10**400, -1.0, -1, True, None],
+    "never_rerun": [0, 1, None, "yes"],
+    "nondeterministic": [0, 1, None, "yes"],
+    "reads": [[["x"]], [["x", 1, 1]], [["x", 1.0]], [["x", True]], [[1, 1]], ["x1"], None, {}],
+    "writes": [[1], "x", None, [None], [["x"]]],
+    "failed_at": [None, -1, True, 1.0, "0"],
+}
+
+
+def manifest_with(entry) -> dict:
+    return {"cells": [WRITER, entry], "deleted": {}, "next_t": 10, "recorded_cells": 2,
+            "recorded_rerun_s": 2.0}
+
+
+def rules_verdict(entry) -> str | None:
+    """check_fields' message for ``entry`` as from_manifest's second cell,
+    or None when the rules accept it."""
+    try:
+        check_fields(entry, _CELL, "history.cells[1]")
+    except FormatError as err:
+        return str(err)
+    return None
+
+
+def reader_verdict(entry) -> str | None:
+    try:
+        HistoryGraph.from_manifest(manifest_with(entry))
+    except FormatError as err:
+        return str(err)
+    return None
+
+
+def assert_reader_agrees(entry, verdict: str | None) -> None:
+    """from_manifest names the fault the rules name; an entry the rules
+    accept it reads, unless its t breaks the order of the manifest's cells."""
+    found = reader_verdict(entry)
+    if verdict is not None:
+        assert found == verdict
+    elif 2 <= entry["t"] <= 9:
+        assert found is None
+    else:
+        assert not found.startswith("history.cells[")
+
+
+@st.composite
+def manifest_cells(draw):
+    """Cell entries that break up to three of their fields' rules, or none:
+    each field is valid for the manifest of ``manifest_with`` (failed_at
+    present or not), or a broken one holds a wrong value or is missing; an
+    unknown field may join them, and the entry may not be an object."""
+    valid = {
+        "t": st.integers(2, 9),
+        "code_ref": st.text(min_size=1, max_size=3),
+        "runtime_s": st.one_of(st.floats(0.0, 1e300), st.integers(0, 10**6)),
+        "never_rerun": st.booleans(),
+        "nondeterministic": st.booleans(),
+        "reads": st.lists(st.sampled_from([["x", 1], ["y", 1]]), max_size=3),
+        "writes": st.lists(st.text(max_size=2), max_size=3),
+        "failed_at": st.integers(0, 2**70),
+    }
+    broken = draw(st.lists(st.sampled_from(list(valid)), max_size=3, unique=True))
+    entry = {}
+    for name, values in valid.items():
+        if name not in broken:
+            if name != "failed_at" or draw(st.booleans()):
+                entry[name] = draw(values)
+        elif draw(st.integers(0, 4)):  # else missing
+            entry[name] = draw(st.one_of(st.sampled_from(NEAR_MISSES[name]), st.sampled_from(WRONG_FIELD_VALUES)))
+    if draw(st.integers(0, 9)) == 0:
+        entry[draw(st.sampled_from(["comment", "t2", ""]))] = 0
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[entry], None, "cell", 3]))
+    return entry
+
+
+class TestManifestFields:
+    # from_manifest tests each cell's fields in place and walks the rules
+    # of _CELL only when a test fails: it accepts and rejects exactly what
+    # the rules do, with the rules' message
+
+    @settings(max_examples=400, deadline=None)
+    @given(entry=manifest_cells())
+    @example(entry=CELL)
+    @example(entry={**CELL, "failed_at": 0})
+    @example(entry={**CELL, "runtime_s": 3})
+    @example(entry={**CELL, "t": True})
+    @example(entry={**CELL, "failed_at": True})
+    @example(entry={**CELL, "failed_at": None})
+    @example(entry={**CELL, "failed_at": -1})
+    @example(entry={**CELL, "code_ref": ""})
+    @example(entry={**CELL, "runtime_s": math.inf})
+    @example(entry={**CELL, "runtime_s": math.nan})
+    @example(entry={**CELL, "runtime_s": 10**400})
+    @example(entry={**CELL, "reads": [["x"]]})
+    @example(entry={**CELL, "reads": [["x", 1, 1]]})
+    @example(entry={**CELL, "writes": [1]})
+    @example(entry={key: value for key, value in CELL.items() if key != "t"})
+    @example(entry={**CELL, "comment": ""})
+    @example(entry={**CELL, "failed_at": 0, "comment": ""})
+    @example(entry=[CELL])
+    def test_in_place_checks_accept_and_reject_as_the_rules_do(self, entry):
+        verdict = rules_verdict(entry)
+        if _plain_cell(entry):
+            assert verdict is None
+        elif verdict is None:
+            # the only valid entries left to the rules: an int runtime_s
+            assert type(entry["runtime_s"]) is int
+        assert_reader_agrees(entry, verdict)
+
+    def test_every_wrong_value_of_every_field_is_named(self):
+        rejected = 0
+        for field in _KEYS:
+            for value in NEAR_MISSES[field] + WRONG_FIELD_VALUES:
+                entry = {**CELL, "failed_at": 0, field: value}
+                verdict = rules_verdict(entry)
+                assert_reader_agrees(entry, verdict)
+                assert not _plain_cell(entry) or verdict is None, (field, value)
+                rejected += verdict is not None
+        assert rejected > 180
+
+    def test_a_valid_manifest_walks_the_rules_once(self, monkeypatch):
+        # the history object's own fields only: never once per cell
+        walked = []
+
+        def counted(data, fields, where):
+            walked.append(where)
+            return check_fields(data, fields, where)
+
+        monkeypatch.setattr(history_module, "check_fields", counted)
+        cells = 0
+        for seed in range(20):
+            trace = with_failing_cells(generate_trace(GenParams(
+                cells=60, variables=8, delete_rate=0.1, never_rerun_rate=0.05, nondet_rate=0.05), seed),
+                random.Random(seed), 0.2)
+            graph = run_trace(trace)[0].history
+            for manifest in (graph.to_manifest(), json.loads(json.dumps(graph.to_manifest()))):
+                walked.clear()
+                assert lineage_state(HistoryGraph.from_manifest(manifest)) == lineage_state(graph), seed
+                assert walked == ["history"], seed
+            cells += len(graph.cells)
+        assert cells > 200

@@ -1014,6 +1014,66 @@ class TestRestoreWork:
                 assert walks["sweep"] <= len(result.session.heap.namespace), seed
         assert restores >= 40
 
+    def test_restore_applies_once_per_declaration_point(self, tmp_path, monkeypatch):
+        # the rerun cells between two declarations replay through one
+        # SimHeap.apply call: at most one per declaration point, plus one
+        applied = []
+        apply = SimHeap.apply
+
+        def counted_apply(heap, ops, ids=None):
+            applied.append(heap)
+            return apply(heap, ops, ids)
+
+        monkeypatch.setattr(SimHeap, "apply", counted_apply)
+        restores = replayed = calls = with_fallbacks = with_failed = 0
+        for seed in range(40):
+            trace = with_failing_cells(generate_trace(GenParams(
+                cells=40, variables=8, alias_density=0.6, unserializable_rate=0.1,
+                undeserializable_rate=0.3, delete_rate=0.1,
+            ), seed + 1300), random.Random(seed), 0.2)
+            session, _ = run_trace(trace)
+            path = tmp_path / f"a{seed}.ckpt"
+            write_checkpoint(session, plan_session(session, bandwidth=1e3), path)
+            checkpoint = read_checkpoint(path)
+            for fault in (None, lambda name: sum(map(ord, name)) % 3 == 0):
+                applied.clear()
+                try:
+                    result = restore(checkpoint, trace.programs(), deserialization_fault=fault)
+                except Unreconstructable:
+                    continue
+                groups = replicator._groups(checkpoint.variables, NameIndex(checkpoint.objects, checkpoint.variables))
+                moved, cells = recovery_cells(checkpoint, set(result.fallback_recomputed), groups)
+                active = checkpoint.history.active_snapshots()
+                points = {active[name].t for name in checkpoint.variables.keys() - moved}
+                assert len(applied) <= len(points) + 1, seed
+                assert verify(session.heap, result.session.heap).isomorphic, seed
+                restores += 1
+                replayed += len(cells)
+                calls += len(applied)
+                with_fallbacks += bool(result.fallback_recomputed)
+                with_failed += any(checkpoint.history.cells[t].failed for t in cells)
+        assert restores >= 60 and with_fallbacks >= 10 and with_failed >= 10
+        assert replayed >= 4 * calls
+
+    def test_a_replay_fault_names_its_cell(self, tmp_path):
+        # a program that no longer matches its recorded cell fails on replay
+        # in the middle of a stretch of rerun cells: the fault names that cell
+        trace = generate_trace(GenParams(cells=40, variables=6, unserializable_rate=0.0), 5)
+        session, _ = run_trace(trace)
+        path = tmp_path / "fault.ckpt"
+        plan = plan_session(session, bandwidth=1e-3)
+        assert not plan.migrate  # nothing declared: one stretch of reruns
+        write_checkpoint(session, plan, path)
+        checkpoint = read_checkpoint(path)
+        _, cells = recovery_cells(checkpoint, set(), {})
+        assert len(cells) >= 5
+        cell = checkpoint.history.cells[cells[len(cells) // 2]]
+        programs = trace.programs()
+        programs[cell.code_ref] = CellProgram(code_ref=cell.code_ref, ops=[
+            HeapOp(op="set_value", id=10**9, value=0)])
+        with pytest.raises(FormatError, match=re.escape(f"cell {cell.t} ({cell.code_ref!r}) fails on replay")):
+            restore(checkpoint, programs)
+
     def test_payload_groups_make_one_union_per_shared_index_entry(self, tmp_path, monkeypatch):
         unions = Counter()
         union = cost._union
