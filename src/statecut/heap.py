@@ -113,7 +113,10 @@ class NameIndex:
     its inverse: which names reach each object.
 
     ``closures`` holds every bound name's closure as of its last ``move``;
-    ``names`` has no entry for an object no name reaches. ``version`` is
+    ``names`` has no entry for an object no name reaches. ``unhashable``
+    holds the objects of ``names`` whose ``hashable`` flag is false: an
+    object enters it when it first enters ``names`` and leaves it with its
+    last name, and no op changes the flag of a live object. ``version`` is
     left to the index's keeper: ``run_cell`` keeps the session's index
     current and records there the heap version it agrees with, and
     ``monitor.current_index`` rebuilds it in its place when the heap moved
@@ -121,8 +124,10 @@ class NameIndex:
     """
 
     def __init__(self, objects: Mapping[ObjectId, HeapObject], roots: Mapping[str, ObjectId]):
+        self._objects = objects
         self.names: dict[ObjectId, set[str]] = {}
         self.closures: dict[str, set[ObjectId]] = {}
+        self.unhashable: set[ObjectId] = set()
         for name, root in roots.items():
             closure = self.closures[name] = reachable_ids(objects, root)
             self._enter(name, closure)
@@ -144,23 +149,26 @@ class NameIndex:
         before = self.closures.pop(name, set())
         if after:
             self.closures[name] = after
-        index = self.names
+        index, unhashable = self.names, self.unhashable
         left = before - after
         for oid in left:
             names = index[oid]
             names.discard(name)
             if not names:
                 del index[oid]
+                unhashable.discard(oid)
         self._enter(name, after - before)
         return left
 
     def _enter(self, name: str, oids: set[ObjectId]) -> None:
         """Record that ``name`` reaches ``oids``, which it did not before."""
-        index = self.names
+        index, objects = self.names, self._objects
         for oid in oids:
             names = index.get(oid)
             if names is None:
                 index[oid] = {name}
+                if not objects[oid].hashable:
+                    self.unhashable.add(oid)
             else:
                 names.add(name)
 
@@ -385,6 +393,18 @@ def _canon(value: object) -> bytes:
     """``value`` as compact JSON with sorted keys: the bytes of
     ``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
     return _CANON_ENCODER.encode(value).encode()
+
+
+def same_canon(a: object, b: object) -> bool:
+    """Whether ``a`` and ``b`` have the same canonical form, the bytes of
+    ``_canon``: the one test of "same value" that the value hash makes.
+    Two exact ints, or two exact strs, have the same form exactly when they
+    are equal, so they skip the encoding; any other pair compares its bytes,
+    so NaN equals NaN, -0.0 is not 0.0, and 1, 1.0 and True all differ."""
+    kind = type(a)
+    if kind is type(b) and (kind is int or kind is str):
+        return a == b
+    return _canon(a) == _canon(b)
 
 
 def _digest(parts: list[bytes]) -> bytes:

@@ -233,18 +233,20 @@ class HistoryGraph:
         not reproduce the recorded values. Every other cell on a path from a
         target to it is later, so none of them blocks: it blocks first."""
         need: set[int] = set()
-        # set algebra reuses the hashes the sets store; the closure does not
-        # depend on the order the walk takes
+        # each read is walked once, by membership tests: no temporary set per
+        # cell; the closure does not depend on the order the walk takes
         seen = targets - ground_vses
         stack = list(seen)
+        reads = self.reads
         while stack:
-            t = stack.pop().t
+            t = stack.pop()[1]
             if t in need:
                 continue
             need.add(t)
-            fresh = self.reads.get(t, set()) - seen - ground_vses
-            seen |= fresh
-            stack.extend(fresh)
+            for vs in reads.get(t, ()):
+                if vs not in seen and vs not in ground_vses:
+                    seen.add(vs)
+                    stack.append(vs)
         cells = self.cells
         if require_rerunnable:
             blocked = [t for t in need if not cells[t].rerunnable]

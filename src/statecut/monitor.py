@@ -18,8 +18,11 @@ as they stood before the cell, so no earlier state is walked. By the heap's
 undo log, a name's ID graph changed iff its root did or an object of its old
 closure holds other slots than logged; if not, its value hash changed iff
 one of them holds a value of another canonical form than logged (barring a
-64-bit collision, which only the rule sees). A closure is walked only for a
-name the cell created or whose ID graph it changed.
+64-bit collision, which only the rule sees), which ``same_canon`` tells
+without encoding two ints or two strs. A closure is walked only for a
+name the cell created or whose ID graph it changed. The unhashable-access
+rule is read off the index's set of live unhashable objects, so no
+object's flag is read for it.
 ``PreSnapshot``, ``detect_accesses`` and ``detect_modifications`` are the
 full rescan that ``run_cell`` agrees with exactly; they are kept as its test
 oracle, and with ``use_id_graphs=False`` as the hash-only ablation.
@@ -37,11 +40,11 @@ from .heap import (
     NameIndex,
     ObjectId,
     SimHeap,
-    _canon,
     build_id_graph,
     id_graph_changed,
     id_graphs_overlap,
     reachable_ids,
+    same_canon,
     subgraph_hash,
     value_hash,
 )
@@ -200,8 +203,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     log, each over its closure before the cell as the index holds it: any
     other name's closure, shape and values are as they were. A name's new
     closure is walked only when the cell created the name or changed its ID
-    graph. A failing cell still has its partial effects recorded before the
-    error propagates as CellExecutionError.
+    graph. The unhashable-access rule tests each accessed name's closure
+    before the cell against the index's live unhashable objects. A failing
+    cell still has its partial effects recorded before the error propagates
+    as CellExecutionError.
     """
     heap = session.heap
     t = session.history.next_t
@@ -242,9 +247,13 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     objects, undo = heap.objects, mutation.undo
     reshaped = {oid for oid, (_, slots) in undo.items() if objects[oid].slots != slots}
     revalued = {oid for oid, (value, _) in undo.items()
-                if objects[oid].value is not value and _canon(objects[oid].value) != _canon(value)}
+                if objects[oid].value is not value and not same_canon(value, objects[oid].value)}
 
-    old_roots, namespace = mutation.old_roots, heap.namespace
+    # the unhashable-access rule, read off the live unhashable objects: a
+    # name not yet moved reaches each object of its closure before the cell,
+    # so those objects are still in the set, and what the cell brought into
+    # it lies in no such closure
+    old_roots, namespace, unhashable = mutation.old_roots, heap.namespace, index.unhashable
     affected.update(old_roots)
     created: set[str] = set()
     deleted: set[str] = set()
@@ -267,12 +276,12 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
         if old_roots.get(name, post_root) != post_root or not reshaped.isdisjoint(old):
             maybe_dead |= index.move(name, reachable_ids(objects, post_root))
             modified.add(name)
-        elif not revalued.isdisjoint(old) or any(not objects[oid].hashable for oid in old):
+        elif not revalued.isdisjoint(old) or not unhashable.isdisjoint(old):
             modified.add(name)
     # an accessed name the cell did not affect kept its closure and values, so
     # only the unhashable-access rule can mark it
     for name in accessed - affected:
-        if any(not objects[oid].hashable for oid in closures[name]):
+        if not unhashable.isdisjoint(closures[name]):
             modified.add(name)
 
     # a name the cell unbound that is bound at its end was rebound after the
@@ -285,18 +294,10 @@ def run_cell(session: Session, program: CellProgram) -> CellRecord:
     latest, tombstones = session.history.latest, session.history.deleted
     accessed_vses = {latest[name] for name in accessed if name in latest and name not in tombstones}
 
-    record = CellRecord(
-        t=t,
-        code_ref=program.code_ref,
-        runtime_s=program.declared_runtime_s,
-        accessed=accessed_vses,
-        written=modified,
-        created=created,
-        deleted=deleted,
-        never_rerun=program.never_rerun,
-        nondeterministic=program.nondeterministic,
-        failed_at=failed_at,
-    )
+    # positional, in CellRecord's field order: a keyword call to a dataclass
+    # costs twice as much
+    record = CellRecord(t, program.code_ref, program.declared_runtime_s, program.never_rerun,
+                        program.nondeterministic, failed_at, accessed_vses, modified, created, deleted)
     session.history.record(record)
     for oid in maybe_dead.difference(index.names):
         del heap.objects[oid]

@@ -47,7 +47,7 @@ from .errors import (
     StatecutError,
     Unreconstructable,
 )
-from .heap import KINDS, HeapObject, NameIndex, SimHeap, _canon
+from .heap import KINDS, HeapObject, NameIndex, SimHeap, _canon, same_canon
 from .history import CellExecution, HistoryGraph
 from .monitor import CellProgram, Session, current_index
 from .planner import ReplicationPlan
@@ -506,7 +506,7 @@ def _compare_values(
             continue
         if old.kind != "container":
             # equal exactly when the value hash says so: NaN equals NaN, 1 is not 1.0
-            if _canon(old.value) != _canon(new.value):
+            if not same_canon(old.value, new.value):
                 diffs[path] = f"value {old.value!r} != {new.value!r}"
             continue
         old_labels = list(old.slots)

@@ -15,6 +15,7 @@ from statecut.heap import (
     build_id_graph,
     id_graph_changed,
     id_graphs_overlap,
+    same_canon,
     value_hash,
 )
 
@@ -269,6 +270,65 @@ class TestCanon:
         assert _canon(-0.0) == b"-0.0" and _canon(math.nan) == b"NaN"
         assert _canon({"b": {"d": 1, "c": 2}, "a": 0}) == b'{"a":0,"b":{"c":2,"d":1}}'
         assert _canon("é") == b'"\\u00e9"'
+
+
+# scalars where equality under == and equal canonical forms part, or that
+# the fast path for exact ints and strs must leave to the encoding
+CORNER_SCALARS = (
+    None, True, False, 0, 1, 1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, "1", "true", "",
+    2**64, 2**64 + 1, -(2**70), float(2**64), "naïve ☃ 𝄞", 'tab\tquote"back\\slash\n', "\\u00e9",
+)
+canon_leaves = (
+    st.sampled_from(CORNER_SCALARS) | st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=2**64, max_value=2**80).map(lambda n: n * (-1) ** (n % 2))
+    | st.floats() | st.text()
+)
+canon_values = st.recursive(
+    canon_leaves,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+                   | st.dictionaries(st.booleans(), inner, max_size=2)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def canon_pairs(draw):
+    """A value and one that often has its canonical form: itself, its
+    round trip through JSON (tuples turn lists, int and bool keys turn
+    strs, NaN a fresh NaN), a corner scalar, or any other value."""
+    a = draw(canon_values)
+    b = draw(st.sampled_from(("same", "round_trip", "corner", "other")))
+    if b == "same":
+        return a, a
+    if b == "round_trip":
+        return a, json.loads(_canon(a))
+    if b == "corner":
+        return a, draw(st.sampled_from(CORNER_SCALARS))
+    return a, draw(canon_values)
+
+
+class TestSameCanon:
+    """``same_canon`` says what comparing ``_canon`` bytes says."""
+
+    @given(canon_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_canonical_bytes(self, pair):
+        a, b = pair
+        assert same_canon(a, b) == (_canon(a) == _canon(b))
+        assert same_canon(b, a) == same_canon(a, b)
+
+    @pytest.mark.parametrize("a, b, same", [
+        (1, 1.0, False), (1, True, False), (1.0, True, False), (0, False, False), ("1", 1, False),
+        (math.nan, float("nan"), True), (-0.0, 0.0, False), (math.inf, math.inf, True),
+        (2**64 + 1, 2**64 + 1, True), (2**64, 2**64 + 1, False), (float(2**64), 2**64, False),
+        ([1, "a"], (1, "a"), True), ({1: "x"}, {"1": "x"}, True), ({True: 0}, {"true": 0}, True),
+        (None, None, True), (None, "null", False), ("é", "\\u00e9", False), ("é", "é", True),
+    ])
+    def test_corner_pairs(self, a, b, same):
+        assert same_canon(a, b) is same
+        assert (_canon(a) == _canon(b)) is same
 
 
 class TestApplyOps:

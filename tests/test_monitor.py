@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statecut.heap as heap_mod
 import statecut.monitor as monitor_mod
 from statecut.errors import CellExecutionError
 from statecut.gen import GenParams, generate_trace
-from statecut.heap import HeapOp, build_id_graph, reachable_ids, value_hash
+from statecut.heap import HeapObject, HeapOp, NameIndex, build_id_graph, reachable_ids, value_hash
 from statecut.history import VariableSnapshot
 from statecut.monitor import (
     CellProgram,
@@ -20,9 +21,12 @@ from statecut.monitor import (
     detect_modifications,
     run_cell,
 )
+from statecut.planner import plan_session
+from statecut.replicator import read_checkpoint, restore, write_checkpoint
 from statecut.trace import new_session, run_trace
 
-from sessions import rescan, worked_example_trace
+from sessions import fan_out_trace, rescan, worked_example_trace
+from test_pinned_traces import BENCH_SEED, BENCH_SHAPES
 
 
 def session_with(profile_bandwidth=1e6):
@@ -292,22 +296,28 @@ class TestCompleteness:
 
 
 def count_work(monkeypatch) -> dict[str, list]:
-    """Record what run_cell walks and canonicalises: the roots of its
-    closure walks (``reachable_ids``), and each value it passes to
+    """Record what run_cell walks and compares: the roots of its closure
+    walks (``reachable_ids``), each pair of values it compares
+    (``same_canon``) as (logged, new), and each value that reaches
     ``_canon``."""
-    work: dict[str, list] = {"walks": [], "canon": []}
-    real_reachable, real_canon = monitor_mod.reachable_ids, monitor_mod._canon
+    work: dict[str, list] = {"walks": [], "compared": [], "canon": []}
+    real_reachable, real_same, real_canon = monitor_mod.reachable_ids, monitor_mod.same_canon, heap_mod._canon
 
     def reachable(objects, root):
         work["walks"].append(root)
         return real_reachable(objects, root)
+
+    def same(a, b):
+        work["compared"].append((a, b))
+        return real_same(a, b)
 
     def canon(value):
         work["canon"].append(value)
         return real_canon(value)
 
     monkeypatch.setattr(monitor_mod, "reachable_ids", reachable)
-    monkeypatch.setattr(monitor_mod, "_canon", canon)
+    monkeypatch.setattr(monitor_mod, "same_canon", same)
+    monkeypatch.setattr(heap_mod, "_canon", canon)
     return work
 
 
@@ -329,9 +339,35 @@ class TestLazyHashing:
             ops=[HeapOp(op="set_value", id=2, value=5)],
         ))
         # tiny's closure before the cell is the index's, and its shape did not
-        # change; the untouched huge variable was never canonicalised
+        # change; the untouched huge variable was never compared
         assert work["walks"] == []
-        assert sorted(work["canon"]) == [1, 5]
+        assert work["compared"] == [(1, 5)]
+
+    def test_values_off_the_fast_path_are_canonicalised(self, monkeypatch):
+        # a float, a NaN made afresh and an int turned float are compared by
+        # their canonical forms, both sides of each
+        session = session_with()
+        run_cell(session, CellProgram(code_ref="c1", ops=[
+            HeapOp(op="create", id=1, kind="scalar", value=1.5, size_bytes=8),
+            HeapOp(op="bind", name="f", id=1),
+            HeapOp(op="create", id=2, kind="scalar", value=float("nan"), size_bytes=8),
+            HeapOp(op="bind", name="nan", id=2),
+            HeapOp(op="create", id=3, kind="scalar", value=1, size_bytes=8),
+            HeapOp(op="bind", name="one", id=3),
+        ]))
+
+        work = count_work(monkeypatch)
+        rec = run_cell(session, CellProgram(code_ref="c2", ops=[HeapOp(op="set_value", id=1, value=2.5)]))
+        assert rec.written == {"f"}
+        assert work["compared"] == [(1.5, 2.5)]
+        assert sorted(work["canon"]) == [1.5, 2.5]
+
+        for name, oid, value, written in (("nan", 2, float("nan"), set()), ("one", 3, 1.0, {"one"})):
+            work["compared"].clear()
+            work["canon"].clear()
+            rec = run_cell(session, CellProgram(code_ref="c3", ops=[HeapOp(op="set_value", id=oid, value=value)]))
+            assert rec.written == written, name
+            assert len(work["compared"]) == 1 and len(work["canon"]) == 2, name
 
 
 class TestWorkedExampleLineage:
@@ -584,7 +620,7 @@ class TestWorkCount:
         # every closure before the cell is the index's, and no shape changed,
         # so nothing is walked, not even for the unhashable-access rule
         assert work["walks"] == []
-        assert sorted(work["canon"]) == [-1, 0]
+        assert work["compared"] == [(0, -1)]
 
     def test_walks_only_names_created_or_rewritten(self, monkeypatch):
         # a cell walks a closure only for a name it created or whose ID graph
@@ -603,3 +639,86 @@ class TestWorkCount:
                 work["walks"].clear()
                 rec, _ = monitored(session, program)
                 assert len(work["walks"]) <= len(rec.created | rec.written), (seed, rec.t)
+
+
+def assert_unhashable_live(session) -> None:
+    """The index's unhashable set is exactly its indexed objects whose
+    ``hashable`` flag is false."""
+    index, objects = session.index, session.heap.objects
+    assert index.unhashable == {oid for oid in index.names if not objects[oid].hashable}
+
+
+class TestUnhashableSet:
+    """The index keeps the live unhashable objects as the heap moves, so the
+    unhashable-access rule reads no object's flag."""
+
+    @pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+    def test_bench_shapes(self, shape):
+        trace = generate_trace(GenParams(**BENCH_SHAPES[shape]), BENCH_SEED)
+        session = new_session(trace.profile)
+        for program in trace.cells:
+            monitored(session, program)
+            assert_unhashable_live(session)
+
+    def test_random_sessions_outside_changes_and_restores(self, tmp_path):
+        for seed in range(200):
+            rng = random.Random(seed)
+            trace = generate_trace(GenParams(
+                cells=12, variables=rng.randint(2, 10), alias_density=rng.uniform(0.2, 0.95),
+                unhashable_rate=rng.uniform(0.1, 0.6), delete_rate=0.2, nondet_rate=0.1,
+            ), seed)
+            session = new_session(trace.profile)
+            half = len(trace.cells) // 2
+            for program in trace.cells[:half]:
+                if rng.random() < 0.2 and program.ops:
+                    program = with_bad_op(program, rng)
+                monitored(session, program)
+                assert_unhashable_live(session)
+            # the index restore builds over the payload, and the restored
+            # session's, keep the set as well, also across changes made
+            # outside run_cell
+            path = tmp_path / f"{seed}.ckpt"
+            write_checkpoint(session, plan_session(session), path)
+            checkpoint = read_checkpoint(path)
+            index = NameIndex(checkpoint.objects, checkpoint.variables)
+            assert index.unhashable == {oid for oid in index.names if not checkpoint.objects[oid].hashable}
+            session = restore(checkpoint, trace.programs()).session
+            current_index(session)
+            assert_unhashable_live(session)
+            for program in trace.cells[half:]:
+                if rng.random() < 0.2 and program.ops:
+                    program = with_bad_op(program, rng)
+                if rng.random() < 0.3:
+                    session.heap.apply(outside_mutation(session.heap, rng))
+                    current_index(session)
+                    assert_unhashable_live(session)
+                monitored(session, program)
+                assert_unhashable_live(session)
+
+    @pytest.mark.parametrize("unhashable", [False, True])
+    @pytest.mark.parametrize("k", [5, 50])
+    def test_read_only_cell_reads_no_flag_outside_the_set(self, k, unhashable):
+        session, _ = run_trace(fan_out_trace(k, 300, unhashable=unhashable))
+        live = set(current_index(session).unhashable)
+        assert len(live) == unhashable
+        flags: list[int] = []
+
+        class Watched(HeapObject):
+            """A heap object that logs each read of its ``hashable`` flag."""
+
+            @property
+            def hashable(self):
+                flags.append(self.id)
+                return self.__dict__["hashable"]
+
+        for read in ("df", "v0"):
+            program = CellProgram(code_ref="peek", direct_reads={read})
+            expected = rescan_cell(session, program)
+            for obj in session.heap.objects.values():
+                obj.__class__ = Watched
+            rec, left = monitored(session, program)
+            for obj in session.heap.objects.values():
+                obj.__class__ = HeapObject
+            assert (rec, left) == expected, read
+            assert rec.written == (session.heap.namespace.keys() if unhashable else set()), read
+            assert set(flags) <= live, read
