@@ -10,12 +10,12 @@ cell drops every cell that no active snapshot needs any more, so its
 manifest form is the graph as it is. The graph also keeps the session's
 clock, the timestamp its next cell gets, and is the only writer of its own
 state: a lineage built any other way, such as one with injected edges, is
-written as a manifest and read back. Reading that form tests each cell's
-fields in place and walks their rules in ``schema`` only when a test fails,
-to name the fault or accept what the tests leave out, so a valid manifest
-costs one rule walk, for the lineage object itself. It then replays the
-cells through the same recording step, which keeps the rules that relate
-cells to each other: there is no second loader.
+written as a manifest and read back. Reading that form tests each cell by
+its field table's compiled ``valid`` and walks the table's rules in
+``schema`` only for a cell it does not accept, to name the fault, so a
+valid manifest walks no rule. It then replays the cells through the same
+recording step, which keeps the rules that relate cells to each other:
+there is no second loader.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
-from .schema import _FLOAT_MAX, FIELD_TYPES, check_fields, rules
+from .schema import check_fields, rules
 
 
 class VariableSnapshot(NamedTuple):
@@ -42,30 +42,9 @@ _new_snapshot = partial(tuple.__new__, VariableSnapshot)
 
 _HISTORY = rules({"cells": "cells", "deleted": "t_map", "next_t": "int", "recorded_cells": "count",
                   "recorded_rerun_s": "seconds_or_inf"})
-_is_reads, _is_str_list = FIELD_TYPES["reads"], FIELD_TYPES["str_list"]
 _CELL = rules({"t": "int", "code_ref": "ref", "runtime_s": "seconds", "never_rerun": "bool",
                "nondeterministic": "bool", "reads": "reads", "writes": "str_list"},
               {"failed_at": "count"})
-
-
-def _plain_cell(entry) -> bool:
-    """Whether a manifest cell passes its rules in ``_CELL``: each scalar
-    field tested in place, as ``check_fields`` would test it, and the two
-    lists by their own rules, with no walk of the table. Also false for an
-    entry the rules accept that the tests do not cover, such as one whose
-    ``runtime_s`` is an int: ``from_manifest`` walks the rules only then, to
-    name the fault or accept the entry."""
-    if type(entry) is not dict:
-        return False
-    get = entry.get
-    code_ref, runtime_s, failed_at = get("code_ref"), get("runtime_s"), get("failed_at", 0)
-    # every required field is present, as a missing one gets None and fails
-    # its test, so the length leaves room for failed_at and no other field
-    return (type(get("t")) is int and type(code_ref) is str and code_ref != ""
-            and type(runtime_s) is float and 0 <= runtime_s < _FLOAT_MAX
-            and type(get("never_rerun")) is bool and type(get("nondeterministic")) is bool
-            and type(failed_at) is int and failed_at >= 0 and len(entry) == 7 + ("failed_at" in entry)
-            and _is_reads(get("reads")) and _is_str_list(get("writes")))
 
 
 @dataclass
@@ -296,14 +275,14 @@ class HistoryGraph:
         tombstone does not follow its name's last write, the next timestamp is
         not after every cell and tombstone, or fewer cells are recorded than listed.
 
-        Each cell's fields are tested in place (``_plain_cell``); the cell's
-        rules are walked by ``check_fields`` only when a test fails, which
-        names the fault or accepts an entry the tests leave to the rules.
-        Each cell is then recorded by ``_add``, as ``record`` records one."""
+        Each cell is tested by its table's compiled ``_CELL.valid``; only a
+        cell it does not accept has its path built and its rules walked by
+        ``check_fields``, which names the fault or accepts the cell. Each
+        cell is then recorded by ``_add``, as ``record`` records one."""
         check_fields(data, _HISTORY, "history")
         graph = cls()
         for i, entry in enumerate(data["cells"]):
-            if not _plain_cell(entry):
+            if not _CELL.valid(entry):
                 check_fields(entry, _CELL, f"history.cells[{i}]")
             cell = CellExecution(entry["t"], entry["code_ref"], entry["runtime_s"], entry["never_rerun"],
                                  entry["nondeterministic"], entry.get("failed_at"))

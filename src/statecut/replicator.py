@@ -6,7 +6,9 @@ variable table and annotations), a JSON payload holding one record for
 every object reachable from a migrated variable, and a SHA-256 digest of
 every byte before it. The file is written to a temporary name and renamed
 into place; reading it checks every field against the rules of ``schema``
-(published as docs/checkpoint.schema.json), then the rules that relate
+(published as docs/checkpoint.schema.json), each object and payload record
+by its table's compiled ``valid`` and, only for one that fails it, by a
+walk of the table that names the fault, then the rules that relate
 fields, which the writer checks before it writes, and ends any fault in one
 FormatError naming the file, as does a restore whose lineage and trace disagree.
 The writer also refuses a plan that splits linked names, which the session's
@@ -47,7 +49,7 @@ from .errors import (
     StatecutError,
     Unreconstructable,
 )
-from .heap import KINDS, HeapObject, NameIndex, SimHeap, _canon, same_canon
+from .heap import HeapObject, NameIndex, SimHeap, _canon, same_canon
 from .history import CellExecution, HistoryGraph
 from .monitor import CellProgram, Session, current_index
 from .planner import ReplicationPlan
@@ -95,7 +97,8 @@ class RestoreResult:
 # deserializable (2) and hashable (4). The section is the records' array
 # without its outer brackets, so an empty payload is 0 bytes.
 
-_RECORD = rules({"id": "object_id", "kind": "kind", "flags": "flags", "size_bytes": "size", "value": "any"})
+_RECORD = rules({"id": "object_id", "kind": "kind", "flags": "flags", "size_bytes": "size", "value": "any"},
+                positional=True)
 # (serializable, deserializable, hashable) for each value of flags
 _FLAGS = tuple((bool(flags & 1), bool(flags & 2), bool(flags & 4)) for flags in range(8))
 
@@ -116,14 +119,9 @@ def _decode_objects(payload: bytes) -> dict[int, HeapObject]:
     for i, record in enumerate(json.loads(b"[" + payload + b"]")):
         if type(record) is not list or len(record) < 5 or not len(record) % 2:
             raise FormatError(f"payload[{i}]: not a list [id, kind, flags, size_bytes, value, label1, child1, ...]")
-        # the fixed fields are tested in place, each as its rule in _RECORD
-        # does, and the rules are looked up only to name a fault
+        if not _RECORD.valid(record):
+            check_fields(record, _RECORD, f"payload[{i}]")
         oid, kind, flags, size, value = record[:5]
-        if not (type(oid) is int and 0 <= oid < _U64 and kind in KINDS and type(flags) is int
-                and 0 <= flags < 8 and type(size) is int and 0 <= size < _U64):
-            for (name, rule, valid, _), item in zip(_RECORD, record):
-                if not valid(item):
-                    raise FormatError(f"payload[{i}].{name}: invalid {rule} {item!r:.60}")
         slots = {}
         if len(record) > 5:
             labels, children = record[5::2], record[6::2]

@@ -1,13 +1,19 @@
 """Field rules of every JSON document statecut reads.
 
-``FIELD_TYPES`` gives the rule of each kind of field. Each reader lists the
-fields of an object with their kinds (``rules``) and checks the object with
-``check_fields``; the payload decoder and the lineage reader test their
-fields in place first, as the table's rules state them, and walk the rules
-only to name a fault. docs/trace.schema.json and docs/checkpoint.schema.json
-state the same rules (tests/test_trace_cli.py checks that they agree).
-Rules that relate fields to each other stay with the readers, which also
-share ``collector_paused`` with the trace writer and the generator.
+``_RULES`` states the rule of each kind of field once, as an expression
+over the value ``v``, and ``FIELD_TYPES`` is each compiled to a test. Each
+reader lists the fields of an object with their kinds (``rules``) and
+checks the object with ``check_fields``. At import ``rules`` also compiles
+the table into one function, ``valid``, that tests every field in line, as
+``dataclasses`` compiles an ``__init__``; its source is built only from the
+constant tables in this package. ``valid`` only accepts fast: when it says
+no, ``check_fields`` walks the table's tests, which decide and name the
+fault, so readers that check many objects (the lineage's cells, the payload
+records) call ``valid`` first and build an object's path only for a walk.
+docs/trace.schema.json and docs/checkpoint.schema.json state the same rules
+(tests/test_trace_cli.py checks that they agree). Rules that relate fields
+to each other stay with the readers, which also share ``collector_paused``
+with the trace writer and the generator.
 """
 
 from __future__ import annotations
@@ -24,117 +30,120 @@ _U64 = 2**64
 # below the largest float, so that every number converts: JSON admits
 # integers of any length, and Python's float() of one past it overflows
 _FLOAT_MAX = sys.float_info.max
+_SECONDS = "(type(v) is float or type(v) is int) and 0 <= v < _FLOAT_MAX"
 
-
-# the kinds whose rule is a range of numbers of some exact types, as
-# (types, low, high) for low <= value < high: ``rules`` keeps the triple,
-# which ``check_fields`` tests in place rather than by a call
-_RANGES = {
-    "object_id": ((int,), 0, _U64),
-    "size": ((int,), 0, _U64),
-    "flags": ((int,), 0, 8),
-    "count": ((int,), 0, math.inf),
-    "seconds": ((float, int), 0, _FLOAT_MAX),
-}
-
-
-def _in_range(types: tuple, low, high):
-    return lambda v: type(v) in types and low <= v < high
-
-
-_is_seconds = _in_range(*_RANGES["seconds"])
-
-
-def _is_reads(v) -> bool:
-    """[name, t] pairs: lists, as JSON gives them, or the snapshot tuples of
-    a lineage's manifest built in memory, which JSON writes as lists."""
-    if type(v) is not list:
-        return False
-    for r in v:  # a plain loop: no call per read
-        if ((type(r) is not list and not isinstance(r, tuple)) or len(r) != 2 or type(r[0]) is not str
-                or type(r[1]) is not int):
-            return False
-    return True
-
-
-def _is_str_list(v) -> bool:
-    if type(v) is not list:
-        return False
-    for item in v:  # a plain loop: no call per item
-        if type(item) is not str:
-            return False
-    return True
-
-
-def _is_map(valid):
-    """The rule of an object mapping names to values that pass ``valid``."""
-    return lambda v: type(v) is dict and all(map(valid, v.values()))
-
-
-def _is(exact: type):
-    return lambda v: type(v) is exact
-
-
-# the kinds whose rule is one exact type: ``rules`` keeps the type itself
-# for these, which ``check_fields`` tests in place rather than by a call
-_EXACT = {
-    "int": int,
-    "str": str,
-    "bool": bool,
-    # the entries of these are checked by their own readers
-    "object": dict,
-    "cells": list,
-    "ops": list,
-}
-
-FIELD_TYPES = {
-    "kind": lambda v: type(v) is str and v in KINDS,
-    "ref": lambda v: type(v) is str and v != "",
-    "any": lambda v: True,
-    "str_list": _is_str_list,
-    "int_list": lambda v: type(v) is list and all(type(item) is int for item in v),
+# each kind's rule: an expression over the value v, or, for a list or an
+# object that maps names to values, its type and the rule of each item x (a
+# list's) or value x (an object's); the entries of "object", "cells" and
+# "ops" are checked by their own readers, and the readers of "reads" also
+# take the snapshot tuples of a lineage's manifest built in memory, which
+# JSON writes as lists
+_RULES = {
+    "int": "type(v) is int",
+    "str": "type(v) is str",
+    "bool": "type(v) is bool",
+    "object": "type(v) is dict",
+    "cells": "type(v) is list",
+    "ops": "type(v) is list",
+    "any": "True",
+    "kind": "type(v) is str and v in _KINDS",
+    "ref": "type(v) is str and v != ''",
+    "object_id": "type(v) is int and 0 <= v < _U64",
+    "size": "type(v) is int and 0 <= v < _U64",
+    "flags": "type(v) is int and 0 <= v < 8",
+    "count": "type(v) is int and v >= 0",
+    "seconds": _SECONDS,
     # a total over cells, infinite when one of them is not rerunnable
-    "seconds_or_inf": lambda v: v == math.inf or _is_seconds(v),
-    "bandwidth": lambda v: (type(v) is float or type(v) is int) and 0 < v < _FLOAT_MAX,
-    "reads": _is_reads,
-    "id_map": _is_map(_in_range(*_RANGES["object_id"])),
-    "t_map": _is_map(lambda t: type(t) is int),
-    "annotations": _is_map(("always_copy", "always_recompute").__contains__),
-    **{kind: _in_range(*bounds) for kind, bounds in _RANGES.items()},
-    **{kind: _is(exact) for kind, exact in _EXACT.items()},
+    "seconds_or_inf": f"v == _INF or {_SECONDS}",
+    "bandwidth": "(type(v) is float or type(v) is int) and 0 < v < _FLOAT_MAX",
+    "str_list": ("list", "type(x) is str"),
+    "int_list": ("list", "type(x) is int"),
+    "reads": ("list", "(type(x) is list or isinstance(x, tuple)) and len(x) == 2 and type(x[0]) is str"
+                      " and type(x[1]) is int"),
+    "id_map": ("dict", "type(x) is int and 0 <= x < _U64"),
+    "t_map": ("dict", "type(x) is int"),
+    "annotations": ("dict", "x == 'always_copy' or x == 'always_recompute'"),
 }
+_NAMES = {"_U64": _U64, "_FLOAT_MAX": _FLOAT_MAX, "_INF": math.inf, "_KINDS": KINDS}
 
 
-def rules(required: dict[str, str], optional: dict[str, str] | None = None) -> tuple:
-    """The fields of one kind of object as the flat tuple ``check_fields``
-    walks: (name, kind, rule, required) for each, required ones first. A
-    rule is the type itself for an exact-type kind, the (types, low, high)
-    triple for a range kind, else its test."""
-    fields = [(name, kind, True) for name, kind in required.items()]
-    fields += [(name, kind, False) for name, kind in (optional or {}).items()]
-    return tuple((name, kind, _EXACT.get(kind) or _RANGES.get(kind) or FIELD_TYPES[kind], req)
-                 for name, kind, req in fields)
+def _test(kind: str, indent: str = "") -> list[str]:
+    """The lines of code that return False unless ``v`` passes ``kind``'s rule."""
+    rule = _RULES[kind]
+    if type(rule) is str:
+        return [f"{indent}if not ({rule}): return False"]
+    container, each = rule
+    return [f"{indent}if type(v) is not {container}: return False",
+            f"{indent}for x in v{'.values()' if container == 'dict' else ''}:",
+            f"{indent}    if not ({each}): return False"]
 
 
-def check_fields(data, fields: tuple, where: str) -> None:
+def _compile(name: str, arg: str, lines: list[str]):
+    """The function ``name`` of ``arg`` with the body ``lines``, built from
+    this module's constant rules only."""
+    namespace = dict(_NAMES)
+    exec(f"def {name}({arg}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace[name]
+
+
+FIELD_TYPES = {kind: _compile(f"is_{kind}", "v", _test(kind) + ["return True"]) for kind in _RULES}
+
+
+class Rules(tuple):
+    """The fields of one kind of object, (name, kind, test, required) for
+    each, required ones first, with ``valid``: the table compiled into one
+    test of a whole object. A positional table lists the leading items of a
+    list, each required."""
+
+    positional: bool
+    valid: object
+
+
+def rules(required: dict[str, str], optional: dict[str, str] | None = None, *,
+          positional: bool = False) -> Rules:
+    """The table of an object's fields, as ``check_fields`` walks it, and its
+    ``valid``."""
+    optional = optional or {}
+    assert not (positional and optional), "a positional table lists required items"
+    fields = Rules([(name, kind, FIELD_TYPES[kind], True) for name, kind in required.items()]
+                   + [(name, kind, FIELD_TYPES[kind], False) for name, kind in optional.items()])
+    fields.positional = positional
+    # a positional table's items are there once the list is long enough
+    lines = [f"if type(d) is not list or len(d) < {len(required)}: return False" if positional
+             else "if type(d) is not dict: return False", "try:"]
+    for i, (name, kind) in enumerate(required.items()):
+        lines += [f"    v = d[{i if positional else repr(name)}]", *_test(kind, "    ")]
+    lines += ["except KeyError: return False", f"n = {len(required)}"]
+    for name, kind in optional.items():
+        lines += [f"if {name!r} in d:", f"    v = d[{name!r}]", *_test(kind, "    "), "    n += 1"]
+    lines.append("return True" if positional else "return len(d) == n")
+    fields.valid = _compile("valid", "d", lines)
+    return fields
+
+
+def check_fields(data, fields: Rules, where: str) -> None:
     """Raise FormatError unless ``data`` is an object with every required
-    field of ``fields``, no other, and in each a value its kind admits. The
+    field of ``fields``, no other, and in each a value its kind admits, or,
+    for a positional table, a list whose leading items are such values. The
     message begins with the path of the field at fault below ``where`` (""
-    for a document), e.g. ``history.cells[3].runtime_s: invalid seconds -1``."""
-    if type(data) is not dict:
+    for a document), e.g. ``history.cells[3].runtime_s: invalid seconds -1``.
+    ``fields.valid`` accepts at once; the walk of the tests decides the rest."""
+    if not fields.valid(data):
+        _walk(data, fields, where)
+
+
+def _walk(data, fields: Rules, where: str) -> None:
+    if fields.positional:
+        if type(data) is not list or len(data) < len(fields):
+            raise FormatError(f"{where or 'document'}: not a list of {len(fields)} or more items ({data!r:.60})")
+        data = dict(zip([field[0] for field in fields], data))
+    elif type(data) is not dict:
         raise FormatError(f"{where or 'document'}: not an object ({data!r:.60})")
     found = 0
-    for name, kind, rule, required in fields:
+    for name, kind, test, required in fields:
         if name in data:
-            value = data[name]
-            if type(value) is not rule:
-                if type(rule) is tuple:
-                    types, low, high = rule
-                    valid = type(value) in types and low <= value < high
-                else:
-                    valid = type(rule) is not type and rule(value)
-                if not valid:
-                    raise FormatError(f"{_path(where, name)}: invalid {kind} {value!r:.60}")
+            if not test(data[name]):
+                raise FormatError(f"{_path(where, name)}: invalid {kind} {data[name]!r:.60}")
             found += 1
         elif required:
             raise FormatError(f"{_path(where, name)}: missing")

@@ -16,9 +16,12 @@ import statecut
 from statecut.errors import FormatError, NonMonotonicTimestamp, Unreconstructable, UnknownVariable
 from statecut.gen import GenParams, generate_trace, inject_false_edges
 from statecut import history as history_module
-from statecut.history import _CELL, CellRecord, HistoryGraph, VariableSnapshot, _plain_cell
+from statecut import schema
+from statecut.history import _CELL, CellRecord, HistoryGraph, VariableSnapshot
 from statecut.schema import check_fields
-from statecut.trace import new_session, run_trace
+from statecut.planner import plan_session
+from statecut.replicator import read_checkpoint, write_checkpoint
+from statecut.trace import load_trace, new_session, run_trace, save_trace
 
 from sessions import live_closure, record_cell, with_failing_cells, worked_example_trace
 
@@ -598,9 +601,9 @@ def manifest_cells(draw):
 
 
 class TestManifestFields:
-    # from_manifest tests each cell's fields in place and walks the rules
-    # of _CELL only when a test fails: it accepts and rejects exactly what
-    # the rules do, with the rules' message
+    # from_manifest tests each cell with _CELL.valid and walks the rules of
+    # _CELL only when it says no: it accepts and rejects exactly what the
+    # rules do, with the rules' message
 
     @settings(max_examples=400, deadline=None)
     @given(entry=manifest_cells())
@@ -624,11 +627,8 @@ class TestManifestFields:
     @example(entry=[CELL])
     def test_in_place_checks_accept_and_reject_as_the_rules_do(self, entry):
         verdict = rules_verdict(entry)
-        if _plain_cell(entry):
-            assert verdict is None
-        elif verdict is None:
-            # the only valid entries left to the rules: an int runtime_s
-            assert type(entry["runtime_s"]) is int
+        # the compiled test accepts exactly what the walk accepts
+        assert _CELL.valid(entry) == (verdict is None)
         assert_reader_agrees(entry, verdict)
 
     def test_every_wrong_value_of_every_field_is_named(self):
@@ -638,28 +638,45 @@ class TestManifestFields:
                 entry = {**CELL, "failed_at": 0, field: value}
                 verdict = rules_verdict(entry)
                 assert_reader_agrees(entry, verdict)
-                assert not _plain_cell(entry) or verdict is None, (field, value)
+                assert _CELL.valid(entry) == (verdict is None), (field, value)
                 rejected += verdict is not None
         assert rejected > 180
 
-    def test_a_valid_manifest_walks_the_rules_once(self, monkeypatch):
-        # the history object's own fields only: never once per cell
-        walked = []
+    def test_a_valid_manifest_walks_the_rules_once(self, monkeypatch, tmp_path):
+        # the history object's own fields only: never once per cell; and no
+        # rule is walked at all for a valid trace, its lineage or its
+        # checkpoint, whose tables' compiled tests accept every object
+        walked, walks = [], []
 
         def counted(data, fields, where):
             walked.append(where)
             return check_fields(data, fields, where)
 
+        def counted_walk(data, fields, where):
+            walks.append(where)
+            return walk(data, fields, where)
+
+        walk = schema._walk
         monkeypatch.setattr(history_module, "check_fields", counted)
-        cells = 0
+        monkeypatch.setattr(schema, "_walk", counted_walk)
+        cells = ops = records = 0
         for seed in range(20):
             trace = with_failing_cells(generate_trace(GenParams(
                 cells=60, variables=8, delete_rate=0.1, never_rerun_rate=0.05, nondet_rate=0.05), seed),
                 random.Random(seed), 0.2)
-            graph = run_trace(trace)[0].history
+            save_trace(trace, tmp_path / "trace.json")
+            assert load_trace(tmp_path / "trace.json") == trace, seed
+            assert walks == [], seed
+            session = run_trace(trace)[0]
+            graph = session.history
             for manifest in (graph.to_manifest(), json.loads(json.dumps(graph.to_manifest()))):
                 walked.clear()
                 assert lineage_state(HistoryGraph.from_manifest(manifest)) == lineage_state(graph), seed
                 assert walked == ["history"], seed
+            assert walks == [], seed
+            write_checkpoint(session, plan_session(session), tmp_path / "session.ckpt")
+            records += len(read_checkpoint(tmp_path / "session.ckpt").objects)
+            assert walks == [], seed
             cells += len(graph.cells)
-        assert cells > 200
+            ops += sum(len(cell.ops) for cell in trace.cells)
+        assert cells > 200 and ops > 1000 and records > 100
